@@ -16,11 +16,11 @@ import numpy as np
 
 from .channels import (
     IntegrationFailure,
-    LindbladChannel,
     SuperoperatorChannel,
     UnitaryChannel,
     check_cptp,
     propagate,
+    propagator_series,
 )
 from .models import (
     PRESETS,
@@ -307,9 +307,9 @@ def integrator_integrity(step: float = 1e-3,
     schedule, jumps = three_level_model(cfg)
     rho0 = three_level_initial_state(cfg, preset.initial_state)
     try:
-        rep = check_cptp(LindbladChannel(schedule, jumps, step=step)
-                         .as_superoperator())
-        out = propagate(schedule, jumps, rho0, step=step)
+        chan = propagator_series(schedule, jumps, [schedule.t_final], step)[-1]
+        rep = check_cptp(chan)
+        out = chan.apply(rho0)
         drift = abs(np.trace(out).real - 1.0)
 
         # Convergence is measured over the full configured window so that
@@ -342,8 +342,7 @@ def gibbs_relaxation(occupation: str = "bose") -> CriterionResult:
     cfg = ThreeLevelConfig(gamma=gamma, beta1=beta, beta2=beta, beta3=beta,
                            drive_amplitude=0.0, t_max=200.0 / gamma, step=0.1)
     schedule, jumps = three_level_model(cfg)
-    chan = SuperoperatorChannel(
-        LindbladChannel(schedule, jumps, step=0.1).as_superoperator())
+    chan = propagator_series(schedule, jumps, [schedule.t_final], step=0.1)[-1]
     rho_i = random_density(3, gen=SeededGenerator(41))
     target = gibbs_state(three_level_hamiltonian(cfg), beta)
     dist = float(np.abs(chan.apply(rho_i) - target).max())

@@ -1,24 +1,28 @@
 """Quantum channels and Lindblad time evolution.
 
-A channel maps density operators to density operators.  Three concrete
+A channel maps density operators to density operators.  Two concrete
 kinds are provided:
 
 * :class:`UnitaryChannel` conjugates by a fixed unitary,
 * :class:`SuperoperatorChannel` applies a precomputed matrix to the
-  vectorized state,
-* :class:`LindbladChannel` integrates a (possibly driven) Lindblad
-  master equation with a fixed-step classic Runge-Kutta rule.
+  vectorized state.
 
 Vectorization is row-major throughout: ``vec(rho) = rho.reshape(d*d)``
 stacks rows, so conjugation by a unitary U has superoperator
 ``kron(U, conj(U))`` and a map ``rho -> A rho B`` has ``kron(A, B.T)``.
 
+A (possibly driven) Lindblad master equation is solved by
+:func:`propagator_series`, which integrates the d^2 x d^2 propagator
+with a fixed-step classic Runge-Kutta rule and returns superoperator
+channels; :func:`propagate` applies its last snapshot to one state.
 The integrator is deliberately fixed-step (no adaptivity) so runs are
-bitwise reproducible; the step is an upper bound and the window is
-subdivided uniformly.  Each accepted step re-symmetrizes the state,
-``rho <- (rho + rho^dag)/2``, which removes the slow Hermiticity drift
-of plain RK4 without touching the dynamics.  Trace is monitored every
-step and a drift beyond 1e-6 (or any NaN) aborts the run.
+bitwise reproducible; the step is an upper bound and each window is
+subdivided uniformly.  Each accepted step projects the propagator onto
+the Hermiticity-preserving maps, ``S <- (S + P conj(S) P)/2`` with P the
+transpose permutation of vec indices, which removes the slow Hermiticity
+drift of plain RK4 without touching the dynamics.  The trace of every
+column is monitored each step and a drift beyond 1e-6 (or any NaN)
+aborts the run.
 """
 
 from __future__ import annotations
@@ -45,9 +49,8 @@ __all__ = [
     "Channel",
     "UnitaryChannel",
     "SuperoperatorChannel",
-    "LindbladChannel",
     "identity_channel",
-    "lindblad_rhs",
+    "lindblad_generator",
     "propagate",
     "propagator_series",
     "channel_as_superoperator",
@@ -61,7 +64,7 @@ TRACE_DRIFT_ABORT = 1e-6
 
 
 class IntegrationFailure(RuntimeError):
-    """The RK4 run produced NaNs, lost the trace, or failed its convergence check."""
+    """The RK4 run produced NaNs or lost the trace."""
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -134,100 +137,6 @@ def _as_operator_list(jump_operators) -> list:
     if isinstance(jump_operators, JumpOperatorSet):
         return list(jump_operators.operators)
     return [as_complex_matrix(op, "jump operator") for op in jump_operators]
-
-
-def lindblad_rhs(hamiltonian, jump_operators, rho) -> np.ndarray:
-    """Right-hand side -i[H, rho] + sum_k (L rho L^dag - {L^dag L, rho}/2).
-
-    ``rho`` may carry leading batch axes; the rule broadcasts over them.
-    """
-    h = np.asarray(hamiltonian, dtype=np.complex128)
-    r = np.asarray(rho, dtype=np.complex128)
-    out = -1j * (h @ r - r @ h)
-    ops = _as_operator_list(jump_operators)
-    if ops:
-        k = np.zeros_like(h)
-        for L in ops:
-            out += L @ r @ L.conj().T
-            k += L.conj().T @ L
-        out -= 0.5 * (k @ r + r @ k)
-    return out
-
-
-def _dagger(stack: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(stack, -1, -2))
-
-
-def _rk4_run(schedule: HamiltonianSchedule, ops: list, state: np.ndarray,
-             t0: float, t1: float, step: float) -> np.ndarray:
-    """Integrate a (stack of) Hermitian matrices from t0 to t1.
-
-    Re-symmetrizes after every step and aborts on NaN or trace drift.
-    Returns the final stack; the input is not modified.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    y = np.array(state, dtype=np.complex128)
-    span = t1 - t0
-    if span < 0:
-        raise ValueError("cannot integrate backwards in time")
-    if span == 0:
-        return y
-    n_steps = max(1, math.ceil(span / step - 1e-12))
-    h = span / n_steps
-
-    kmat = np.zeros((schedule.dim, schedule.dim), dtype=np.complex128)
-    for L in ops:
-        kmat += L.conj().T @ L
-
-    def rhs(t, r):
-        ht = schedule.at(t)
-        out = -1j * (ht @ r - r @ ht)
-        for L in ops:
-            out += L @ r @ L.conj().T
-        out -= 0.5 * (kmat @ r + r @ kmat)
-        return out
-
-    tr0 = np.einsum("...ii->...", y)
-    t = t0
-    for i in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        y = 0.5 * (y + _dagger(y))
-        t = t0 + (i + 1) * h
-        drift = np.max(np.abs(np.einsum("...ii->...", y) - tr0))
-        if not (drift <= TRACE_DRIFT_ABORT):
-            raise IntegrationFailure(
-                f"trace drift {drift:.3e} at t = {t:.6g} (step {h:.3g})")
-    if np.isnan(y).any():
-        raise IntegrationFailure("NaN in integrated state")
-    return y
-
-
-def propagate(schedule: HamiltonianSchedule, jump_operators, rho0,
-              step: float = 1e-3, check_convergence: bool = False) -> np.ndarray:
-    """Evolve a density operator over the schedule window with fixed-step RK4.
-
-    With ``check_convergence`` the run is repeated at half the step and the
-    two endpoints must agree to 1e-6, otherwise :class:`IntegrationFailure`
-    is raised.
-    """
-    rho = assert_density_operator(rho0)
-    if rho.shape[0] != schedule.dim:
-        raise DimensionMismatch("state and schedule dimensions differ")
-    ops = _as_operator_list(jump_operators)
-    out = _rk4_run(schedule, ops, rho, schedule.t_initial, schedule.t_final, step)
-    if check_convergence:
-        ref = _rk4_run(schedule, ops, rho, schedule.t_initial, schedule.t_final, step / 2.0)
-        dist = float(np.max(np.abs(out - ref)))
-        if not (dist <= 1e-6):
-            raise IntegrationFailure(
-                f"halving the step moved the endpoint by {dist:.3e}; "
-                "the integration is not converged")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,110 +212,110 @@ class SuperoperatorChannel(Channel):
         return self.superoperator
 
 
-class LindbladChannel(Channel):
-    """The propagator of a Lindblad equation over the schedule window."""
-
-    def __init__(self, schedule: HamiltonianSchedule, jump_operators=None,
-                 step: float = 1e-3):
-        self.schedule = schedule
-        self.jump_operators = _as_operator_list(jump_operators)
-        self.step = step
-        self.dim = schedule.dim
-        self._superoperator = None
-
-    def apply(self, rho) -> np.ndarray:
-        return propagate(self.schedule, self.jump_operators, rho, self.step)
-
-    def apply_matrix(self, m) -> np.ndarray:
-        a = as_complex_matrix(m, "matrix")
-        # split into Hermitian parts so the symmetrizing integrator applies
-        hpart = 0.5 * (a + a.conj().T)
-        apart = -0.5j * (a - a.conj().T)
-        stack = np.stack([hpart, apart])
-        out = _rk4_run(self.schedule, self.jump_operators, stack,
-                       self.schedule.t_initial, self.schedule.t_final, self.step)
-        return out[0] + 1j * out[1]
-
-    def as_superoperator(self) -> np.ndarray:
-        if self._superoperator is None:
-            basis, rebuild = _hermitian_unit_basis(self.dim)
-            final = _rk4_run(self.schedule, self.jump_operators, basis,
-                             self.schedule.t_initial, self.schedule.t_final, self.step)
-            self._superoperator = rebuild(final)
-        return self._superoperator
-
-
 def identity_channel(dim: int) -> UnitaryChannel:
     return UnitaryChannel(np.eye(dim))
 
 
-def _hermitian_unit_basis(d: int):
-    """Hermitian stand-ins for the matrix units, plus the rebuild map.
+# ---------------------------------------------------------------------------
+# Lindblad propagation.
 
-    Propagating matrix units directly would defeat the integrator's
-    re-symmetrization, so each unit E_jk is reached through the Hermitian
-    pair X = E_jk + E_kj and Y = -i(E_jk - E_kj).  ``rebuild`` turns the
-    propagated stack back into the superoperator columns.
+
+def _hamiltonian_generator(h: np.ndarray) -> np.ndarray:
+    """-i(kron(h, I) - kron(I, h.T)), built by broadcasting (np.kron is slower)."""
+    d = h.shape[0]
+    eye = np.eye(d)
+    out = (h[:, None, :, None] * eye[None, :, None, :]
+           - eye[:, None, :, None] * h.T[None, :, None, :])
+    return -1j * out.reshape(d * d, d * d)
+
+
+def _dissipator(ops: list, d: int) -> np.ndarray:
+    eye = np.eye(d)
+    out = np.zeros((d * d, d * d), dtype=np.complex128)
+    for L in ops:
+        k = L.conj().T @ L
+        out += np.kron(L, L.conj()) - 0.5 * (np.kron(k, eye) + np.kron(eye, k.T))
+    return out
+
+
+def lindblad_generator(hamiltonian, jump_operators) -> np.ndarray:
+    """Superoperator of -i[H, rho] + sum_k (L rho L^dag - {L^dag L, rho}/2).
+
+    The d^2 x d^2 matrix acts on row-major vectorized states, so
+    ``vec(drho/dt) = lindblad_generator(H, ops) @ vec(rho)``.
     """
-    mats = []
-    index = {}
-    for j in range(d):
-        m = np.zeros((d, d), dtype=np.complex128)
-        m[j, j] = 1.0
-        index["d", j] = len(mats)
-        mats.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            x = np.zeros((d, d), dtype=np.complex128)
-            x[j, k] = 1.0
-            x[k, j] = 1.0
-            index["x", j, k] = len(mats)
-            mats.append(x)
-            y = np.zeros((d, d), dtype=np.complex128)
-            y[j, k] = -1.0j
-            y[k, j] = 1.0j
-            index["y", j, k] = len(mats)
-            mats.append(y)
-
-    def rebuild(final: np.ndarray) -> np.ndarray:
-        s = np.zeros((d * d, d * d), dtype=np.complex128)
-        for j in range(d):
-            s[:, j * d + j] = final[index["d", j]].reshape(-1)
-        for j in range(d):
-            for k in range(j + 1, d):
-                fx = final[index["x", j, k]]
-                fy = final[index["y", j, k]]
-                s[:, j * d + k] = (0.5 * (fx + 1j * fy)).reshape(-1)
-                s[:, k * d + j] = (0.5 * (fx - 1j * fy)).reshape(-1)
-        return s
-
-    return np.stack(mats), rebuild
+    h = as_complex_matrix(hamiltonian, "Hamiltonian")
+    return _hamiltonian_generator(h) + _dissipator(_as_operator_list(jump_operators),
+                                                   h.shape[0])
 
 
 def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
                       step: float = 1e-3) -> list[SuperoperatorChannel]:
     """Propagators from the schedule start to each requested time.
 
-    The whole operator basis is integrated once, incrementally, so the
-    cost is one pass over [t_initial, max(times)] regardless of how many
-    snapshot times are requested.  Times must be non-decreasing and lie
+    RK4 steps the propagator itself, dS/dt = L(t) S from S = identity,
+    once and incrementally, so the cost is one pass over
+    [t_initial, max(times)] regardless of how many snapshot times are
+    requested.  Each window between consecutive times takes
+    ceil(span/step) equal steps.  Times must be non-decreasing and lie
     inside the schedule window.
     """
-    ops = _as_operator_list(jump_operators)
+    if step <= 0.0:
+        raise ValueError("step must be positive")
     ts = [float(t) for t in times]
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValueError("snapshot times must be non-decreasing")
-    if ts and (ts[0] < schedule.t_initial - 1e-12):
+    if ts and ts[0] < schedule.t_initial - 1e-12:
         raise ValueError("snapshot before the schedule start")
-    basis, rebuild = _hermitian_unit_basis(schedule.dim)
+    if ts and ts[-1] > schedule.t_final + 1e-12:
+        raise ValueError("snapshot after the schedule end")
+    d = schedule.dim
+    dissipator = _dissipator(_as_operator_list(jump_operators), d)
+
+    def generator(t):
+        return _hamiltonian_generator(schedule.at(t)) + dissipator
+
+    diagonal = np.arange(d) * (d + 1)  # vec indices of the diagonal entries
+    s = np.eye(d * d, dtype=np.complex128)
     out = []
-    t_prev = schedule.t_initial
-    current = basis
-    for t in ts:
-        current = _rk4_run(schedule, ops, current, t_prev, t, step)
-        t_prev = t
-        out.append(SuperoperatorChannel(rebuild(current)))
+    t0 = schedule.t_initial
+    for t1 in ts:
+        span = t1 - t0
+        if span > 0:
+            n_steps = max(1, math.ceil(span / step - 1e-12))
+            h = span / n_steps
+            tr0 = s[diagonal].sum(axis=0)
+            for i in range(n_steps):
+                t = t0 + i * h
+                mid = generator(t + 0.5 * h)
+                k1 = generator(t) @ s
+                k2 = mid @ (s + (0.5 * h) * k1)
+                k3 = mid @ (s + (0.5 * h) * k2)
+                k4 = generator(t + h) @ (s + h * k3)
+                s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                # S <- (S + P conj(S) P)/2: the map X -> S(X^dag)^dag, written
+                # on the (row, column) indices of input and output
+                flipped = s.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+                s = 0.5 * (s + flipped.conj())
+                drift = np.max(np.abs(s[diagonal].sum(axis=0) - tr0))
+                if not (drift <= TRACE_DRIFT_ABORT):
+                    raise IntegrationFailure(
+                        f"trace drift {drift:.3e} at t = {t + h:.6g} (step {h:.3g})")
+            if np.isnan(s).any():
+                raise IntegrationFailure("NaN in integrated propagator")
+        t0 = t1
+        out.append(SuperoperatorChannel(s))
     return out
+
+
+def propagate(schedule: HamiltonianSchedule, jump_operators, rho0,
+              step: float = 1e-3) -> np.ndarray:
+    """Evolve a density operator over the schedule window with fixed-step RK4."""
+    rho = assert_density_operator(rho0)
+    if rho.shape[0] != schedule.dim:
+        raise DimensionMismatch("state and schedule dimensions differ")
+    final = propagator_series(schedule, jump_operators, [schedule.t_final], step)[0]
+    return final.apply(rho)
 
 
 def channel_as_superoperator(channel: Channel) -> SuperoperatorChannel:

@@ -41,7 +41,7 @@ from .qcore import (
     hermitian_eig,
     matrix_phase_exp,
 )
-from .sampling import SeededGenerator, _rng
+from .sampling import _rng
 
 __all__ = [
     "NegativeProbability",
@@ -67,7 +67,6 @@ __all__ = [
     "shannon_entropy",
     "mutual_information",
     "sample_shots",
-    "bootstrap_standard_error",
     "convexity_witness",
 ]
 
@@ -559,29 +558,6 @@ def sample_shots(protocol: str, rho, channel: Channel,
         raise ValueError(f"unknown protocol tag {protocol!r}")
     return JointEnergyDistribution(spec_i.energies, spec_f.energies,
                                    counts / n_shots, protocol, n_shots=n_shots)
-
-
-def bootstrap_standard_error(empirical: JointEnergyDistribution, statistic,
-                             n_resamples: int = 400, gen=None) -> float:
-    """Multinomial-bootstrap standard deviation of a statistic of the joint.
-
-    ``statistic`` maps a JointEnergyDistribution to a float; the empirical
-    distribution must carry ``n_shots``.
-    """
-    if empirical.n_shots is None:
-        raise ValueError("bootstrap needs an empirical distribution with n_shots")
-    r = _rng(gen if gen is not None else SeededGenerator(0))
-    n = empirical.n_shots
-    flat = empirical.probs.reshape(-1)
-    values = np.empty(n_resamples)
-    for b in range(n_resamples):
-        resampled = r.multinomial(n, flat) / n
-        redist = JointEnergyDistribution(empirical.initial_energies,
-                                         empirical.final_energies,
-                                         resampled.reshape(empirical.probs.shape),
-                                         empirical.protocol, n_shots=n)
-        values[b] = statistic(redist)
-    return float(np.std(values, ddof=1))
 
 
 # ---------------------------------------------------------------------------

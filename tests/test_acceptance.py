@@ -2,7 +2,9 @@
 
 Each test runs one check from :mod:`fluctua.acceptance` at its pinned
 seeds and tolerances and asserts a PASS, quoting the measured numbers on
-failure.  The battery takes roughly ten seconds in total.
+failure.  The battery takes about eight seconds in total on a 2-core
+x86-64 machine (Python 3.11, numpy 2.4); no single check takes more
+than two.
 """
 
 from fluctua import acceptance

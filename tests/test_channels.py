@@ -8,14 +8,13 @@ from fluctua.channels import (
     HamiltonianSchedule,
     IntegrationFailure,
     JumpOperatorSet,
-    LindbladChannel,
     SuperoperatorChannel,
     UnitaryChannel,
     channel_as_superoperator,
     check_cptp,
     choi_matrix,
     identity_channel,
-    lindblad_rhs,
+    lindblad_generator,
     propagate,
     propagator_series,
     unvec,
@@ -32,6 +31,15 @@ def random_state(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / rho.trace()
+
+
+def operator_form_rhs(h, ops, rho):
+    """-i[H, rho] + sum_k (L rho L^dag - {L^dag L, rho}/2), term by term."""
+    out = -1j * (h @ rho - rho @ h)
+    for L in ops:
+        k = L.conj().T @ L
+        out = out + L @ rho @ L.conj().T - 0.5 * (k @ rho + rho @ k)
+    return out
 
 
 def random_unitary(rng, d):
@@ -84,12 +92,12 @@ def test_identity_channel():
 
 
 # ---------------------------------------------------------------------------
-# lindblad_rhs
+# lindblad_generator
 
 
 def test_rhs_pure_hamiltonian_commutator():
     rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    out = lindblad_rhs(SZ, None, rho)
+    out = unvec(lindblad_generator(SZ, None) @ vec(rho))
     assert np.allclose(out, -1j * (SZ @ rho - rho @ SZ))
 
 
@@ -99,17 +107,11 @@ def test_rhs_traceless_and_hermiticity_preserving():
     ops = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
     h = rng.normal(size=(3, 3))
     h = h + h.T
-    out = lindblad_rhs(h, ops, rho)
+    out = unvec(lindblad_generator(h, JumpOperatorSet(ops)) @ vec(rho))
     assert abs(out.trace()) < 1e-12
     assert np.max(np.abs(out - out.conj().T)) < 1e-12
-
-
-def test_rhs_broadcasts_over_stacks():
-    rng = np.random.default_rng(6)
-    stack = np.stack([random_state(rng, 2) for _ in range(4)])
-    out = lindblad_rhs(SZ, [SM], stack)
-    for i in range(4):
-        assert np.allclose(out[i], lindblad_rhs(SZ, [SM], stack[i]))
+    # the row-major superoperator is the master equation term by term
+    assert np.max(np.abs(out - operator_form_rhs(h, ops, rho))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +165,6 @@ def test_propagate_keeps_state_valid():
     assert np.min(np.linalg.eigvalsh(out)) > -1e-9
 
 
-def test_propagate_convergence_check():
-    sched = HamiltonianSchedule(5.0 * SX, t_final=2.0)
-    rho0 = np.diag([1.0, 0.0]).astype(complex)
-    propagate(sched, None, rho0, step=1e-3, check_convergence=True)
-    with pytest.raises(IntegrationFailure):
-        propagate(sched, None, rho0, step=0.4, check_convergence=True)
-
-
 def test_propagate_detects_blowup():
     # overdamped jump with a huge step makes RK4 unstable
     sched = HamiltonianSchedule(np.zeros((2, 2)), t_final=50.0)
@@ -195,21 +189,41 @@ def test_rk4_order_halving_factor():
 # superoperator assembly
 
 
+def _operator_form_rk4(sched, ops, rho, step):
+    """Reference RK4 on the density matrix itself, with the operator-form rhs."""
+    def rhs(t, r):
+        return operator_form_rhs(sched.at(t), ops, r)
+
+    n = math.ceil((sched.t_final - sched.t_initial) / step)
+    h = (sched.t_final - sched.t_initial) / n
+    for i in range(n):
+        t = sched.t_initial + i * h
+        a = rhs(t, rho)
+        b = rhs(t + h / 2, rho + h / 2 * a)
+        c = rhs(t + h / 2, rho + h / 2 * b)
+        rho = rho + h / 6 * (a + 2 * b + 2 * c + rhs(t + h, rho + h * c))
+    return rho
+
+
 def test_lindblad_superoperator_matches_propagation():
+    # stepping the propagator is the same RK4 as stepping each state
     rng = np.random.default_rng(9)
     sched = HamiltonianSchedule(SX + 0.2 * SZ,
                                 drive=lambda t: 0.5 * math.cos(t) * SX,
                                 t_final=1.5)
-    chan = LindbladChannel(sched, [0.6 * SM], step=1e-3)
-    sup = channel_as_superoperator(chan)
+    ops = [0.6 * SM]
+    chan = propagator_series(sched, ops, [sched.t_final], step=1e-2)[-1]
+    assert channel_as_superoperator(chan) is chan
     for _ in range(5):
         rho = random_state(rng, 2)
-        assert np.max(np.abs(sup.apply(rho) - chan.apply(rho))) < 1e-7
+        direct = _operator_form_rk4(sched, ops, rho, step=1e-2)
+        assert np.max(np.abs(chan.apply(rho) - direct)) < 1e-13
+        assert np.max(np.abs(propagate(sched, ops, rho, step=1e-2) - direct)) < 1e-13
 
 
 def test_apply_matrix_is_linear_extension():
     sched = HamiltonianSchedule(SX, t_final=0.8)
-    chan = LindbladChannel(sched, [0.5 * SM], step=1e-3)
+    chan = propagator_series(sched, [0.5 * SM], [sched.t_final], step=1e-3)[-1]
     rng = np.random.default_rng(10)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -240,6 +254,49 @@ def test_propagator_series_rejects_decreasing_times():
     sched = HamiltonianSchedule(SX, t_final=1.0)
     with pytest.raises(ValueError):
         propagator_series(sched, None, [0.5, 0.2])
+
+
+def test_propagator_series_rejects_times_outside_window():
+    sched = HamiltonianSchedule(SX, t_initial=0.5, t_final=1.0)
+    with pytest.raises(ValueError):
+        propagator_series(sched, None, [0.4, 0.8])
+    with pytest.raises(ValueError):
+        propagator_series(sched, None, [0.8, 1.0 + 1e-9])
+    # the 1e-12 slack at the end accepts a roundoff-level overshoot
+    propagator_series(sched, None, [0.8, 1.0 + 1e-13])
+
+
+def _transpose_permutation(d):
+    # P vec(X) = vec(X^T)
+    p = np.zeros((d * d, d * d))
+    for j in range(d):
+        for k in range(d):
+            p[k * d + j, j * d + k] = 1.0
+    return p
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_propagator_series_matches_exact_exponential(d):
+    # static generator: the propagator is exp(L t), here by eigendecomposition
+    rng = np.random.default_rng(20 + d)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = 0.5 * (h + h.conj().T)
+    ops = [0.4 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+           for _ in range(2)]
+    sched = HamiltonianSchedule(h, t_final=2.0)
+    w, v = np.linalg.eig(lindblad_generator(h, ops))
+    v_inv = np.linalg.inv(v)
+    times = [0.0, 0.3, 1.1, 2.0]
+    series = propagator_series(sched, ops, times, step=2e-3)
+    p = _transpose_permutation(d)
+    for t, snap in zip(times, series):
+        s = snap.superoperator
+        assert np.max(np.abs(s - (v * np.exp(w * t)) @ v_inv)) < 1e-10
+        # Hermiticity preserving, S(X^dag) = S(X)^dag for every X: the
+        # projection after each step makes this hold exactly, not to roundoff
+        assert np.array_equal(s, p @ s.conj() @ p)
+        traces = np.einsum("mmjk->jk", s.reshape(d, d, d, d))
+        assert np.max(np.abs(traces - np.eye(d))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +334,7 @@ def test_check_cptp_flags_transpose_map():
 
 def test_check_cptp_lindblad_propagator():
     sched = HamiltonianSchedule(SX + 0.2 * SZ, t_final=2.0)
-    rep = check_cptp(LindbladChannel(sched, [0.7 * SM], step=1e-3))
+    rep = check_cptp(propagator_series(sched, [0.7 * SM], [sched.t_final], step=1e-3)[-1])
     assert rep.trace_preserving
     assert rep.choi_min_eig > -1e-10
 

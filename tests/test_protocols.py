@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from fluctua.channels import SuperoperatorChannel, UnitaryChannel, identity_channel
+from fluctua.models import TwoQubitExperimentConfig, two_qubit_sweep
 from fluctua.protocols import (
     DegenerateEigenbasis,
     JointEnergyDistribution,
     NegativeProbability,
     NonThermalDiagonal,
     SupportMismatch,
-    bootstrap_standard_error,
     characteristic_function,
     characteristic_of_distribution,
     characteristic_split,
@@ -637,26 +637,17 @@ def test_sample_shots_validates_input():
 
 
 def test_bootstrap_standard_error_scales():
-    spec = spectral_decompose(SZ)
-    rho = np.eye(2, dtype=complex) / 2.0
-    chan = UnitaryChannel(HADAMARD)
-    beta = 0.5
+    # the sweep's bootstrap errors drop as 1/sqrt(n): factor 4 from 400 to 6400
+    def se(n):
+        cfg = TwoQubitExperimentConfig(n_shots=n)
+        return two_qubit_sweep(cfg, gen=SeededGenerator(9)).columns["G_TPM_se"]
 
-    def stat(j):
-        return characteristic_of_distribution(j, 1j * beta).real
-
-    ses = []
-    for n in (400, 6400):
-        emp = sample_shots("TPM", rho, chan, spec, spec, n, SeededGenerator(9))
-        ses.append(bootstrap_standard_error(emp, stat, n_resamples=300,
-                                            gen=SeededGenerator(10)))
-    assert ses[0] > 0.0
-    # standard error should drop roughly as 1/sqrt(n): factor 4 here
-    assert 2.0 < ses[0] / ses[1] < 8.0
-    again = bootstrap_standard_error(
-        sample_shots("TPM", rho, chan, spec, spec, 400, SeededGenerator(9)),
-        stat, n_resamples=300, gen=SeededGenerator(10))
-    assert again == ses[0]
+    small, large = se(400), se(6400)
+    # at some angles the two-point record is deterministic and both errors vanish
+    live = small > 1e-6
+    assert live.sum() >= 10
+    assert np.all((2.0 < small[live] / large[live]) & (small[live] / large[live] < 8.0))
+    assert np.array_equal(se(400), small)
 
 
 def test_convexity_witness_zero_at_endpoints():
