@@ -53,7 +53,13 @@ from .protocols import (
 from .qcore import dephase, gibbs_state, hermitian_eig, spectral_decompose
 from .sampling import SeededGenerator, haar_random_pure, random_density
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA"]
+__all__ = ["CriterionResult", "run_all", "CRITERIA", "TPM_IDENTITY_TOL",
+           "CLOSED_FORM_TOL", "COHERENCE_SHARE_MIN"]
+
+# Thresholds shared with the self-check of ``fluctua run --check``.
+TPM_IDENTITY_TOL = 1e-9  # max |G_TPM - 1| over the exact sweep
+CLOSED_FORM_TOL = 1e-9  # max sweep deviation from the closed forms
+COHERENCE_SHARE_MIN = 0.3  # peak coherence share of <dE^2>, figS3 preset
 
 
 @dataclass(frozen=True)
@@ -107,9 +113,9 @@ def tpm_exponential_identity() -> CriterionResult:
     res = two_qubit_sweep(TwoQubitExperimentConfig())
     gap = float(np.abs(res.columns["G_TPM"] - 1.0).max())
     return CriterionResult(
-        "tpm-exponential-identity", gap < 1e-9,
+        "tpm-exponential-identity", gap < TPM_IDENTITY_TOL,
         f"max |G_TPM - 1| = {gap:.2e} over {res.columns['theta'].size} "
-        "grid points (tolerance 1e-9)")
+        f"grid points (tolerance {TPM_IDENTITY_TOL:g})")
 
 
 def sweep_closed_forms() -> CriterionResult:
@@ -131,11 +137,11 @@ def sweep_closed_forms() -> CriterionResult:
     chan = UnitaryChannel(controlled_gate(0.0))
     spot = characteristic_function("EPM", rho, chan, spec, spec, 1j * 0.443).real
     spot_gap = abs(spot - 1.37632)
-    passed = worst < 1e-9 and spot_gap < 1e-4
+    passed = worst < CLOSED_FORM_TOL and spot_gap < 1e-4
     return CriterionResult(
         "sweep-closed-forms", passed,
-        f"max closed-form gap {worst:.2e} (tolerance 1e-9); spot value "
-        f"{spot:.6f} vs 1.37632 (tolerance 1e-4)")
+        f"max closed-form gap {worst:.2e} (tolerance {CLOSED_FORM_TOL:g}); "
+        f"spot value {spot:.6f} vs 1.37632 (tolerance 1e-4)")
 
 
 def protocol_collapse() -> CriterionResult:
@@ -371,9 +377,9 @@ def coherence_moment_share() -> CriterionResult:
     peak = float(frac.max())
     t_peak = float(series.times[int(frac.argmax())])
     return CriterionResult(
-        "coherence-moment-share", peak >= 0.3,
+        "coherence-moment-share", peak >= COHERENCE_SHARE_MIN,
         f"max coherence share of <dE^2> is {peak:.4f} at t = {t_peak:.2f} "
-        "(threshold 0.3)")
+        f"(threshold {COHERENCE_SHARE_MIN:g})")
 
 
 def finite_shot_calibration() -> CriterionResult:

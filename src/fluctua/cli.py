@@ -28,7 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .acceptance import run_all
+from .acceptance import (
+    CLOSED_FORM_TOL,
+    COHERENCE_SHARE_MIN,
+    TPM_IDENTITY_TOL,
+    run_all,
+)
 from .channels import IntegrationFailure
 from .models import (
     PRESETS,
@@ -40,7 +45,6 @@ from .models import (
     three_level_experiment,
     two_qubit_sweep,
 )
-from .qcore import NoConvergence
 from .sampling import SeededGenerator
 from .svgplot import line_chart
 
@@ -49,11 +53,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_CHECK = 4
 
-SWEEP_TOLERANCES = {"tpm_identity": 1e-9, "closed_form": 1e-9,
-                    "split_identity": 1e-10}
+SWEEP_TOLERANCES = {"tpm_identity": TPM_IDENTITY_TOL,
+                    "closed_form": CLOSED_FORM_TOL, "split_identity": 1e-10}
 SWEEP_SHOT_TOLERANCES = {"tpm_sigma": 5.0, "closed_form_sigma": 5.0}
 SERIES_TOLERANCES = {"parts_sum": 1e-10}
-COHERENCE_SHARE_MIN = 0.3  # applies to the figS3-second-moment preset
 
 
 class ConfigError(ValueError):
@@ -483,8 +486,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationFailure, NoConvergence,
-            np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (IntegrationFailure, np.linalg.LinAlgError,
+            FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

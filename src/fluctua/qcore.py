@@ -5,10 +5,12 @@ A Hamiltonian is a Hermitian matrix, a state is a density operator
 (Hermitian, unit trace, positive semidefinite), and an energy basis is
 the column set returned by the eigensolver below.
 
-The eigensolver is a cyclic Jacobi iteration specialised to complex
-Hermitian input.  For the matrix sizes this package targets (dimension
-<= 9 or so) Jacobi is simple, accurate to machine precision, and gives
-deterministic output, which matters for reproducible sampling runs.
+The eigensolver is LAPACK's (``numpy.linalg.eigh``) followed by a
+canonical gauge: each eigenvector column is multiplied by the phase that
+makes its largest-magnitude component real and positive, the first such
+component winning a tie.  An eigenvector's phase is part of the input
+wherever a state is built from coherences drawn in an energy basis, so
+the gauge makes those states independent of LAPACK's own convention.
 
 Conventions used throughout:
 
@@ -30,7 +32,6 @@ import numpy as np
 __all__ = [
     "DimensionMismatch",
     "NonHermitianInput",
-    "NoConvergence",
     "NonOrthonormalBasis",
     "SpectralDecomposition",
     "CoherenceSplit",
@@ -54,10 +55,6 @@ class DimensionMismatch(ValueError):
 
 class NonHermitianInput(ValueError):
     """A matrix that must be Hermitian is not, beyond tolerance."""
-
-
-class NoConvergence(RuntimeError):
-    """The Jacobi sweep cap was reached before the off-diagonal norm target."""
 
 
 class NonOrthonormalBasis(ValueError):
@@ -99,85 +96,33 @@ def assert_density_operator(rho, *, herm_tol: float = 1e-10,
 
 
 # ---------------------------------------------------------------------------
-# Cyclic Jacobi eigensolver for complex Hermitian matrices.
+# Eigensolver with a canonical eigenvector gauge.
 
-_MAX_SWEEPS = 100
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
+# Components whose magnitudes differ by less than this count as tied, so
+# roundoff cannot move the gauge's pivot between equal-magnitude entries.
+_GAUGE_TIE = 1e-12
 
 
-def hermitian_eig(matrix, tol: float = 1e-12):
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi.
+def hermitian_eig(matrix):
+    """Eigendecomposition of a complex Hermitian matrix in a canonical gauge.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as orthonormal columns, so that
-    ``matrix @ vecs[:, j] == vals[j] * vecs[:, j]``.
-
-    The iteration sweeps over all upper-triangle pairs, applying a complex
-    Givens rotation that annihilates each pair in turn, until the
-    off-diagonal Frobenius norm falls below ``tol`` (scaled by the input's
-    Frobenius norm when that exceeds one).  Raises :class:`NoConvergence`
-    after 100 sweeps, which for well-formed Hermitian input never happens
-    at the sizes used here.
+    ``matrix @ vecs[:, j] == vals[j] * vecs[:, j]``.  Each column's
+    largest-magnitude component (the first one, on a tie to within
+    1e-12) is real and positive.  Raises :class:`numpy.linalg.LinAlgError` if LAPACK does not
+    converge.
     """
-    a = as_complex_matrix(matrix, "eig input").copy()
-    n = a.shape[0]
+    a = as_complex_matrix(matrix, "eig input")
     if not is_hermitian(a):
         raise NonHermitianInput("hermitian_eig requires a Hermitian matrix")
     # Work on the exactly Hermitian average so roundoff in the input does
     # not leak into complex eigenvalues.
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return np.array([a[0, 0].real]), v
-
-    fro = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-    target = tol * max(1.0, fro)
-    skip = 1e-18 * max(1.0, fro)
-
-    for _ in range(_MAX_SWEEPS):
-        if _offdiag_norm(a) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                u = apq / abs(apq)
-                tau = (aqq - app) / (2.0 * abs(apq))
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Right-multiply by the rotation, then left-multiply by its
-                # adjoint: A <- R^dag A R, V <- V R.
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * np.conj(u) * aq
-                a[:, q] = s * u * ap + c * aq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * u * rq
-                a[q, :] = s * np.conj(u) * rp + c * rq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(u) * vq
-                v[:, q] = s * u * vp + c * vq
-    else:
-        raise NoConvergence(
-            f"off-diagonal norm {_offdiag_norm(a):.3e} above {target:.3e} "
-            f"after {_MAX_SWEEPS} sweeps")
-
-    vals = np.real(np.diag(a))
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
+    vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
+    mag = np.abs(vecs)
+    pivot_rows = np.argmax(mag >= mag.max(axis=0) - _GAUGE_TIE, axis=0)
+    pivots = vecs[pivot_rows, np.arange(vecs.shape[1])]
+    return vals, vecs * (np.abs(pivots) / pivots)
 
 
 @dataclass

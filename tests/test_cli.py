@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fluctua
 from fluctua.acceptance import CriterionResult
 from fluctua.channels import IntegrationFailure
 from fluctua.cli import main
@@ -26,6 +31,16 @@ def test_list_presets_names_all(capsys):
     out = capsys.readouterr().out
     for name in PRESETS:
         assert name in out
+
+
+def test_module_entry_point_runs():
+    src = str(Path(fluctua.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "fluctua", "list-presets"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "fig2-sweep" in proc.stdout
 
 
 def test_run_exact_sweep_outputs(tmp_path):

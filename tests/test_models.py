@@ -348,6 +348,40 @@ def test_initial_state_thermal_without_seed():
     assert np.abs(rho - vecs @ np.diag(w.astype(complex)) @ vecs.conj().T).max() < 1e-12
 
 
+# Initial states of two presets, captured with the cyclic Jacobi solver the
+# package used before LAPACK's eigh.  The coherence is drawn in the energy
+# basis of H(0), so a flipped eigenvector phase changes these matrices.
+PINNED_INITIAL_STATES = {
+    "figS2b-jarzynski-open": np.array([
+        [0.4865102317707006,
+         0.08573209892334922 + 0.13508409830270729j,
+         0.14997465638682705 - 0.15390299333656407j],
+        [0.08573209892334922 - 0.13508409830270729j,
+         0.32389680518429054,
+         -0.1764676421859989 - 0.074359682692760637j],
+        [0.14997465638682705 + 0.15390299333656407j,
+         -0.17646764218599886 + 0.074359682692760637j,
+         0.18959296304500867]]),
+    "figS3-second-moment": np.array([
+        [0.4865102317707006,
+         -0.026593317814788183 - 0.35281261439200029j,
+         -0.06779609799864438 + 0.12811406992366969j],
+        [-0.026593317814788183 + 0.35281261439200029j,
+         0.4665873033481632,
+         -0.08134064341008379 - 0.082933095528366224j],
+        [-0.06779609799864438 - 0.12811406992366969j,
+         -0.08134064341008379 + 0.082933095528366224j,
+         0.04690246488113603]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INITIAL_STATES))
+def test_preset_initial_state_is_pinned(name):
+    preset = PRESETS[name]
+    rho = three_level_initial_state(preset.three_level, preset.initial_state)
+    assert np.abs(rho - PINNED_INITIAL_STATES[name]).max() < 1e-12
+
+
 def test_initial_state_with_coherence_is_valid_density():
     rho = three_level_initial_state(
         ThreeLevelConfig(), InitialStateSpec(beta_ref=0.5, coherence_seed=129))

@@ -6,7 +6,6 @@ import pytest
 from fluctua.qcore import (
     CoherenceSplit,
     DimensionMismatch,
-    NoConvergence,
     NonHermitianInput,
     NonOrthonormalBasis,
     assert_density_operator,
@@ -37,7 +36,8 @@ def random_state(rng, d):
 
 
 def test_eig_matches_lapack_oracle():
-    # cross-check the Jacobi solver against numpy's eigh on random input
+    # eigenvalues against LAPACK's eigvalsh; orthonormality and residuals
+    # of the gauged eigenvectors
     rng = np.random.default_rng(7)
     for d in range(2, 10):
         for _ in range(5):
@@ -50,6 +50,41 @@ def test_eig_matches_lapack_oracle():
             # eigenpair residuals
             res = a @ vecs - vecs * vals
             assert np.max(np.abs(res)) < 1e-9
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_eig_gauge_pivot_is_real_positive():
+    rng = np.random.default_rng(20)
+    for d in range(2, 10):
+        for _ in range(25):
+            for a in (random_hermitian(rng, d), rng.normal(size=(d, d))):
+                _, vecs = hermitian_eig(0.5 * (a + a.conj().T))
+                pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d)]
+                assert np.max(np.abs(pivots.imag)) < 1e-12
+                assert np.min(pivots.real) > 0.0
+
+
+def test_eig_gauge_ignores_input_phases():
+    # H is the same operator whatever phases V's columns carry, so the
+    # returned columns must not depend on them (nor on LAPACK's convention).
+    rng = np.random.default_rng(21)
+    cases = [(random_unitary(rng, d), np.sort(rng.normal(size=d)))
+             for d in range(2, 10) for _ in range(10)]
+    # DFT eigenvectors have components of exactly equal magnitude, so the
+    # pivot is decided by the tie rule rather than by roundoff.
+    cases += [(np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
+               / np.sqrt(d), np.arange(d, dtype=float)) for d in range(2, 6)]
+    for v, e in cases:
+        d = e.size
+        _, ref = hermitian_eig(v @ np.diag(e) @ v.conj().T)
+        for _ in range(5):
+            w = v * np.exp(2j * np.pi * rng.random(d))
+            _, vecs = hermitian_eig(w @ np.diag(e) @ w.conj().T)
+            assert np.max(np.abs(vecs - ref)) < 1e-10
 
 
 def test_eig_sorted_diagonal_input():
