@@ -143,6 +143,14 @@ def _as_operator_list(jump_operators) -> list:
 # Channel classes.
 
 
+def _matrix_stack(m, dim: int) -> np.ndarray:
+    """Coerce to complex128 d x d matrices, one or stacked as (..., d, d)."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.shape[-2:] != (dim, dim):
+        raise DimensionMismatch(f"matrix shape {a.shape} does not end in ({dim}, {dim})")
+    return a
+
+
 class Channel:
     """Common channel interface: a linear, trace-preserving state map."""
 
@@ -153,7 +161,11 @@ class Channel:
         raise NotImplementedError
 
     def apply_matrix(self, m) -> np.ndarray:
-        """Linear extension to arbitrary matrices (no state validation)."""
+        """Linear extension to arbitrary matrices (no state validation).
+
+        ``m`` is one d x d matrix or a stack ``(..., d, d)``; each matrix of
+        the stack is mapped.
+        """
         raise NotImplementedError
 
     def as_superoperator(self) -> np.ndarray:
@@ -179,7 +191,7 @@ class UnitaryChannel(Channel):
         return self.unitary @ r @ self.unitary.conj().T
 
     def apply_matrix(self, m) -> np.ndarray:
-        a = as_complex_matrix(m, "matrix")
+        a = _matrix_stack(m, self.dim)
         return self.unitary @ a @ self.unitary.conj().T
 
     def as_superoperator(self) -> np.ndarray:
@@ -205,8 +217,10 @@ class SuperoperatorChannel(Channel):
         return 0.5 * (out + out.conj().T)
 
     def apply_matrix(self, m) -> np.ndarray:
-        a = as_complex_matrix(m, "matrix")
-        return unvec(self.superoperator @ vec(a))
+        a = _matrix_stack(m, self.dim)
+        # each matrix as a vec column, so one matrix takes the same product as apply
+        out = self.superoperator @ a.reshape(*a.shape[:-2], self.dim ** 2, 1)
+        return out.reshape(a.shape)
 
     def as_superoperator(self) -> np.ndarray:
         return self.superoperator

@@ -19,6 +19,14 @@ final Hamiltonians.
   measured, and evolved separately, and the records are mixed with the
   eigenvalue weights.
 
+Each scheme is therefore the weighted ensemble of states it sends through
+the channel: EPM sends the state itself with weight one, TPM each
+rank-normalized eigenprojector P_l/r_l with its level population, MLL
+each eigenstate with its eigenvalue.  Every protocol quantity here (the
+joint, the operator-form characteristic function and the shot sampler)
+is one contraction over that ensemble, sum_s w_s f(sigma_s) g(Phi[sigma_s]),
+so the schemes differ only in the ensemble they build.
+
 Distributions of the energy change are derived from the joints, and the
 characteristic functions are also available in operator (trace) form,
 which is how the exponential fluctuation relations are evaluated.
@@ -36,6 +44,7 @@ from .channels import Channel
 from .qcore import (
     SpectralDecomposition,
     as_complex_matrix,
+    assert_density_operator,
     coherence_split,
     dephase,
     hermitian_eig,
@@ -71,6 +80,9 @@ __all__ = [
 ]
 
 CLAMP_TOL = 1e-12
+
+# MLL drops eigenstates whose weight is at or below this.
+EIGEN_CUTOFF = 1e-12
 
 PROTOCOLS = ("EPM", "TPM", "MLL")
 
@@ -155,43 +167,26 @@ class EnergyChangeDistribution:
         self.probs = np.asarray(self.probs, dtype=float)
 
 
+def _populations(states, decomposition: SpectralDecomposition) -> np.ndarray:
+    """Level populations Re tr(P_l sigma) of one state or a stack, clamped."""
+    return _clamp(np.einsum("lij,...ji->...l", decomposition.projectors, states).real)
+
+
 def initial_probabilities(rho, decomposition: SpectralDecomposition) -> np.ndarray:
     """Level populations Tr(rho P_l) of a state, clamped to [0, 1]."""
-    r = as_complex_matrix(rho, "state")
-    p = np.array([np.trace(proj @ r).real for proj in decomposition.projectors])
-    return _clamp(p)
+    return _populations(as_complex_matrix(rho, "state"), decomposition)
 
 
-def epm_joint(rho, channel: Channel, spec_i: SpectralDecomposition,
-              spec_f: SpectralDecomposition) -> JointEnergyDistribution:
-    """End-point scheme: product of the initial and evolved-state marginals."""
-    p_i = initial_probabilities(rho, spec_i)
-    p_f = initial_probabilities(channel.apply(rho), spec_f)
-    return JointEnergyDistribution(spec_i.energies, spec_f.energies,
-                                   np.outer(p_i, p_f), "EPM")
+def _eigen_mixture(rho: np.ndarray):
+    """Eigendecomposition of a state as (weights, |s><s| stack), small weights dropped.
 
-
-def tpm_joint(rho, channel: Channel, spec_i: SpectralDecomposition,
-              spec_f: SpectralDecomposition) -> JointEnergyDistribution:
-    """Two-point scheme with rank-normalized post-measurement projectors."""
-    p_i = initial_probabilities(rho, spec_i)
-    rows = []
-    for proj, rank in zip(spec_i.projectors, spec_i.ranks):
-        evolved = channel.apply(proj / rank)
-        rows.append(initial_probabilities(evolved, spec_f))
-    probs = p_i[:, None] * np.array(rows)
-    return JointEnergyDistribution(spec_i.energies, spec_f.energies, probs, "TPM")
-
-
-def _eigen_mixture(rho, cutoff: float = 1e-12):
-    """Eigendecomposition of a state as (weights, vectors), small weights dropped.
-
-    Weights are renormalized after the cutoff.  Repeated kept eigenvalues
-    trigger :class:`DegenerateEigenbasis` since any basis of the degenerate
+    Eigenvalues at or below :data:`EIGEN_CUTOFF` are dropped and the kept
+    weights renormalized.  Repeated kept eigenvalues trigger
+    :class:`DegenerateEigenbasis` since any basis of the degenerate
     subspace is then equally valid.
     """
-    vals, vecs = hermitian_eig(as_complex_matrix(rho, "state"))
-    keep = vals > cutoff
+    vals, vecs = hermitian_eig(rho)
+    keep = vals > EIGEN_CUTOFF
     w = vals[keep]
     v = vecs[:, keep]
     if w.size == 0:
@@ -199,34 +194,60 @@ def _eigen_mixture(rho, cutoff: float = 1e-12):
     if w.size > 1 and np.min(np.diff(np.sort(w))) <= 1e-10:
         warnings.warn("repeated nonzero eigenvalues; eigenstate unravelling "
                       "is basis dependent", DegenerateEigenbasis)
-    return w / w.sum(), v
+    return w / w.sum(), np.einsum("is,js->sij", v, v.conj())
 
 
-def mll_joint(rho, channel: Channel, spec_i: SpectralDecomposition,
-              spec_f: SpectralDecomposition,
-              cutoff: float = 1e-12) -> JointEnergyDistribution:
-    """Eigenstate-resolved scheme: unravel, measure each eigenstate, remix."""
-    weights, vectors = _eigen_mixture(rho, cutoff)
-    probs = np.zeros((spec_i.energies.size, spec_f.energies.size))
-    for w, s in zip(weights, vectors.T):
-        pure = np.outer(s, s.conj())
-        a = initial_probabilities(pure, spec_i)
-        b = initial_probabilities(channel.apply(pure), spec_f)
-        probs += w * np.outer(a, b)
-    return JointEnergyDistribution(spec_i.energies, spec_f.energies, probs, "MLL")
+def _ensemble(protocol: str, rho, spec_i: SpectralDecomposition):
+    """The weighted states ``(weights, states)`` a scheme sends through the channel.
+
+    EPM sends the state itself, TPM each rank-normalized eigenprojector
+    weighted by its level population, MLL each eigenstate of the state
+    weighted by its eigenvalue.  ``states`` is stacked ``(members, d, d)``.
+    """
+    r = assert_density_operator(rho)
+    if protocol == "EPM":
+        return np.ones(1), r[None]
+    if protocol == "TPM":
+        ranks = np.asarray(spec_i.ranks, dtype=float)
+        return initial_probabilities(r, spec_i), spec_i.projectors / ranks[:, None, None]
+    if protocol == "MLL":
+        return _eigen_mixture(r)
+    raise ValueError(f"unknown protocol tag {protocol!r}")
+
+
+def _member_populations(protocol: str, rho, channel: Channel,
+                        spec_i: SpectralDecomposition, spec_f: SpectralDecomposition):
+    """Ensemble weights with each member's initial- and final-level populations."""
+    weights, states = _ensemble(protocol, rho, spec_i)
+    return (weights, _populations(states, spec_i),
+            _populations(channel.apply_matrix(states), spec_f))
 
 
 def protocol_joint(protocol: str, rho, channel: Channel,
                    spec_i: SpectralDecomposition,
                    spec_f: SpectralDecomposition) -> JointEnergyDistribution:
-    """Dispatch by protocol tag."""
-    if protocol == "EPM":
-        return epm_joint(rho, channel, spec_i, spec_f)
-    if protocol == "TPM":
-        return tpm_joint(rho, channel, spec_i, spec_f)
-    if protocol == "MLL":
-        return mll_joint(rho, channel, spec_i, spec_f)
-    raise ValueError(f"unknown protocol tag {protocol!r}")
+    """Joint of a scheme: sum_s w_s tr(P_l sigma_s) tr(P_k Phi[sigma_s]) over its ensemble."""
+    weights, before, after = _member_populations(protocol, rho, channel, spec_i, spec_f)
+    probs = np.einsum("s,sl,sk->lk", weights, before, after)
+    return JointEnergyDistribution(spec_i.energies, spec_f.energies, probs, protocol)
+
+
+def epm_joint(rho, channel: Channel, spec_i: SpectralDecomposition,
+              spec_f: SpectralDecomposition) -> JointEnergyDistribution:
+    """End-point scheme: product of the initial and evolved-state marginals."""
+    return protocol_joint("EPM", rho, channel, spec_i, spec_f)
+
+
+def tpm_joint(rho, channel: Channel, spec_i: SpectralDecomposition,
+              spec_f: SpectralDecomposition) -> JointEnergyDistribution:
+    """Two-point scheme with rank-normalized post-measurement projectors."""
+    return protocol_joint("TPM", rho, channel, spec_i, spec_f)
+
+
+def mll_joint(rho, channel: Channel, spec_i: SpectralDecomposition,
+              spec_f: SpectralDecomposition) -> JointEnergyDistribution:
+    """Eigenstate-resolved scheme: unravel, measure each eigenstate, remix."""
+    return protocol_joint("MLL", rho, channel, spec_i, spec_f)
 
 
 def _merge_groups(values: np.ndarray, tol: float):
@@ -298,36 +319,19 @@ def characteristic_function(protocol: str, rho, channel: Channel,
                             spec_f: SpectralDecomposition, u: complex) -> complex:
     """Operator-form characteristic function <exp(i u dE)> of a protocol.
 
-    Evaluated from traces against exp(+-iuH) rather than from the joint
-    table, so it serves as an independent cross-check of the distributions
-    and extends to complex u (u = i beta gives the exponential averages of
-    the fluctuation relations).
+    Evaluated over the scheme's ensemble as
+    sum_s w_s tr(exp(-iuH_i) sigma_s) tr(exp(iuH_f) Phi[sigma_s]), from
+    traces against exp(+-iuH) rather than from the joint table, so it
+    serves as an independent cross-check of the distributions and extends
+    to complex u (u = i beta gives the exponential averages of the
+    fluctuation relations).
     """
-    r = as_complex_matrix(rho, "state")
-    # exp(-iu H_i) and exp(+iu H_f) from the spectral data
+    weights, states = _ensemble(protocol, rho, spec_i)
     exp_i = matrix_phase_exp(None, -1j * u, decomposition=spec_i)
     exp_f = matrix_phase_exp(None, 1j * u, decomposition=spec_f)
-    if protocol == "EPM":
-        return complex(np.trace(exp_i @ r) * np.trace(exp_f @ channel.apply_matrix(r)))
-    if protocol == "TPM":
-        total = 0.0j
-        p_i = initial_probabilities(r, spec_i)
-        for e, proj, rank, p in zip(spec_i.energies, spec_i.projectors,
-                                    spec_i.ranks, p_i):
-            if p == 0.0:
-                continue
-            evolved = channel.apply_matrix(proj / rank)
-            total += np.exp(-1j * u * e) * p * np.trace(exp_f @ evolved)
-        return complex(total)
-    if protocol == "MLL":
-        weights, vectors = _eigen_mixture(r)
-        total = 0.0j
-        for w, s in zip(weights, vectors.T):
-            pure = np.outer(s, s.conj())
-            total += (w * np.trace(exp_i @ pure)
-                      * np.trace(exp_f @ channel.apply_matrix(pure)))
-        return complex(total)
-    raise ValueError(f"unknown protocol tag {protocol!r}")
+    front = np.trace(exp_i @ states, axis1=1, axis2=2)
+    back = np.trace(exp_f @ channel.apply_matrix(states), axis1=1, axis2=2)
+    return complex(np.sum(weights * front * back))
 
 
 def characteristic_split(rho, channel: Channel, spec_i: SpectralDecomposition,
@@ -374,8 +378,8 @@ def epm_second_moment_split(rho, channel: Channel, spec_i: SpectralDecomposition
     split = coherence_split(rho, basis=basis, sectors=sectors)
     h_i = spec_i.reconstruct()
     h_f = spec_f.reconstruct()
-    h_i2 = sum(e * e * p for e, p in zip(spec_i.energies, spec_i.projectors))
-    h_f2 = sum(e * e * p for e, p in zip(spec_f.energies, spec_f.projectors))
+    h_i2 = np.einsum("l,lij->ij", spec_i.energies ** 2, spec_i.projectors)
+    h_f2 = np.einsum("l,lij->ij", spec_f.energies ** 2, spec_f.projectors)
     pops = split.populations
     chi = split.coherences
     phi_pops = channel.apply_matrix(pops)
@@ -431,8 +435,8 @@ def jarzynski(rho, channel: Channel, spec_i: SpectralDecomposition,
     d = r.shape[0]
     z_i, w_i = _partition_terms(spec_i, beta)
     z_f, w_f = _partition_terms(spec_f, beta)
-    rho_i_th = sum((wl / z_i) * p for wl, p in zip(w_i, spec_i.projectors))
-    rho_f_th = sum((wk / z_f) * p for wk, p in zip(w_f, spec_f.projectors))
+    rho_i_th = np.einsum("l,lij->ij", w_i / z_i, spec_i.projectors)
+    rho_f_th = np.einsum("l,lij->ij", w_f / z_f, spec_f.projectors)
 
     pops = dephase(r, basis)
     chi = r - pops
@@ -499,9 +503,16 @@ def mutual_information(p: JointEnergyDistribution,
 # finite-shot emulation
 
 
-def _draw(gen, cumulative: np.ndarray, n: int) -> np.ndarray:
-    u = _rng(gen).random(n)
-    return np.searchsorted(cumulative, u, side="right")
+def _draw(gen, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each shot j, an index drawn from row ``rows[j]`` of ``probs``.
+
+    Each uniform is counted against its row's cumulative sum without the
+    last entry, so a uniform above a total of 1 - 1e-16 picks the last
+    index instead of running past it.
+    """
+    below = np.cumsum(probs, axis=1)[:, :-1].T
+    u = _rng(gen).random(rows.size)
+    return np.sum(np.take(below, rows, axis=1) <= u, axis=0)
 
 
 def sample_shots(protocol: str, rho, channel: Channel,
@@ -509,53 +520,22 @@ def sample_shots(protocol: str, rho, channel: Channel,
                  n_shots: int, gen) -> JointEnergyDistribution:
     """Empirical joint from ``n_shots`` runs of the protocol's actual flow.
 
-    EPM draws the two records independently, TPM draws the final record
-    conditioned on the initial one, and MLL first draws which eigenstate
-    is prepared.  The result carries ``n_shots`` so resampling errors can
-    be attached downstream.
+    Every shot draws its ensemble member, then its initial level from that
+    member, then its final level from the member's evolved state.  EPM
+    has one member and draws no member; a TPM member is the level it
+    measured, so TPM draws no separate initial level; MLL draws all three.
+    The result carries ``n_shots`` so resampling errors can be attached
+    downstream.
     """
     if n_shots <= 0:
         raise ValueError("n_shots must be positive")
-    L = spec_i.energies.size
-    K = spec_f.energies.size
-    counts = np.zeros((L, K))
-    if protocol == "EPM":
-        joint = epm_joint(rho, channel, spec_i, spec_f)
-        li = _draw(gen, np.cumsum(joint.initial_marginal()), n_shots)
-        ki = _draw(gen, np.cumsum(joint.final_marginal()), n_shots)
-        np.add.at(counts, (li, ki), 1.0)
-    elif protocol == "TPM":
-        joint = tpm_joint(rho, channel, spec_i, spec_f)
-        p_i = joint.initial_marginal()
-        li = _draw(gen, np.cumsum(p_i), n_shots)
-        u = _rng(gen).random(n_shots)
-        for l in range(L):
-            sel = li == l
-            if not np.any(sel):
-                continue
-            row = joint.probs[l]
-            if p_i[l] <= 0:
-                continue
-            cond = np.cumsum(row / p_i[l])
-            ki = np.searchsorted(cond, u[sel], side="right")
-            np.add.at(counts, (np.full(ki.size, l), ki), 1.0)
-    elif protocol == "MLL":
-        weights, vectors = _eigen_mixture(as_complex_matrix(rho, "state"))
-        si = _draw(gen, np.cumsum(weights), n_shots)
-        ua = _rng(gen).random(n_shots)
-        ub = _rng(gen).random(n_shots)
-        for s in range(weights.size):
-            sel = si == s
-            if not np.any(sel):
-                continue
-            pure = np.outer(vectors[:, s], vectors[:, s].conj())
-            a = np.cumsum(initial_probabilities(pure, spec_i))
-            b = np.cumsum(initial_probabilities(channel.apply(pure), spec_f))
-            li = np.searchsorted(a, ua[sel], side="right")
-            ki = np.searchsorted(b, ub[sel], side="right")
-            np.add.at(counts, (li, ki), 1.0)
-    else:
-        raise ValueError(f"unknown protocol tag {protocol!r}")
+    weights, before, after = _member_populations(protocol, rho, channel, spec_i, spec_f)
+    first = np.zeros(n_shots, dtype=int)
+    member = first if protocol == "EPM" else _draw(gen, weights[None], first)
+    level = member if protocol == "TPM" else _draw(gen, before, member)
+    final = _draw(gen, after, member)
+    n_i, n_f = spec_i.energies.size, spec_f.energies.size
+    counts = np.bincount(level * n_f + final, minlength=n_i * n_f).reshape(n_i, n_f)
     return JointEnergyDistribution(spec_i.energies, spec_f.energies,
                                    counts / n_shots, protocol, n_shots=n_shots)
 

@@ -24,7 +24,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,10 +61,10 @@ class NonOrthonormalBasis(ValueError):
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex128 array, copying only if needed."""
+    """Coerce to a non-empty square complex128 array, copying only if needed."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DimensionMismatch(f"{name} must be square and non-empty, got shape {a.shape}")
     return a
 
 
@@ -131,27 +130,25 @@ class SpectralDecomposition:
 
     ``energies[k]`` is the (possibly degenerate) level value and
     ``projectors[k]`` the rank-``ranks[k]`` orthogonal projector onto its
-    eigenspace.  Levels are ascending and the projectors resolve the
-    identity.
+    eigenspace; ``projectors`` is one stacked ``(levels, d, d)`` array, so
+    a spectral sum sum_k f(E_k) P_k is one contraction over its first axis.
+    Levels are ascending and the projectors resolve the identity.
     """
 
     energies: np.ndarray
-    projectors: list[np.ndarray]
+    projectors: np.ndarray
     grouping_tol: float = 0.0
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projectors.shape[1]
 
     @property
     def ranks(self) -> list[int]:
         return [int(round(p.trace().real)) for p in self.projectors]
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.projectors[0])
-        for e, p in zip(self.energies, self.projectors):
-            out += e * p
-        return out
+        return np.einsum("l,lij->ij", self.energies, self.projectors)
 
 
 def spectral_decompose(hamiltonian, grouping_tol: float | None = None) -> SpectralDecomposition:
@@ -163,7 +160,7 @@ def spectral_decompose(hamiltonian, grouping_tol: float | None = None) -> Spectr
     """
     vals, vecs = hermitian_eig(hamiltonian)
     if grouping_tol is None:
-        grouping_tol = 1e-8 * float(np.max(np.abs(vals))) if vals.size else 0.0
+        grouping_tol = 1e-8 * float(np.max(np.abs(vals)))
     energies = []
     projectors = []
     start = 0
@@ -175,7 +172,7 @@ def spectral_decompose(hamiltonian, grouping_tol: float | None = None) -> Spectr
         projectors.append(block @ block.conj().T)
         energies.append(float(np.mean(vals[start:j])))
         start = j
-    return SpectralDecomposition(np.array(energies), projectors, grouping_tol)
+    return SpectralDecomposition(np.array(energies), np.array(projectors), grouping_tol)
 
 
 def gibbs_state(hamiltonian, beta: float,
@@ -185,12 +182,9 @@ def gibbs_state(hamiltonian, beta: float,
         decomposition = spectral_decompose(hamiltonian)
     # Shift energies so the exponentials stay in range for large beta.
     e0 = float(np.min(decomposition.energies))
-    weights = [math.exp(-beta * (e - e0)) for e in decomposition.energies]
-    z = sum(w * r for w, r in zip(weights, decomposition.ranks))
-    out = np.zeros_like(decomposition.projectors[0])
-    for w, p in zip(weights, decomposition.projectors):
-        out += (w / z) * p
-    return out
+    weights = np.exp(-beta * (decomposition.energies - e0))
+    z = float(np.dot(weights, decomposition.ranks))
+    return np.einsum("l,lij->ij", weights / z, decomposition.projectors)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +226,8 @@ def dephase_sectors(rho, decomposition: SpectralDecomposition) -> np.ndarray:
     a = as_complex_matrix(rho, "state")
     if a.shape[0] != decomposition.dim:
         raise DimensionMismatch("state and decomposition dimensions differ")
-    out = np.zeros_like(a)
-    for p in decomposition.projectors:
-        out += p @ a @ p
-    return out
+    p = decomposition.projectors
+    return (p @ a @ p).sum(axis=0)
 
 
 @dataclass
@@ -292,7 +284,5 @@ def matrix_phase_exp(hamiltonian, z: complex,
     """
     if decomposition is None:
         decomposition = spectral_decompose(hamiltonian)
-    out = np.zeros_like(decomposition.projectors[0])
-    for e, p in zip(decomposition.energies, decomposition.projectors):
-        out += np.exp(z * e) * p
-    return out
+    return np.einsum("l,lij->ij", np.exp(z * decomposition.energies),
+                     decomposition.projectors)

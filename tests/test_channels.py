@@ -233,6 +233,20 @@ def test_apply_matrix_is_linear_extension():
     assert np.max(np.abs(combo - split)) < 1e-10
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_apply_matrix_maps_each_matrix_of_a_stack(d):
+    rng = np.random.default_rng(20 + d)
+    g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    stack = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    for chan in (UnitaryChannel(random_unitary(rng, d)), SuperoperatorChannel(g)):
+        one_by_one = np.array([chan.apply_matrix(m) for m in stack])
+        assert np.array_equal(chan.apply_matrix(stack), one_by_one)
+        with pytest.raises(DimensionMismatch):
+            chan.apply_matrix(np.zeros((5, d + 1, d + 1)))
+        with pytest.raises(DimensionMismatch):
+            chan.apply_matrix(np.zeros((5, d, d + 1)))
+
+
 def test_propagator_series_matches_individual_runs():
     sched = HamiltonianSchedule(SX + 0.1 * SZ,
                                 drive=lambda t: math.sin(t) * SZ,

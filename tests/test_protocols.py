@@ -625,6 +625,41 @@ def test_sample_shots_converges_to_exact():
         assert joint_tv(exact, emp) < 0.02
 
 
+def test_sample_shots_counts_are_pinned():
+    # count tables captured before the three schemes shared one sampler;
+    # any change to the draw order or to the streams it consumes fails here
+    rng = np.random.default_rng(404)
+    spec_i = spectral_decompose(random_hamiltonian(rng, 3))
+    spec_f = spectral_decompose(random_hamiltonian(rng, 3))
+    chan = random_cptp(rng, 3)
+    rho = random_density(3, gen=SeededGenerator(4040))
+    pinned = {"EPM": [[101, 43, 43], [77, 47, 35], [81, 39, 34]],
+              "TPM": [[138, 39, 10], [42, 55, 62], [82, 51, 21]],
+              "MLL": [[84, 61, 28], [74, 28, 55], [83, 62, 25]]}
+    for tag, counts in pinned.items():
+        emp = sample_shots(tag, rho, chan, spec_i, spec_f, 500, SeededGenerator(4041))
+        assert np.array_equal(np.rint(emp.probs * 500), counts)
+
+
+def test_sample_shots_uniform_above_rounded_total():
+    # level populations whose cumulative sum rounds to just under 1, and a
+    # generator that returns the largest uniform below 1: every draw must
+    # land in the last level, not past it
+    class TopUniform:
+        def random(self, n):
+            return np.full(n, np.nextafter(1.0, 0.0))
+
+    spec = spectral_decompose(np.diag([0.0, 1.0, 2.0]).astype(complex))
+    rho = np.diag([0.432, 0.461, 1.0 - 0.432 - 0.461]).astype(complex)
+    gen = SeededGenerator(1)
+    gen.rng = TopUniform()
+    # the last MLL member is the eigenstate of the largest weight, 0.461
+    last = {"EPM": (2, 2), "TPM": (2, 2), "MLL": (1, 1)}
+    for tag, cell in last.items():
+        emp = sample_shots(tag, rho, identity_channel(3), spec, spec, 8, gen)
+        assert emp.probs[cell] == 1.0
+
+
 def test_sample_shots_validates_input():
     spec = spectral_decompose(SZ)
     rho = np.eye(2, dtype=complex) / 2.0
@@ -699,6 +734,19 @@ def test_joint_rejects_bad_total():
     with pytest.raises(ValueError):
         JointEnergyDistribution(np.array([1.0, -1.0]), np.array([1.0, -1.0]),
                                 probs, "EPM")
+
+
+def test_non_states_are_rejected():
+    # Hermitian with unit trace, but one eigenvalue is negative
+    spec = spectral_decompose(SZ)
+    bad = np.diag([1.1, -0.1]).astype(complex)
+    chan = UnitaryChannel(HADAMARD)
+    with pytest.raises(ValueError):
+        mll_joint(bad, chan, spec, spec)
+    with pytest.raises(ValueError):
+        characteristic_function("MLL", bad, chan, spec, spec, 0.3)
+    with pytest.raises(ValueError):
+        sample_shots("MLL", bad, chan, spec, spec, 16, SeededGenerator(1))
 
 
 def test_protocol_joint_rejects_unknown_tag():

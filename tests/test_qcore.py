@@ -119,6 +119,14 @@ def test_eig_rejects_nonsquare():
         hermitian_eig(np.zeros((2, 3)))
 
 
+def test_eig_rejects_empty():
+    # every caller validates through as_complex_matrix, which rejects 0 x 0
+    with pytest.raises(DimensionMismatch):
+        hermitian_eig(np.zeros((0, 0)))
+    with pytest.raises(DimensionMismatch):
+        spectral_decompose(np.zeros((0, 0)))
+
+
 def test_eig_complex_phases():
     # purely imaginary off-diagonal part (i * antisymmetric is Hermitian)
     rng = np.random.default_rng(11)
