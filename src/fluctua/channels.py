@@ -17,12 +17,17 @@ with a fixed-step classic Runge-Kutta rule and returns superoperator
 channels; :func:`propagate` applies its last snapshot to one state.
 The integrator is deliberately fixed-step (no adaptivity) so runs are
 bitwise reproducible; the step is an upper bound and each window is
-subdivided uniformly.  Each accepted step projects the propagator onto
-the Hermiticity-preserving maps, ``S <- (S + P conj(S) P)/2`` with P the
-transpose permutation of vec indices, which removes the slow Hermiticity
-drift of plain RK4 without touching the dynamics.  The trace of every
-column is monitored each step and a drift beyond 1e-6 (or any NaN)
-aborts the run.
+subdivided uniformly.  The equation dS/dt = L(t) S is linear, so one
+RK4 step is a product S <- M S with a step map M built from the
+generators at the step's start, midpoint and end alone.  The step maps
+are built a block of at most :data:`STEP_BLOCK` steps at a time, with
+one batched generator build and batched products per block; the cap
+keeps the memory of a long window bounded.  Each step then multiplies
+by its map and projects the propagator onto the Hermiticity-preserving
+maps, ``S <- (S + P conj(S) P)/2`` with P the transpose permutation of
+vec indices, which removes the slow Hermiticity drift of plain RK4
+without touching the dynamics.  The trace of every column is monitored
+each step and a drift beyond 1e-6 (or any NaN) aborts the run.
 """
 
 from __future__ import annotations
@@ -61,6 +66,8 @@ __all__ = [
 ]
 
 TRACE_DRIFT_ABORT = 1e-6
+# Most RK4 step maps built at once: bounds the (n, d^2, d^2) stacks of a block.
+STEP_BLOCK = 16
 
 
 class IntegrationFailure(RuntimeError):
@@ -235,12 +242,15 @@ def identity_channel(dim: int) -> UnitaryChannel:
 
 
 def _hamiltonian_generator(h: np.ndarray) -> np.ndarray:
-    """-i(kron(h, I) - kron(I, h.T)), built by broadcasting (np.kron is slower)."""
-    d = h.shape[0]
+    """-i(kron(h, I) - kron(I, h.T)) for h or each h of a stack (..., d, d).
+
+    Built by broadcasting (np.kron is slower); the result is (..., d^2, d^2).
+    """
+    d = h.shape[-1]
     eye = np.eye(d)
-    out = (h[:, None, :, None] * eye[None, :, None, :]
-           - eye[:, None, :, None] * h.T[None, :, None, :])
-    return -1j * out.reshape(d * d, d * d)
+    out = (h[..., :, None, :, None] * eye[None, :, None, :]
+           - eye[:, None, :, None] * np.swapaxes(h, -1, -2)[..., None, :, None, :])
+    return -1j * out.reshape(*h.shape[:-2], d * d, d * d)
 
 
 def _dissipator(ops: list, d: int) -> np.ndarray:
@@ -263,6 +273,30 @@ def lindblad_generator(hamiltonian, jump_operators) -> np.ndarray:
                                                    h.shape[0])
 
 
+def _step_maps(schedule: HamiltonianSchedule, dissipator: np.ndarray,
+               t0: float, h: float, first: int, n: int) -> np.ndarray:
+    """RK4 step maps of steps first..first+n-1 from t0 + i h, as (n, d^2, d^2).
+
+    With A, B, C the generators at a step's start, midpoint and end, the
+    step S <- S + h/6 (k1 + 2 k2 + 2 k3 + k4) of dS/dt = L S is S <- M S
+    with X2 = B(I + h/2 A), X3 = B(I + h/2 X2), X4 = C(I + h X3) and
+    M = I + h/6 (A + 2 X2 + 2 X3 + X4).  Adjacent steps share their end
+    node, so the schedule is read at 2n + 1 times.
+    """
+    nodes = []
+    for i in range(first, first + n):
+        nodes += [t0 + i * h, t0 + i * h + 0.5 * h]
+    nodes.append(t0 + (first + n) * h)
+    gens = _hamiltonian_generator(np.array([schedule.at(t) for t in nodes])) + dissipator
+    a, b, c = gens[0:-1:2], gens[1::2], gens[2::2]
+    x2 = b + (0.5 * h) * (b @ a)
+    x3 = b + (0.5 * h) * (b @ x2)
+    x4 = c + h * (c @ x3)
+    maps = (h / 6.0) * (a + 2.0 * x2 + 2.0 * x3 + x4)
+    maps += np.eye(dissipator.shape[0])
+    return maps
+
+
 def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
                       step: float = 1e-3) -> list[SuperoperatorChannel]:
     """Propagators from the schedule start to each requested time.
@@ -271,8 +305,11 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     once and incrementally, so the cost is one pass over
     [t_initial, max(times)] regardless of how many snapshot times are
     requested.  Each window between consecutive times takes
-    ceil(span/step) equal steps.  Times must be non-decreasing and lie
-    inside the schedule window.
+    ceil(span/step) equal steps.  A step is the product S <- M S with
+    its RK4 step map M, and the maps are built :data:`STEP_BLOCK` steps
+    at a time (see :func:`_step_maps`), so memory does not grow with the
+    window.  Times must be non-decreasing and lie inside the schedule
+    window.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -286,9 +323,6 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     d = schedule.dim
     dissipator = _dissipator(_as_operator_list(jump_operators), d)
 
-    def generator(t):
-        return _hamiltonian_generator(schedule.at(t)) + dissipator
-
     diagonal = np.arange(d) * (d + 1)  # vec indices of the diagonal entries
     s = np.eye(d * d, dtype=np.complex128)
     out = []
@@ -299,22 +333,19 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
             n_steps = max(1, math.ceil(span / step - 1e-12))
             h = span / n_steps
             tr0 = s[diagonal].sum(axis=0)
-            for i in range(n_steps):
-                t = t0 + i * h
-                mid = generator(t + 0.5 * h)
-                k1 = generator(t) @ s
-                k2 = mid @ (s + (0.5 * h) * k1)
-                k3 = mid @ (s + (0.5 * h) * k2)
-                k4 = generator(t + h) @ (s + h * k3)
-                s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                # S <- (S + P conj(S) P)/2: the map X -> S(X^dag)^dag, written
-                # on the (row, column) indices of input and output
-                flipped = s.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
-                s = 0.5 * (s + flipped.conj())
-                drift = np.max(np.abs(s[diagonal].sum(axis=0) - tr0))
-                if not (drift <= TRACE_DRIFT_ABORT):
-                    raise IntegrationFailure(
-                        f"trace drift {drift:.3e} at t = {t + h:.6g} (step {h:.3g})")
+            for first in range(0, n_steps, STEP_BLOCK):
+                n = min(STEP_BLOCK, n_steps - first)
+                maps = _step_maps(schedule, dissipator, t0, h, first, n)
+                for i, m in enumerate(maps, start=first):
+                    s = m @ s
+                    # S <- (S + P conj(S) P)/2: the map X -> S(X^dag)^dag, written
+                    # on the (row, column) indices of input and output
+                    flipped = s.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+                    s = 0.5 * (s + flipped.conj())
+                    drift = np.abs(s[diagonal].sum(axis=0) - tr0).max()
+                    if not (drift <= TRACE_DRIFT_ABORT):
+                        raise IntegrationFailure(f"trace drift {drift:.3e} at "
+                                                 f"t = {t0 + i * h + h:.6g} (step {h:.3g})")
             if np.isnan(s).any():
                 raise IntegrationFailure("NaN in integrated propagator")
         t0 = t1

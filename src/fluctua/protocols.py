@@ -503,7 +503,7 @@ def mutual_information(p: JointEnergyDistribution,
 # finite-shot emulation
 
 
-def _draw(gen, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _draw(rng, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """For each shot j, an index drawn from row ``rows[j]`` of ``probs``.
 
     Each uniform is counted against its row's cumulative sum without the
@@ -511,7 +511,7 @@ def _draw(gen, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     index instead of running past it.
     """
     below = np.cumsum(probs, axis=1)[:, :-1].T
-    u = _rng(gen).random(rows.size)
+    u = rng.random(rows.size)
     return np.sum(np.take(below, rows, axis=1) <= u, axis=0)
 
 
@@ -524,16 +524,17 @@ def sample_shots(protocol: str, rho, channel: Channel,
     member, then its final level from the member's evolved state.  EPM
     has one member and draws no member; a TPM member is the level it
     measured, so TPM draws no separate initial level; MLL draws all three.
-    The result carries ``n_shots`` so resampling errors can be attached
-    downstream.
+    All draws come from one stream, ``gen`` resolved once.  The result
+    carries ``n_shots`` so resampling errors can be attached downstream.
     """
     if n_shots <= 0:
         raise ValueError("n_shots must be positive")
+    rng = _rng(gen)
     weights, before, after = _member_populations(protocol, rho, channel, spec_i, spec_f)
     first = np.zeros(n_shots, dtype=int)
-    member = first if protocol == "EPM" else _draw(gen, weights[None], first)
-    level = member if protocol == "TPM" else _draw(gen, before, member)
-    final = _draw(gen, after, member)
+    member = first if protocol == "EPM" else _draw(rng, weights[None], first)
+    level = member if protocol == "TPM" else _draw(rng, before, member)
+    final = _draw(rng, after, member)
     n_i, n_f = spec_i.energies.size, spec_f.energies.size
     counts = np.bincount(level * n_f + final, minlength=n_i * n_f).reshape(n_i, n_f)
     return JointEnergyDistribution(spec_i.energies, spec_f.energies,

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fluctua.channels import (
+    STEP_BLOCK,
     CPTPReport,
     HamiltonianSchedule,
     IntegrationFailure,
@@ -20,6 +22,7 @@ from fluctua.channels import (
     unvec,
     vec,
 )
+from fluctua.models import PRESETS, three_level_model
 from fluctua.qcore import DimensionMismatch, NonHermitianInput
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -168,7 +171,7 @@ def test_propagate_keeps_state_valid():
 def test_propagate_detects_blowup():
     # overdamped jump with a huge step makes RK4 unstable
     sched = HamiltonianSchedule(np.zeros((2, 2)), t_final=50.0)
-    with pytest.raises(IntegrationFailure):
+    with pytest.raises(IntegrationFailure, match=r"at t = 1\.4 \(step 0\.2\)"):
         propagate(sched, [math.sqrt(50.0) * SM], np.diag([0.0, 1.0]), step=0.2)
 
 
@@ -219,6 +222,45 @@ def test_lindblad_superoperator_matches_propagation():
         direct = _operator_form_rk4(sched, ops, rho, step=1e-2)
         assert np.max(np.abs(chan.apply(rho) - direct)) < 1e-13
         assert np.max(np.abs(propagate(sched, ops, rho, step=1e-2) - direct)) < 1e-13
+
+
+def test_propagator_series_steps_across_block_edges():
+    # windows of 5, 23, 53 and 19 steps: none a multiple of the block of
+    # step maps, and the 53-step window spans four blocks.  Each snapshot
+    # must be the same RK4 as stepping a state window by window.
+    sched = HamiltonianSchedule(SX + 0.2 * SZ,
+                                drive=lambda t: 0.5 * math.cos(3 * t) * SX
+                                + 0.3 * math.sin(t) * SZ,
+                                t_final=2.0)
+    ops = [0.6 * SM, 0.2 * SM.T]
+    step = 1.0 / 64.0  # a binary fraction, so every node time is exact
+    counts = [5, 23, 53, 19]
+    assert all(n % STEP_BLOCK for n in counts) and max(counts) > 3 * STEP_BLOCK
+    times = np.cumsum(counts) * step
+    series = propagator_series(sched, ops, times, step=step)
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        rho = random_state(rng, 2)
+        direct, t_prev = rho, sched.t_initial
+        for t, snap in zip(times, series):
+            window = HamiltonianSchedule(sched.base, sched.drive, t_prev, t)
+            direct = _operator_form_rk4(window, ops, direct, step)
+            assert np.max(np.abs(snap.apply(rho) - direct)) < 1e-13
+            t_prev = t
+
+
+def test_propagator_series_memory_is_bounded():
+    # one 10 000-step window on the figS3 schedule: the step maps are built
+    # a block at a time, so the peak stays far below the ~100 MB that
+    # building all 20 001 generators at once would take
+    schedule, jumps = three_level_model(PRESETS["figS3-second-moment"].three_level)
+    tracemalloc.start()
+    try:
+        propagator_series(schedule, jumps, [schedule.t_final], step=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_apply_matrix_is_linear_extension():

@@ -615,6 +615,16 @@ def test_sample_shots_deterministic_and_tagged():
     assert a.n_shots == 512 and a.protocol == "EPM"
 
 
+def test_sample_shots_default_generator_is_one_stream():
+    # a maximally mixed qubit through a Hadamard fills every EPM cell with
+    # 1/4; records drawn from repeated copies of one stream would fill only
+    # the diagonal
+    spec = spectral_decompose(SZ)
+    rho = np.eye(2, dtype=complex) / 2.0
+    emp = sample_shots("EPM", rho, UnitaryChannel(HADAMARD), spec, spec, 4000, None)
+    assert np.max(np.abs(emp.probs - 0.25)) < 0.03
+
+
 def test_sample_shots_converges_to_exact():
     spec = spectral_decompose(H_PAIR)
     rho = two_qubit_pure()
