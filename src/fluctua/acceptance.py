@@ -395,7 +395,7 @@ def finite_shot_calibration() -> CriterionResult:
     return CriterionResult(
         "finite-shot-calibration", wins >= 19,
         f"{wins}/20 seeded 2048-shot runs keep every grid point within 3 "
-        "bootstrap standard errors of 1 (need >= 19)")
+        "reported closed-form standard errors (G_TPM_se) of 1 (need >= 19)")
 
 
 def nonconvex_coherence() -> CriterionResult:

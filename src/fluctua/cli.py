@@ -42,6 +42,7 @@ from .models import (
     InvalidConfig,
     TwoQubitExperimentConfig,
     closed_form_characteristics,
+    sweep_model_errors,
     three_level_experiment,
     two_qubit_sweep,
 )
@@ -238,19 +239,25 @@ def _sweep_self_check(result) -> list[str]:
             fails.append(f"max closed-form deviation = {dev_cf:.3e} exceeds "
                          f"{SWEEP_TOLERANCES['closed_form']:g}")
     else:
+        # the estimates are compared with known values, so their distance
+        # is measured in the standard errors of the exact distributions the
+        # shots are drawn from, not in the errors estimated from the shots
+        model = sweep_model_errors(TwoQubitExperimentConfig(
+            epsilon=result.epsilon, theta0=result.theta0, beta=result.beta,
+            theta_grid=tuple(cols["theta"]), n_shots=result.n_shots))
         sigma = SWEEP_SHOT_TOLERANCES["tpm_sigma"]
-        bad = np.abs(cols["G_TPM"] - 1.0) > sigma * cols["G_TPM_se"] + 1e-12
+        bad = np.abs(cols["G_TPM"] - 1.0) > sigma * model["G_TPM"] + 1e-12
         if bad.any():
             fails.append(f"{int(bad.sum())} grid points put G_TPM farther "
-                         f"than {sigma:g} standard errors from 1")
+                         f"than {sigma:g} model standard errors from 1")
         sigma = SWEEP_SHOT_TOLERANCES["closed_form_sigma"]
         for name in ("G_EPM", "G_EPM_diag", "G_EPM_coh"):
             bad = (np.abs(cols[name] - closed[name])
-                   > sigma * cols[name + "_se"] + 1e-12)
+                   > sigma * model[name] + 1e-12)
             if bad.any():
                 fails.append(f"{int(bad.sum())} grid points put {name} "
-                             f"farther than {sigma:g} standard errors from "
-                             "its closed form")
+                             f"farther than {sigma:g} model standard errors "
+                             "from its closed form")
     return fails
 
 

@@ -38,7 +38,7 @@ from .protocols import (
     tpm_joint,
 )
 from .qcore import coherence_l1, dephase, hermitian_eig, spectral_decompose
-from .sampling import SeededGenerator, _rng, random_coherence
+from .sampling import SeededGenerator, random_coherence
 
 __all__ = [
     "InconsistentConfig",
@@ -55,6 +55,7 @@ __all__ = [
     "two_qubit_hamiltonian",
     "two_qubit_initial_state",
     "two_qubit_sweep",
+    "sweep_model_errors",
     "closed_form_characteristics",
     "three_level_hamiltonian",
     "thermal_occupation",
@@ -208,18 +209,52 @@ def _linear_weights(joint: JointEnergyDistribution, beta: float) -> dict[str, np
             "m2": delta ** 2, "m3": delta ** 3, "m4": delta ** 4}
 
 
-def _bootstrap_ses(joint: JointEnergyDistribution, weights: dict[str, np.ndarray],
-                   n_resamples: int, gen) -> dict[str, float]:
-    """Multinomial-bootstrap errors for statistics linear in the table."""
-    n = joint.n_shots
-    tables = _rng(gen).multinomial(n, joint.probs.reshape(-1),
-                                   size=n_resamples) / float(n)
-    return {name: float(np.std(tables @ w.reshape(-1), ddof=1))
-            for name, w in weights.items()}
+def _shot_errors(probs: np.ndarray, weights: dict[str, np.ndarray],
+                 n_shots: int) -> dict[str, float]:
+    """Standard errors of statistics linear in a table of shot frequencies.
+
+    A statistic sum_c w_c p_c estimated from ``n_shots`` independent draws
+    of the table ``probs`` has variance sum_c p_c (w_c - sum p w)^2 / n_shots.
+    The centred form cannot go negative and is exactly zero for a table
+    with a single occupied cell.
+    """
+    p = probs.reshape(-1)
+    out = {}
+    for name, w in weights.items():
+        w = w.reshape(-1)
+        out[name] = math.sqrt(float(p @ (w - p @ w) ** 2) / n_shots)
+    return out
 
 
-def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None,
-                    n_resamples: int = 400) -> SweepResult:
+def _sweep_errors(epm: JointEnergyDistribution, tpm: JointEnergyDistribution,
+                  dia: JointEnergyDistribution, beta: float,
+                  n_shots: int) -> dict[str, float]:
+    """Standard error of every sweep column estimated from three tables."""
+    w = _linear_weights(epm, beta)
+    se_epm = _shot_errors(epm.probs, w, n_shots)
+    se_tpm = _shot_errors(tpm.probs, w, n_shots)
+    se_dia = _shot_errors(dia.probs, {"G": w["G"]}, n_shots)["G"]
+    out = {"G_TPM": se_tpm["G"], "G_EPM": se_epm["G"], "G_EPM_diag": se_dia,
+           "G_EPM_coh": math.hypot(se_epm["G"], se_dia)}
+    for label in ("mean", "m2", "m3", "m4"):
+        out[f"{label}_EPM"] = se_epm[label]
+        out[f"{label}_TPM"] = se_tpm[label]
+    return out
+
+
+def _sweep_channel(config: TwoQubitExperimentConfig, theta: float) -> UnitaryChannel:
+    """The circuit at sweep abscissa ``theta``."""
+    return UnitaryChannel(controlled_gate(-4.0 * theta, config.phi, config.lam))
+
+
+def _sweep_setup(config: TwoQubitExperimentConfig):
+    """(pair spectrum, initial state, its dephased populations)."""
+    spec = spectral_decompose(two_qubit_hamiltonian(config.epsilon))
+    rho = two_qubit_initial_state(config)
+    return spec, rho, dephase(rho)
+
+
+def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None) -> SweepResult:
     """Characteristic functions and moments across the rotation sweep.
 
     The sweep abscissa theta enters the circuit as controlled_gate(-4*theta,
@@ -228,14 +263,21 @@ def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None,
     pi-periodic.  In exact mode every column is computed from the operator
     expressions.  With ``n_shots`` set, columns hold finite-shot estimates
     from the simulated measurement records and ``*_se`` columns append
-    their bootstrap standard errors; the generator seeds the whole run.
+    their closed-form standard errors, evaluated on the sampled tables.
+    ``gen`` (a :class:`SeededGenerator`, an integer seed or None for seed
+    0) seeds the whole run: grid point i draws its three records from
+    child streams 0, 1 and 2 of its child stream i.
     """
+    if isinstance(gen, SeededGenerator):
+        master = gen
+    elif gen is None or isinstance(gen, (int, np.integer)):
+        master = SeededGenerator(gen or 0)
+    else:
+        raise TypeError("two_qubit_sweep needs index-addressable child streams: "
+                        "pass a SeededGenerator, an int seed or None, not "
+                        f"{type(gen).__name__}")
     theta0, beta = config.resolved()
-    h = two_qubit_hamiltonian(config.epsilon)
-    spec = spectral_decompose(h)
-    rho = two_qubit_initial_state(config)
-    pops = dephase(rho)
-    master = gen if isinstance(gen, SeededGenerator) else SeededGenerator(gen or 0)
+    spec, rho, pops = _sweep_setup(config)
 
     names = ["theta"] + list(SWEEP_COLUMNS)
     if config.n_shots is not None:
@@ -243,7 +285,7 @@ def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None,
     cols: dict[str, list[float]] = {name: [] for name in names}
 
     for idx, theta in enumerate(config.theta_grid):
-        chan = UnitaryChannel(controlled_gate(-4.0 * theta, config.phi, config.lam))
+        chan = _sweep_channel(config, theta)
         cols["theta"].append(float(theta))
         if config.n_shots is None:
             g_tpm = characteristic_function("TPM", rho, chan, spec, spec, 1j * beta)
@@ -266,11 +308,6 @@ def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None,
                                    config.n_shots, point.spawn(1))
             emp_dia = sample_shots("EPM", pops, chan, spec, spec,
                                    config.n_shots, point.spawn(2))
-            w = _linear_weights(emp_epm, beta)
-            se_epm = _bootstrap_ses(emp_epm, w, n_resamples, point.spawn(3))
-            se_tpm = _bootstrap_ses(emp_tpm, w, n_resamples, point.spawn(4))
-            se_dia = _bootstrap_ses(emp_dia, {"G": w["G"]}, n_resamples,
-                                    point.spawn(5))
             g_epm = characteristic_of_distribution(emp_epm, 1j * beta).real
             g_dia = characteristic_of_distribution(emp_dia, 1j * beta).real
             cols["G_TPM"].append(
@@ -278,18 +315,38 @@ def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None,
             cols["G_EPM"].append(g_epm)
             cols["G_EPM_diag"].append(g_dia)
             cols["G_EPM_coh"].append(g_epm - g_dia)
-            cols["G_TPM_se"].append(se_tpm["G"])
-            cols["G_EPM_se"].append(se_epm["G"])
-            cols["G_EPM_diag_se"].append(se_dia["G"])
-            cols["G_EPM_coh_se"].append(math.hypot(se_epm["G"], se_dia["G"]))
             for n, label in enumerate(("mean", "m2", "m3", "m4"), start=1):
                 cols[f"{label}_EPM"].append(moment(emp_epm, n))
                 cols[f"{label}_TPM"].append(moment(emp_tpm, n))
-                cols[f"{label}_EPM_se"].append(se_epm[label])
-                cols[f"{label}_TPM_se"].append(se_tpm[label])
+            se = _sweep_errors(emp_epm, emp_tpm, emp_dia, beta, config.n_shots)
+            for name in SWEEP_COLUMNS:
+                cols[name + "_se"].append(se[name])
 
     columns = {name: np.asarray(cols[name], dtype=float) for name in names}
     return SweepResult(theta0, beta, config.epsilon, config.n_shots, columns)
+
+
+def sweep_model_errors(config: TwoQubitExperimentConfig) -> dict[str, np.ndarray]:
+    """Standard errors of the shot-mode sweep columns under the model.
+
+    The same closed form as the ``*_se`` columns of :func:`two_qubit_sweep`,
+    evaluated on the exact joints the shots are drawn from instead of on
+    the sampled tables, at ``config.n_shots`` shots per record.
+    """
+    if config.n_shots is None:
+        raise InvalidConfig("model standard errors need n_shots")
+    _, beta = config.resolved()
+    spec, rho, pops = _sweep_setup(config)
+    cols: dict[str, list[float]] = {name: [] for name in SWEEP_COLUMNS}
+    for theta in config.theta_grid:
+        chan = _sweep_channel(config, theta)
+        se = _sweep_errors(epm_joint(rho, chan, spec, spec),
+                           tpm_joint(rho, chan, spec, spec),
+                           epm_joint(pops, chan, spec, spec),
+                           beta, config.n_shots)
+        for name in SWEEP_COLUMNS:
+            cols[name].append(se[name])
+    return {name: np.asarray(cols[name]) for name in SWEEP_COLUMNS}
 
 
 # ---------------------------------------------------------------------------

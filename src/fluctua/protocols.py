@@ -525,7 +525,8 @@ def sample_shots(protocol: str, rho, channel: Channel,
     has one member and draws no member; a TPM member is the level it
     measured, so TPM draws no separate initial level; MLL draws all three.
     All draws come from one stream, ``gen`` resolved once.  The result
-    carries ``n_shots`` so resampling errors can be attached downstream.
+    carries ``n_shots`` so shot-noise standard errors can be attached
+    downstream.
     """
     if n_shots <= 0:
         raise ValueError("n_shots must be positive")

@@ -17,6 +17,7 @@ from fluctua.channels import IntegrationFailure
 from fluctua.cli import main
 from fluctua.models import SWEEP_COLUMNS, THREE_LEVEL_COLUMNS, PRESETS
 from fluctua.models import closed_form_characteristics
+from fluctua.qcore import dephase
 
 
 def read_csv(path):
@@ -249,6 +250,22 @@ def test_shot_self_check_passes_at_seed_seven(tmp_path):
     assert code == 0
     summary = json.loads((tmp_path / "s" / "summary.json").read_text())
     assert summary["results"]["max_sigma_distance_tpm"] < 5.0
+
+
+def test_shot_self_check_catches_incoherent_sampler(tmp_path, monkeypatch, capsys):
+    # an end-point sampler that loses the initial coherences draws a wrong
+    # energy-change law; the estimates then sit many model errors from the
+    # closed forms
+    real = fluctua.models.sample_shots
+
+    def incoherent(protocol, rho, *args):
+        return real(protocol, dephase(rho), *args)
+
+    monkeypatch.setattr("fluctua.models.sample_shots", incoherent)
+    code = main(["run", "fig2-sweep", "--shots", "2048", "--seed", "7",
+                 "--out", str(tmp_path / "s"), "--check"])
+    assert code == 4
+    assert "model standard errors from its closed form" in capsys.readouterr().err
 
 
 def test_failed_self_check_exits_4(tmp_path, monkeypatch, capsys):

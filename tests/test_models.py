@@ -1,19 +1,23 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from fluctua.channels import propagate
+from fluctua.channels import UnitaryChannel, propagate
 from fluctua.models import (
     DEFAULT_THETA_GRID,
     PRESETS,
+    SWEEP_COLUMNS,
     InconsistentConfig,
     InitialStateSpec,
     InvalidConfig,
     ThreeLevelConfig,
     TwoQubitExperimentConfig,
+    _shot_errors,
     closed_form_characteristics,
     controlled_gate,
+    sweep_model_errors,
     thermal_occupation,
     three_level_experiment,
     three_level_hamiltonian,
@@ -24,8 +28,12 @@ from fluctua.models import (
     two_qubit_sweep,
     u_gate,
 )
-from fluctua.protocols import NonThermalDiagonal
-from fluctua.qcore import dephase, gibbs_state, hermitian_eig
+from fluctua.protocols import (
+    NonThermalDiagonal,
+    characteristic_of_distribution,
+    sample_shots,
+)
+from fluctua.qcore import dephase, gibbs_state, hermitian_eig, spectral_decompose
 from fluctua.sampling import SeededGenerator
 
 SWEEP_QUANTITIES = ("G_TPM", "G_EPM", "G_EPM_diag", "G_EPM_coh")
@@ -227,6 +235,121 @@ def test_shot_sweep_split_decomposes_estimate():
     res = two_qubit_sweep(cfg, SeededGenerator(2))
     total = res.columns["G_EPM_diag"] + res.columns["G_EPM_coh"]
     assert np.abs(total - res.columns["G_EPM"]).max() < 1e-12
+
+
+def test_shot_sweep_generator_types():
+    cfg = TwoQubitExperimentConfig(n_shots=64, theta_grid=(0.7,))
+    ref = two_qubit_sweep(cfg, SeededGenerator(5)).columns
+    for gen in (5, np.int64(5)):
+        res = two_qubit_sweep(cfg, gen).columns
+        assert all(np.array_equal(res[k], ref[k]) for k in ref)
+    default = two_qubit_sweep(cfg).columns
+    assert np.array_equal(default["G_EPM"],
+                          two_qubit_sweep(cfg, SeededGenerator(0)).columns["G_EPM"])
+    # a numpy Generator has no index-addressable child streams
+    with pytest.raises(TypeError, match="SeededGenerator, an int seed or None"):
+        two_qubit_sweep(cfg, np.random.default_rng(1))
+
+
+def _bootstrap_se(probs, weight, n_shots, rng, n_resamples=20000):
+    """Reference error: spread of the statistic over resampled shot records."""
+    tables = rng.multinomial(n_shots, probs.reshape(-1), size=n_resamples) / n_shots
+    return float(np.std(tables @ weight.reshape(-1), ddof=1))
+
+
+def test_shot_errors_match_bootstrap_reference():
+    # re-draw each grid point's three records from the sweep's own streams
+    # and resample them: the closed form is the bootstrap's large-resample
+    # limit, and 20 000 resamples put the reference within about 0.5 %
+    grid = (0.3, 1.1, 2.2)
+    cfg = TwoQubitExperimentConfig(n_shots=2048, theta_grid=grid)
+    _, beta = cfg.resolved()
+    res = two_qubit_sweep(cfg, SeededGenerator(3))
+    spec = spectral_decompose(two_qubit_hamiltonian())
+    rho = two_qubit_initial_state(cfg)
+    records = (("EPM", rho), ("TPM", rho), ("EPM", dephase(rho)))
+    rng = np.random.default_rng(2048)
+    for idx, theta in enumerate(grid):
+        chan = UnitaryChannel(controlled_gate(-4.0 * theta))
+        point = SeededGenerator(3).spawn(idx)
+        epm, tpm, dia = (sample_shots(tag, state, chan, spec, spec, 2048, point.spawn(k))
+                         for k, (tag, state) in enumerate(records))
+        assert characteristic_of_distribution(tpm, 1j * beta).real \
+            == res.columns["G_TPM"][idx]
+        delta = epm.delta_grid()
+        weights = {"G": np.exp(-beta * delta), "mean": delta, "m2": delta ** 2,
+                   "m3": delta ** 3, "m4": delta ** 4}
+        ref = {"G_EPM_diag": _bootstrap_se(dia.probs, weights["G"], 2048, rng)}
+        for label, w in weights.items():
+            ref[f"{label}_EPM"] = _bootstrap_se(epm.probs, w, 2048, rng)
+            ref[f"{label}_TPM"] = _bootstrap_se(tpm.probs, w, 2048, rng)
+        ref["G_EPM_coh"] = math.hypot(ref["G_EPM"], ref["G_EPM_diag"])
+        for name in SWEEP_COLUMNS:
+            assert res.columns[name + "_se"][idx] == \
+                pytest.approx(ref[name], rel=0.03, abs=1e-12), (theta, name)
+
+
+def test_shot_errors_closed_form():
+    w = {"G": np.array([[1.0, 0.5], [2.0, 0.25]]), "m": np.array([[0.0, 1.0], [4.0, 9.0]])}
+    # a deterministic record has no shot noise at all
+    one_hot = np.array([[0.0, 0.0], [1.0, 0.0]])
+    assert _shot_errors(one_hot, w, 100) == {"G": 0.0, "m": 0.0}
+    # two occupied cells: p (1 - p) (w1 - w2)^2 / N
+    two = np.array([[0.25, 0.0], [0.0, 0.75]])
+    se = _shot_errors(two, w, 300)
+    assert se["G"] == pytest.approx(math.sqrt(0.25 * 0.75 * 0.75 ** 2 / 300), rel=1e-14)
+    assert se["m"] == pytest.approx(math.sqrt(0.25 * 0.75 * 81.0 / 300), rel=1e-14)
+
+
+def _column_digest(res, names):
+    h = hashlib.sha256()
+    for name in names:
+        h.update(res.columns[name].astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_shot_sweep_value_columns_are_pinned():
+    # captured while the error columns still came from 400 bootstrap
+    # resamples drawn from child streams 3-5: the estimates use streams 0-2
+    # only and must not move by a single bit
+    res = two_qubit_sweep(TwoQubitExperimentConfig(n_shots=2048), SeededGenerator(5))
+    assert _column_digest(res, ("theta",) + SWEEP_COLUMNS) == \
+        "811c11f28f33917857ac3705cf10b9a86b1e2a8f14f582323552d6fc5c4c8502"
+    assert res.columns["G_TPM"][3] == 1.0029842789856962
+    assert res.columns["G_EPM"][7] == 0.8335686461941514
+    assert res.columns["G_EPM_coh"][12] == -0.20686302015548708
+    assert res.columns["m2_TPM"][12] == 2.560546875
+
+
+def test_shot_sweep_error_columns_are_pinned():
+    res = two_qubit_sweep(TwoQubitExperimentConfig(n_shots=2048), SeededGenerator(5))
+    pinned = {
+        3: {"G_TPM": 0.016182921846120836, "G_EPM": 0.025055673039613112,
+            "G_EPM_diag": 0.02194350023924288, "G_EPM_coh": 0.03330621494882971,
+            "m2_EPM": 0.09059883101584947, "m4_TPM": 0.16999052568288972},
+        7: {"G_TPM": 0.016104558338368918, "G_EPM": 0.013616914661096225,
+            "mean_EPM": 0.03194874162150941, "m3_TPM": 0.13266249207277633},
+        12: {"G_EPM_diag": 0.021623288215924335, "G_EPM_coh": 0.026306630868752293,
+             "mean_TPM": 0.033509627908298166, "m4_EPM": 1.0885046248392483},
+    }
+    for idx, values in pinned.items():
+        for name, value in values.items():
+            assert res.columns[name + "_se"][idx] == pytest.approx(value, rel=1e-12)
+
+
+def test_sweep_model_errors_track_sampled_errors():
+    cfg = TwoQubitExperimentConfig(n_shots=2048, theta_grid=(0.3, 1.1, 2.2))
+    model = sweep_model_errors(cfg)
+    assert list(model) == list(SWEEP_COLUMNS)
+    res = two_qubit_sweep(cfg, SeededGenerator(8))
+    for name in SWEEP_COLUMNS:
+        assert np.allclose(res.columns[name + "_se"], model[name], rtol=0.1), name
+    quarter = sweep_model_errors(TwoQubitExperimentConfig(
+        n_shots=4 * 2048, theta_grid=cfg.theta_grid))
+    for name in SWEEP_COLUMNS:
+        assert np.allclose(quarter[name], 0.5 * model[name], rtol=1e-12)
+    with pytest.raises(InvalidConfig):
+        sweep_model_errors(TwoQubitExperimentConfig())
 
 
 # ---------------------------------------------------------------------------

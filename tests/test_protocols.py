@@ -602,7 +602,7 @@ def test_tpm_recovered_from_projector_epm_runs():
 
 
 # ---------------------------------------------------------------------------
-# sampling, bootstrap, convexity witness
+# sampling, shot errors, convexity witness
 
 
 def test_sample_shots_deterministic_and_tagged():
@@ -682,7 +682,7 @@ def test_sample_shots_validates_input():
 
 
 def test_bootstrap_standard_error_scales():
-    # the sweep's bootstrap errors drop as 1/sqrt(n): factor 4 from 400 to 6400
+    # the sweep's closed-form errors drop as 1/sqrt(n): factor 4 from 400 to 6400
     def se(n):
         cfg = TwoQubitExperimentConfig(n_shots=n)
         return two_qubit_sweep(cfg, gen=SeededGenerator(9)).columns["G_TPM_se"]
