@@ -17,24 +17,24 @@ with a fixed-step classic Runge-Kutta rule and returns superoperator
 channels; :func:`propagate` applies its last snapshot to one state.
 The integrator is deliberately fixed-step (no adaptivity) so runs are
 bitwise reproducible; the step is an upper bound and each window is
-subdivided uniformly.  The equation dS/dt = L(t) S is linear, so one
-RK4 step is a product S <- M S with a step map M built from the
-generators at the step's start, midpoint and end alone.  The step maps
-are built a block of at most :data:`STEP_BLOCK` steps at a time, with
-one batched generator build and batched products per block; the cap
-keeps the memory of a long window bounded.  Each step then multiplies
-by its map and projects the propagator onto the Hermiticity-preserving
-maps, ``S <- (S + P conj(S) P)/2`` with P the transpose permutation of
-vec indices, which removes the slow Hermiticity drift of plain RK4
-without touching the dynamics.  The trace of every column is monitored
-each step and a drift beyond 1e-6 (or any NaN) aborts the run.
+subdivided uniformly.  The drive is affine, H(t) = H0 + sum_j e_j(t) V_j,
+so L(t) = L0 + D + sum_j e_j(t) L_j from pieces built once per run.  One
+RK4 step of dS/dt = L(t) S is a product S <- M S with a step map M built
+from the generators at the step's start, midpoint and end.  Blocks of at
+most :data:`STEP_BLOCK` maps are built from one array call of the
+envelopes (bounding the memory of a long window), and a prefix scan
+turns each block into its propagators.  Each step's propagator is
+projected onto the Hermiticity-preserving maps, ``S <- (S + P conj(S) P)/2``
+with P the transpose permutation of vec indices, which removes the slow
+Hermiticity drift of plain RK4 without touching the dynamics; a trace
+drift beyond 1e-6 (or any NaN) at any step aborts the run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,15 +89,20 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class HamiltonianSchedule:
-    """Time-dependent Hamiltonian h(t) = base + drive(t).
+    """Time-dependent Hamiltonian H(t) = base + sum_j e_j(t) V_j.
 
-    ``drive`` maps a time to a Hermitian matrix (or is ``None`` for a
-    static Hamiltonian).  ``t_initial``/``t_final`` delimit the window the
-    schedule is meant to be integrated over.
+    The drive is affine: fixed Hermitian ``couplings`` V_j (kept as a
+    (J, d, d) array) scaled by real envelopes e_j.  ``envelopes`` maps an
+    array of T times to the (J, T) array of envelope values, so the
+    integrator reads a whole block of times in one call; a static
+    Hamiltonian has no couplings (J = 0).
+    ``t_initial``/``t_final`` delimit the window the schedule is meant to
+    be integrated over.
     """
 
     base: np.ndarray
-    drive: Callable[[float], np.ndarray] | None = None
+    couplings: Sequence = ()
+    envelopes: Callable[[np.ndarray], np.ndarray] = lambda t: np.zeros((0, t.size))
     t_initial: float = 0.0
     t_final: float = 0.0
 
@@ -105,15 +110,35 @@ class HamiltonianSchedule:
         self.base = as_complex_matrix(self.base, "base Hamiltonian")
         if not is_hermitian(self.base):
             raise NonHermitianInput("base Hamiltonian is not Hermitian")
+        d = self.dim
+        couplings = [as_complex_matrix(v, "coupling") for v in self.couplings]
+        if any(v.shape != (d, d) for v in couplings):
+            raise DimensionMismatch(f"couplings must be {d} x {d} like the base")
+        if not all(is_hermitian(v) for v in couplings):
+            raise NonHermitianInput("coupling is not Hermitian")
+        self.couplings = np.array(couplings, dtype=np.complex128).reshape(-1, d, d)
+        # probed here so a malformed envelope fails at construction; J + 1
+        # times make a (T, J) transposed output differ from (J, T)
+        self.envelope_values(np.linspace(self.t_initial, self.t_final,
+                                         len(self.couplings) + 1))
 
     @property
     def dim(self) -> int:
         return self.base.shape[0]
 
+    def envelope_values(self, times: np.ndarray) -> np.ndarray:
+        """The (J, T) envelope values at an array of T times."""
+        e = np.asarray(self.envelopes(times))
+        if e.shape != (len(self.couplings), times.size):
+            raise DimensionMismatch(f"envelopes gave shape {e.shape}, not "
+                                    f"{(len(self.couplings), times.size)}")
+        if np.iscomplexobj(e):
+            raise NonHermitianInput("envelopes must be real")
+        return e.astype(float, copy=False)
+
     def at(self, t: float) -> np.ndarray:
-        if self.drive is None:
-            return self.base
-        return self.base + self.drive(t)
+        e = self.envelope_values(np.array([float(t)]))[:, 0]
+        return self.base + np.tensordot(e, self.couplings, axes=1)
 
 
 @dataclass
@@ -141,8 +166,6 @@ class JumpOperatorSet:
 def _as_operator_list(jump_operators) -> list:
     if jump_operators is None:
         return []
-    if isinstance(jump_operators, JumpOperatorSet):
-        return list(jump_operators.operators)
     return [as_complex_matrix(op, "jump operator") for op in jump_operators]
 
 
@@ -273,27 +296,28 @@ def lindblad_generator(hamiltonian, jump_operators) -> np.ndarray:
                                                    h.shape[0])
 
 
-def _step_maps(schedule: HamiltonianSchedule, dissipator: np.ndarray,
-               t0: float, h: float, first: int, n: int) -> np.ndarray:
+def _step_maps(schedule: HamiltonianSchedule, static: np.ndarray,
+               coupled: np.ndarray, t0: float, h: float, first: int,
+               n: int) -> np.ndarray:
     """RK4 step maps of steps first..first+n-1 from t0 + i h, as (n, d^2, d^2).
 
-    With A, B, C the generators at a step's start, midpoint and end, the
-    step S <- S + h/6 (k1 + 2 k2 + 2 k3 + k4) of dS/dt = L S is S <- M S
-    with X2 = B(I + h/2 A), X3 = B(I + h/2 X2), X4 = C(I + h X3) and
+    The generator at time t is static + sum_j e_j(t) coupled_j.  With A,
+    B, C the generators at a step's start, midpoint and end, the step
+    S <- S + h/6 (k1 + 2 k2 + 2 k3 + k4) of dS/dt = L S is S <- M S with
+    X2 = B(I + h/2 A), X3 = B(I + h/2 X2), X4 = C(I + h X3) and
     M = I + h/6 (A + 2 X2 + 2 X3 + X4).  Adjacent steps share their end
-    node, so the schedule is read at 2n + 1 times.
+    node, so the envelopes are evaluated at 2n + 1 times.
     """
-    nodes = []
-    for i in range(first, first + n):
-        nodes += [t0 + i * h, t0 + i * h + 0.5 * h]
-    nodes.append(t0 + (first + n) * h)
-    gens = _hamiltonian_generator(np.array([schedule.at(t) for t in nodes])) + dissipator
+    nodes = t0 + np.arange(2 * first, 2 * (first + n) + 1) * (0.5 * h)
+    side = static.shape[0]
+    drive = schedule.envelope_values(nodes).T @ coupled.reshape(-1, side * side)
+    gens = static + drive.reshape(-1, side, side)
     a, b, c = gens[0:-1:2], gens[1::2], gens[2::2]
     x2 = b + (0.5 * h) * (b @ a)
     x3 = b + (0.5 * h) * (b @ x2)
     x4 = c + h * (c @ x3)
     maps = (h / 6.0) * (a + 2.0 * x2 + 2.0 * x3 + x4)
-    maps += np.eye(dissipator.shape[0])
+    maps += np.eye(side)
     return maps
 
 
@@ -305,11 +329,13 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     once and incrementally, so the cost is one pass over
     [t_initial, max(times)] regardless of how many snapshot times are
     requested.  Each window between consecutive times takes
-    ceil(span/step) equal steps.  A step is the product S <- M S with
-    its RK4 step map M, and the maps are built :data:`STEP_BLOCK` steps
-    at a time (see :func:`_step_maps`), so memory does not grow with the
-    window.  Times must be non-decreasing and lie inside the schedule
-    window.
+    ceil(span/step) equal steps.  The maps of :data:`STEP_BLOCK` steps
+    are built at a time (see :func:`_step_maps`), so memory does not grow
+    with the window.  With S folded into the first map, a Hillis-Steele
+    scan (the level of stride k sets P_i <- P_i P_{i-k}) gives the block's
+    propagators S_i = M_i ... M_first S in ceil(log2 n) batched products.
+    Every step's propagator is still projected and checked for trace
+    drift.  Times must be non-decreasing and lie inside the schedule window.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -321,7 +347,8 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     if ts and ts[-1] > schedule.t_final + 1e-12:
         raise ValueError("snapshot after the schedule end")
     d = schedule.dim
-    dissipator = _dissipator(_as_operator_list(jump_operators), d)
+    static = lindblad_generator(schedule.base, jump_operators)
+    coupled = _hamiltonian_generator(schedule.couplings)
 
     diagonal = np.arange(d) * (d + 1)  # vec indices of the diagonal entries
     s = np.eye(d * d, dtype=np.complex128)
@@ -335,17 +362,23 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
             tr0 = s[diagonal].sum(axis=0)
             for first in range(0, n_steps, STEP_BLOCK):
                 n = min(STEP_BLOCK, n_steps - first)
-                maps = _step_maps(schedule, dissipator, t0, h, first, n)
-                for i, m in enumerate(maps, start=first):
-                    s = m @ s
-                    # S <- (S + P conj(S) P)/2: the map X -> S(X^dag)^dag, written
-                    # on the (row, column) indices of input and output
-                    flipped = s.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
-                    s = 0.5 * (s + flipped.conj())
-                    drift = np.abs(s[diagonal].sum(axis=0) - tr0).max()
-                    if not (drift <= TRACE_DRIFT_ABORT):
-                        raise IntegrationFailure(f"trace drift {drift:.3e} at "
-                                                 f"t = {t0 + i * h + h:.6g} (step {h:.3g})")
+                steps = _step_maps(schedule, static, coupled, t0, h, first, n)
+                steps[0] = steps[0] @ s
+                stride = 1
+                while stride < n:
+                    steps[stride:] = steps[stride:] @ steps[:-stride]
+                    stride *= 2
+                # S <- (S + P conj(S) P)/2: the map X -> S(X^dag)^dag, written
+                # on the (row, column) indices of input and output
+                flipped = steps.reshape(n, d, d, d, d).transpose(0, 2, 1, 4, 3)
+                steps = 0.5 * (steps + flipped.reshape(n, d * d, d * d).conj())
+                drift = np.abs(steps[:, diagonal].sum(axis=1) - tr0).max(axis=1)
+                bad = ~(drift <= TRACE_DRIFT_ABORT)
+                if bad.any():
+                    i = first + int(np.argmax(bad))
+                    raise IntegrationFailure(f"trace drift {drift[i - first]:.3e} at "
+                                             f"t = {t0 + i * h + h:.6g} (step {h:.3g})")
+                s = steps[-1].copy()
             if np.isnan(s).any():
                 raise IntegrationFailure("NaN in integrated propagator")
         t0 = t1

@@ -40,7 +40,6 @@ from .models import (
     InconsistentConfig,
     InitialStateSpec,
     InvalidConfig,
-    TwoQubitExperimentConfig,
     closed_form_characteristics,
     sweep_model_errors,
     three_level_experiment,
@@ -216,7 +215,9 @@ def _write_outputs(out_dir: Path, columns: dict, summary: dict,
     (out_dir / "plot.svg").write_text(svg)
 
 
-def _sweep_self_check(result) -> list[str]:
+def _sweep_self_check(result, model: dict[str, np.ndarray] | None) -> list[str]:
+    """Identity and closed-form checks of a sweep; ``model`` holds the
+    model standard errors of a shot-mode sweep (``None`` when exact)."""
     cols = result.columns
     fails = []
     closed = {name: np.array([
@@ -239,12 +240,6 @@ def _sweep_self_check(result) -> list[str]:
             fails.append(f"max closed-form deviation = {dev_cf:.3e} exceeds "
                          f"{SWEEP_TOLERANCES['closed_form']:g}")
     else:
-        # the estimates are compared with known values, so their distance
-        # is measured in the standard errors of the exact distributions the
-        # shots are drawn from, not in the errors estimated from the shots
-        model = sweep_model_errors(TwoQubitExperimentConfig(
-            epsilon=result.epsilon, theta0=result.theta0, beta=result.beta,
-            theta_grid=tuple(cols["theta"]), n_shots=result.n_shots))
         sigma = SWEEP_SHOT_TOLERANCES["tpm_sigma"]
         bad = np.abs(cols["G_TPM"] - 1.0) > sigma * model["G_TPM"] + 1e-12
         if bad.any():
@@ -304,6 +299,7 @@ def _run_two_qubit(preset, settings: dict, out_dir: Path) -> list[str]:
         raise ConfigError(str(exc)) from None
     result = two_qubit_sweep(cfg, gen=SeededGenerator(seed))
     cols = result.columns
+    model = None
 
     results = {"theta0": theta0, "beta": beta, "epsilon": result.epsilon,
                "grid_points": len(cols["theta"]),
@@ -318,7 +314,12 @@ def _run_two_qubit(preset, settings: dict, out_dir: Path) -> list[str]:
     else:
         results["n_shots"] = n_shots
         results["seed"] = seed
-        se = cols["G_TPM_se"]
+        # the estimates are compared with known values, so their distance
+        # is measured in the standard errors of the exact distributions the
+        # shots are drawn from, not in the errors estimated from the shots;
+        # the self-check below uses the same errors
+        model = sweep_model_errors(cfg)
+        se = model["G_TPM"]
         mask = se > 0
         results["max_sigma_distance_tpm"] = float(
             (np.abs(cols["G_TPM"] - 1)[mask] / se[mask]).max()) \
@@ -333,7 +334,7 @@ def _run_two_qubit(preset, settings: dict, out_dir: Path) -> list[str]:
                "rows": len(cols["theta"])}
     _write_outputs(out_dir, cols, summary, preset.name, "theta",
                    preset.plot_columns)
-    return _sweep_self_check(result)
+    return _sweep_self_check(result, model)
 
 
 def _run_three_level(preset, settings: dict, out_dir: Path) -> list[str]:

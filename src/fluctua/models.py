@@ -11,6 +11,7 @@ baths, integrated with the Lindblad propagator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -196,11 +197,6 @@ class SweepResult:
 
     def column_names(self) -> list[str]:
         return list(self.columns)
-
-    def rows(self):
-        names = self.column_names()
-        for i in range(len(self.columns["theta"])):
-            yield {name: self.columns[name][i] for name in names}
 
 
 def _linear_weights(joint: JointEnergyDistribution, beta: float) -> dict[str, np.ndarray]:
@@ -423,6 +419,13 @@ def thermal_occupation(beta: float, omega: float, convention: str = "bose") -> f
     raise InvalidConfig(f"unknown occupation convention {convention!r}")
 
 
+def _drive_envelopes(t: np.ndarray, amp: float, form: str) -> np.ndarray:
+    """Envelopes (g, f) of the g-B and A-B couplings at an array of times."""
+    g = amp * np.sin(t) ** 2
+    f = amp - g if form == "complement" else amp * (1.0 - np.sin(2.0 * t) ** 2)
+    return np.stack([g, f])
+
+
 def three_level_model(config: ThreeLevelConfig) -> tuple[HamiltonianSchedule, JumpOperatorSet]:
     """Schedule and jump operators of the driven three-level system."""
     h = three_level_hamiltonian(config)
@@ -433,18 +436,12 @@ def three_level_model(config: ThreeLevelConfig) -> tuple[HamiltonianSchedule, Ju
     couple_ab[1, 2] = couple_ab[2, 1] = 1.0
 
     if amp == 0.0:
-        drive = None
-    elif config.drive_form == "complement":
-        def drive(t):
-            g = amp * math.sin(t) ** 2
-            return g * couple_gb + (amp - g) * couple_ab
+        schedule = HamiltonianSchedule(h, t_final=config.t_max)
     else:
-        def drive(t):
-            g = amp * math.sin(t) ** 2
-            f = amp * (1.0 - math.sin(2.0 * t) ** 2)
-            return g * couple_gb + f * couple_ab
-
-    schedule = HamiltonianSchedule(h, drive, 0.0, config.t_max)
+        schedule = HamiltonianSchedule(
+            h, (couple_gb, couple_ab),
+            functools.partial(_drive_envelopes, amp=amp, form=config.drive_form),
+            0.0, config.t_max)
 
     operators, labels = [], []
     if config.gamma > 0.0:

@@ -145,9 +145,8 @@ def test_rabi_oscillation_matches_analytic():
 def test_driven_dephasing_phase():
     # H(t) = sin(t) sz commutes with itself; coherence picks up
     # exp(-2i * integral sin) = exp(-2i (1 - cos t))
-    sched = HamiltonianSchedule(np.zeros((2, 2)),
-                                drive=lambda t: math.sin(t) * SZ,
-                                t_final=2.0)
+    sched = HamiltonianSchedule(np.zeros((2, 2)), [SZ],
+                                lambda t: [np.sin(t)], t_final=2.0)
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]])
     out = propagate(sched, None, rho0, step=1e-3)
     expected = 0.5 * (-0.9525471879205125 - 0.30439095713362413j)
@@ -177,9 +176,8 @@ def test_propagate_detects_blowup():
 
 def test_rk4_order_halving_factor():
     # global error should drop ~16x per halving; 12 is the acceptance floor
-    sched = HamiltonianSchedule(SX + 0.7 * SZ,
-                                drive=lambda t: math.sin(3 * t) * SX,
-                                t_final=2.0)
+    sched = HamiltonianSchedule(SX + 0.7 * SZ, [SX],
+                                lambda t: [np.sin(3 * t)], t_final=2.0)
     ops = [0.4 * SM]
     rho0 = np.diag([0.2, 0.8]).astype(complex)
     sols = {h: propagate(sched, ops, rho0, step=h) for h in (0.04, 0.02, 0.01)}
@@ -211,9 +209,8 @@ def _operator_form_rk4(sched, ops, rho, step):
 def test_lindblad_superoperator_matches_propagation():
     # stepping the propagator is the same RK4 as stepping each state
     rng = np.random.default_rng(9)
-    sched = HamiltonianSchedule(SX + 0.2 * SZ,
-                                drive=lambda t: 0.5 * math.cos(t) * SX,
-                                t_final=1.5)
+    sched = HamiltonianSchedule(SX + 0.2 * SZ, [SX],
+                                lambda t: [0.5 * np.cos(t)], t_final=1.5)
     ops = [0.6 * SM]
     chan = propagator_series(sched, ops, [sched.t_final], step=1e-2)[-1]
     assert channel_as_superoperator(chan) is chan
@@ -228,9 +225,8 @@ def test_propagator_series_steps_across_block_edges():
     # windows of 5, 23, 53 and 19 steps: none a multiple of the block of
     # step maps, and the 53-step window spans four blocks.  Each snapshot
     # must be the same RK4 as stepping a state window by window.
-    sched = HamiltonianSchedule(SX + 0.2 * SZ,
-                                drive=lambda t: 0.5 * math.cos(3 * t) * SX
-                                + 0.3 * math.sin(t) * SZ,
+    sched = HamiltonianSchedule(SX + 0.2 * SZ, [SX, SZ],
+                                lambda t: [0.5 * np.cos(3 * t), 0.3 * np.sin(t)],
                                 t_final=2.0)
     ops = [0.6 * SM, 0.2 * SM.T]
     step = 1.0 / 64.0  # a binary fraction, so every node time is exact
@@ -243,10 +239,30 @@ def test_propagator_series_steps_across_block_edges():
         rho = random_state(rng, 2)
         direct, t_prev = rho, sched.t_initial
         for t, snap in zip(times, series):
-            window = HamiltonianSchedule(sched.base, sched.drive, t_prev, t)
+            window = HamiltonianSchedule(sched.base, sched.couplings,
+                                         sched.envelopes, t_prev, t)
             direct = _operator_form_rk4(window, ops, direct, step)
             assert np.max(np.abs(snap.apply(rho) - direct)) < 1e-13
             t_prev = t
+
+
+def test_envelopes_are_evaluated_once_per_block():
+    # the drive is read as arrays, one call per block of step maps, never
+    # once per node
+    calls = []
+
+    def envelopes(t):
+        calls.append(t)
+        return [0.5 * np.cos(3 * t)]
+
+    sched = HamiltonianSchedule(SX + 0.2 * SZ, [SX], envelopes, t_final=2.0)
+    step = 1.0 / 64.0
+    counts = [5, 23, 53, 19]
+    calls.clear()  # drop the probe made at construction
+    propagator_series(sched, [0.6 * SM], np.cumsum(counts) * step, step=step)
+    assert len(calls) <= sum(math.ceil(n / STEP_BLOCK) for n in counts)
+    assert all(isinstance(t, np.ndarray) and t.ndim == 1 and t.size >= 3
+               for t in calls)
 
 
 def test_propagator_series_memory_is_bounded():
@@ -290,8 +306,7 @@ def test_apply_matrix_maps_each_matrix_of_a_stack(d):
 
 
 def test_propagator_series_matches_individual_runs():
-    sched = HamiltonianSchedule(SX + 0.1 * SZ,
-                                drive=lambda t: math.sin(t) * SZ,
+    sched = HamiltonianSchedule(SX + 0.1 * SZ, [SZ], lambda t: [np.sin(t)],
                                 t_initial=0.0, t_final=2.0)
     ops = [0.3 * SM]
     times = [0.0, 0.5, 1.3, 2.0]
@@ -299,7 +314,8 @@ def test_propagator_series_matches_individual_runs():
     rng = np.random.default_rng(11)
     rho = random_state(rng, 2)
     for t, snap in zip(times, series):
-        one = HamiltonianSchedule(sched.base, sched.drive, 0.0, t)
+        one = HamiltonianSchedule(sched.base, sched.couplings, sched.envelopes,
+                                  0.0, t)
         direct = propagate(one, ops, rho, step=1e-3)
         assert np.max(np.abs(snap.apply(rho) - direct)) < 1e-8
     # t = 0 snapshot is the identity map
@@ -402,6 +418,21 @@ def test_check_cptp_lindblad_propagator():
 def test_schedule_rejects_nonhermitian_base():
     with pytest.raises(NonHermitianInput):
         HamiltonianSchedule(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_schedule_rejects_bad_drive():
+    with pytest.raises(NonHermitianInput):
+        HamiltonianSchedule(SX, [SM], lambda t: [np.sin(t)])
+    with pytest.raises(DimensionMismatch):
+        HamiltonianSchedule(SX, [np.eye(3)], lambda t: [np.sin(t)])
+    # envelope values must come as (couplings, times)
+    with pytest.raises(DimensionMismatch):
+        HamiltonianSchedule(SX, [SZ], np.sin)
+    with pytest.raises(DimensionMismatch):
+        HamiltonianSchedule(SX, [SZ], lambda t: [np.sin(t), np.cos(t)])
+    with pytest.raises(DimensionMismatch):
+        HamiltonianSchedule(SX, [SZ, SX],
+                            lambda t: np.stack([np.sin(t), np.cos(t)], axis=1))
 
 
 def test_jump_set_validation():

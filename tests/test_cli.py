@@ -252,6 +252,27 @@ def test_shot_self_check_passes_at_seed_seven(tmp_path):
     assert summary["results"]["max_sigma_distance_tpm"] < 5.0
 
 
+def test_shot_summary_distance_is_the_self_check_z_score(tmp_path, monkeypatch):
+    # the summary reports G_TPM's distance from 1 in the same model
+    # standard errors that the shot-mode self-check tests against
+    seen = {}
+    real = fluctua.cli._sweep_self_check
+
+    def spy(result, model):
+        seen.update(result=result, model=model)
+        return real(result, model)
+
+    monkeypatch.setattr("fluctua.cli._sweep_self_check", spy)
+    code = main(["run", "fig2-sweep", "--shots", "2048", "--seed", "5",
+                 "--out", str(tmp_path / "s"), "--check"])
+    assert code == 0
+    summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+    se = seen["model"]["G_TPM"]
+    z = np.abs(seen["result"].columns["G_TPM"] - 1.0)[se > 0] / se[se > 0]
+    assert summary["results"]["max_sigma_distance_tpm"] == z.max()
+    assert z.max() < summary["tolerances"]["tpm_sigma"]
+
+
 def test_shot_self_check_catches_incoherent_sampler(tmp_path, monkeypatch, capsys):
     # an end-point sampler that loses the initial coherences draws a wrong
     # energy-change law; the estimates then sit many model errors from the
@@ -270,7 +291,7 @@ def test_shot_self_check_catches_incoherent_sampler(tmp_path, monkeypatch, capsy
 
 def test_failed_self_check_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("fluctua.cli._sweep_self_check",
-                        lambda result: ["synthetic defect"])
+                        lambda result, model: ["synthetic defect"])
     code = main(["run", "fig2-sweep", "--out", str(tmp_path / "s"),
                  "--check"])
     assert code == 4

@@ -423,9 +423,27 @@ def test_drive_forms():
     assert abs(sched_c.at(0.77)[0, 2] + sched_c.at(0.77)[1, 2] - amp) < 1e-14
 
 
+def test_affine_drive_matches_drive_forms():
+    # H(t) = base + g(t) V_gB + f(t) V_AB, the two couplings scaled by the
+    # envelopes of each drive form
+    amp = 1.5
+    v_gb = np.zeros((3, 3))
+    v_gb[0, 2] = v_gb[2, 0] = 1.0
+    v_ab = np.zeros((3, 3))
+    v_ab[1, 2] = v_ab[2, 1] = 1.0
+    forms = {"complement": lambda t: amp - amp * math.sin(t) ** 2,
+             "double_frequency": lambda t: amp * (1.0 - math.sin(2.0 * t) ** 2)}
+    for form, f in forms.items():
+        sched, _ = three_level_model(ThreeLevelConfig(drive_form=form))
+        for t in (0.0, 0.4, 1.1, 2.9, 7.3):
+            expected = sched.base + amp * math.sin(t) ** 2 * v_gb + f(t) * v_ab
+            assert np.abs(sched.at(t) - expected).max() <= 1e-15
+
+
 def test_no_drive_when_amplitude_zero():
     sched, _ = three_level_model(ThreeLevelConfig(drive_amplitude=0.0))
-    assert sched.drive is None
+    assert len(sched.couplings) == 0
+    assert np.array_equal(sched.at(1.3), sched.base)
 
 
 def test_equal_temperature_baths_relax_to_gibbs():
