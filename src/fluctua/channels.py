@@ -136,9 +136,12 @@ class HamiltonianSchedule:
             raise NonHermitianInput("envelopes must be real")
         return e.astype(float, copy=False)
 
-    def at(self, t: float) -> np.ndarray:
-        e = self.envelope_values(np.array([float(t)]))[:, 0]
-        return self.base + np.tensordot(e, self.couplings, axes=1)
+    def at(self, t) -> np.ndarray:
+        """H(t) at one time, or the (T, d, d) stack at an array of T times."""
+        ts = np.asarray(t, dtype=float)
+        e = self.envelope_values(ts.reshape(-1))
+        h = self.base + np.tensordot(e.T, self.couplings, axes=1)
+        return h if ts.ndim else h[0]
 
 
 @dataclass
@@ -194,7 +197,8 @@ class Channel:
         """Linear extension to arbitrary matrices (no state validation).
 
         ``m`` is one d x d matrix or a stack ``(..., d, d)``; each matrix of
-        the stack is mapped.
+        the stack is mapped.  A channel holding a batch of T channels
+        returns a leading T axis.
         """
         raise NotImplementedError
 
@@ -229,12 +233,17 @@ class UnitaryChannel(Channel):
 
 
 class SuperoperatorChannel(Channel):
-    """A channel given directly by its vectorized-state matrix."""
+    """A channel given directly by its vectorized-state matrix.
+
+    A (T, d^2, d^2) stack of superoperators is a batch of T channels:
+    ``apply`` and ``apply_matrix`` map their input through every member
+    in one product and return a leading T axis.
+    """
 
     def __init__(self, superoperator):
-        s = as_complex_matrix(superoperator, "superoperator")
-        d = math.isqrt(s.shape[0])
-        if d * d != s.shape[0]:
+        s = as_complex_matrix(superoperator, "superoperator", stack=True)
+        d = math.isqrt(s.shape[-1])
+        if d * d != s.shape[-1]:
             raise DimensionMismatch("superoperator side is not a perfect square")
         self.superoperator = s
         self.dim = d
@@ -243,14 +252,19 @@ class SuperoperatorChannel(Channel):
         r = assert_density_operator(rho)
         if r.shape[0] != self.dim:
             raise DimensionMismatch("state and channel dimensions differ")
-        out = unvec(self.superoperator @ vec(r))
-        return 0.5 * (out + out.conj().T)
+        out = (self.superoperator @ vec(r)).reshape(*self.superoperator.shape[:-2],
+                                                    self.dim, self.dim)
+        return 0.5 * (out + out.swapaxes(-1, -2).conj())
 
     def apply_matrix(self, m) -> np.ndarray:
         a = _matrix_stack(m, self.dim)
+        batch = self.superoperator.shape[:-2]
+        # a batch axis of its own in front of the input's axes
+        s = self.superoperator.reshape(batch + (1,) * (a.ndim - 2)
+                                       + self.superoperator.shape[-2:])
         # each matrix as a vec column, so one matrix takes the same product as apply
-        out = self.superoperator @ a.reshape(*a.shape[:-2], self.dim ** 2, 1)
-        return out.reshape(a.shape)
+        out = s @ a.reshape(*a.shape[:-2], self.dim ** 2, 1)
+        return out.reshape(batch + a.shape)
 
     def as_superoperator(self) -> np.ndarray:
         return self.superoperator
@@ -349,6 +363,7 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     d = schedule.dim
     static = lindblad_generator(schedule.base, jump_operators)
     coupled = _hamiltonian_generator(schedule.couplings)
+    driven = len(schedule.couplings) > 0
 
     diagonal = np.arange(d) * (d + 1)  # vec indices of the diagonal entries
     s = np.eye(d * d, dtype=np.complex128)
@@ -360,9 +375,13 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
             n_steps = max(1, math.ceil(span / step - 1e-12))
             h = span / n_steps
             tr0 = s[diagonal].sum(axis=0)
+            # without a drive every step of the window has the same map
+            window_map = None if driven else _step_maps(schedule, static, coupled,
+                                                        t0, h, 0, 1)
             for first in range(0, n_steps, STEP_BLOCK):
                 n = min(STEP_BLOCK, n_steps - first)
-                steps = _step_maps(schedule, static, coupled, t0, h, first, n)
+                steps = (_step_maps(schedule, static, coupled, t0, h, first, n)
+                         if driven else np.repeat(window_map, n, axis=0))
                 steps[0] = steps[0] @ s
                 stride = 1
                 while stride < n:

@@ -20,6 +20,7 @@ import numpy as np
 from .channels import (
     HamiltonianSchedule,
     JumpOperatorSet,
+    SuperoperatorChannel,
     UnitaryChannel,
     propagator_series,
 )
@@ -38,7 +39,13 @@ from .protocols import (
     shannon_entropy,
     tpm_joint,
 )
-from .qcore import coherence_l1, dephase, hermitian_eig, spectral_decompose
+from .qcore import (
+    SpectralDecomposition,
+    coherence_l1,
+    dephase,
+    hermitian_eig,
+    spectral_decompose,
+)
 from .sampling import SeededGenerator, random_coherence
 
 __all__ = [
@@ -522,16 +529,54 @@ class ThreeLevelSeries:
         return list(self.columns)
 
 
+def _level_groups(specs):
+    """Sample indices grouped by level count, each group with its batched decomposition."""
+    groups: dict[int, list[int]] = {}
+    for k, spec in enumerate(specs):
+        groups.setdefault(spec.energies.size, []).append(k)
+    return [(np.array(idx), SpectralDecomposition.stack([specs[k] for k in idx]))
+            for idx in groups.values()]
+
+
+def _series_columns(rho_i: np.ndarray, channel: SuperoperatorChannel,
+                    spec_i: SpectralDecomposition, spec_f: SpectralDecomposition,
+                    basis_i: np.ndarray, beta_ref: float) -> dict[str, np.ndarray]:
+    """The protocol columns of a batch of sample times sharing a level count."""
+    rep = jarzynski(rho_i, channel, spec_i, spec_f, beta_ref, basis=basis_i)
+    g_tpm = characteristic_function("TPM", rho_i, channel, spec_i, spec_f,
+                                    1j * beta_ref)
+    split = epm_second_moment_split(rho_i, channel, spec_i, spec_f, basis=basis_i)
+    de, dt, dm = (delta_distribution(joint(rho_i, channel, spec_i, spec_f))
+                  for joint in (epm_joint, tpm_joint, mll_joint))
+    fraction = np.divide(split.coherence_part, split.total,
+                         out=np.zeros(np.shape(split.total)), where=split.total != 0.0)
+    return {"jarzynski_epm": rep.total,
+            "jarzynski_diagonal": rep.diagonal_part,
+            "jarzynski_coherence": rep.coherence_part,
+            # exp(beta dF) = Z_i/Z_f turns G_TPM(i beta) into the exponential average
+            "jarzynski_tpm": (g_tpm * np.exp(beta_ref * rep.delta_free_energy)).real,
+            "m2_epm": split.total,
+            "m2_population": split.population_part,
+            "m2_coherence": split.coherence_part,
+            "m2_coherence_fraction": fraction,
+            "entropy_epm": shannon_entropy(de),
+            "entropy_tpm": shannon_entropy(dt),
+            "entropy_mll": shannon_entropy(dm),
+            "m2_mll_minus_epm": moment(dm, 2) - moment(de, 2)}
+
+
 def three_level_experiment(config: ThreeLevelConfig,
                            state: InitialStateSpec | np.ndarray | None = None,
                            t_samples=None) -> ThreeLevelSeries:
     """Evolve the three-level system and evaluate all protocol quantities.
 
-    At every sample time the channel from 0 to t is assembled once and
-    the exponential averages, second-moment split, and entropies of the
-    three measurement schemes are recorded.  The measurement Hamiltonian
-    at each end follows ``config.measurement_convention``: "full" uses
-    the instantaneous driven Hamiltonian, "bare" the static part only.
+    The channels from 0 to every sample time come from one integrator
+    pass, and the exponential averages, second-moment split, and
+    entropies of the three measurement schemes are evaluated over all
+    sample times at once (once per level count of the final measurement
+    Hamiltonian).  The measurement Hamiltonian at each end follows
+    ``config.measurement_convention``: "full" uses the instantaneous
+    driven Hamiltonian, "bare" the static part only.
     """
     if t_samples is None:
         t_samples = np.linspace(0.0, config.t_max, 101)
@@ -557,45 +602,24 @@ def three_level_experiment(config: ThreeLevelConfig,
         spec_echo = None
         beta_ref = InitialStateSpec().beta_ref
 
-    channels = propagator_series(schedule, jumps, times, step=config.step)
-    cols: dict[str, list[float]] = {name: [] for name in THREE_LEVEL_COLUMNS}
-    for t, chan in zip(times, channels):
-        h_t = _measurement_hamiltonian(config, schedule, t)
-        spec_f = spec_i if config.measurement_convention == "bare" \
-            else spectral_decompose(h_t)
-        _, basis_f = (None, basis_i) if config.measurement_convention == "bare" \
-            else hermitian_eig(h_t)
+    superops = np.stack([c.superoperator for c in
+                         propagator_series(schedule, jumps, times, step=config.step)])
+    if config.measurement_convention == "bare":
+        groups, basis_f = [(np.arange(times.size), spec_i)], basis_i
+    else:
+        h_t = schedule.at(times)
+        groups = _level_groups(spectral_decompose(h_t))
+        _, basis_f = hermitian_eig(h_t)
 
-        rep = jarzynski(rho_i, chan, spec_i, spec_f, beta_ref, basis=basis_i)
-        z_i = float(np.sum(np.exp(-beta_ref * spec_i.energies) * spec_i.ranks))
-        z_f = float(np.sum(np.exp(-beta_ref * spec_f.energies) * spec_f.ranks))
-        g_tpm = characteristic_function("TPM", rho_i, chan, spec_i, spec_f,
-                                        1j * beta_ref)
-        split = epm_second_moment_split(rho_i, chan, spec_i, spec_f, basis=basis_i)
-        je = epm_joint(rho_i, chan, spec_i, spec_f)
-        jt = tpm_joint(rho_i, chan, spec_i, spec_f)
-        jm = mll_joint(rho_i, chan, spec_i, spec_f)
-        de, dt, dm = (delta_distribution(j) for j in (je, jt, jm))
-
-        cols["t"].append(float(t))
-        cols["jarzynski_epm"].append(rep.total)
-        cols["jarzynski_diagonal"].append(rep.diagonal_part)
-        cols["jarzynski_coherence"].append(rep.coherence_part)
-        cols["jarzynski_tpm"].append(float((g_tpm * (z_i / z_f)).real))
-        cols["m2_epm"].append(split.total)
-        cols["m2_population"].append(split.population_part)
-        cols["m2_coherence"].append(split.coherence_part)
-        fraction = 0.0 if split.total == 0.0 \
-            else split.coherence_part / split.total
-        cols["m2_coherence_fraction"].append(fraction)
-        cols["entropy_epm"].append(shannon_entropy(de))
-        cols["entropy_tpm"].append(shannon_entropy(dt))
-        cols["entropy_mll"].append(shannon_entropy(dm))
-        cols["m2_mll_minus_epm"].append(moment(dm, 2) - moment(de, 2))
-        cols["coherence_l1"].append(coherence_l1(chan.apply(rho_i), basis=basis_f))
-
-    columns = {name: np.asarray(cols[name], dtype=float)
-               for name in THREE_LEVEL_COLUMNS}
+    columns = {name: np.empty(times.size) for name in THREE_LEVEL_COLUMNS}
+    columns["t"] = times.copy()
+    for idx, spec_f in groups:
+        part = _series_columns(rho_i, SuperoperatorChannel(superops[idx]), spec_i,
+                               spec_f, basis_i, beta_ref)
+        for name, values in part.items():
+            columns[name][idx] = values
+    evolved = SuperoperatorChannel(superops).apply(rho_i)
+    columns["coherence_l1"] = coherence_l1(evolved, basis=basis_f)
     return ThreeLevelSeries(times, columns, config, spec_echo, beta_ref, rho_i)
 
 

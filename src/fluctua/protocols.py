@@ -30,11 +30,19 @@ so the schemes differ only in the ensemble they build.
 Distributions of the energy change are derived from the joints, and the
 characteristic functions are also available in operator (trace) form,
 which is how the exponential fluctuation relations are evaluated.
+
+Every quantity also broadcasts over a batch of T channels: a
+:class:`~fluctua.channels.SuperoperatorChannel` holding a (T, d^2, d^2)
+stack, optionally with a final decomposition batched the same way (see
+:meth:`~fluctua.qcore.SpectralDecomposition.stack`).  The ensemble is
+built once, every member is mapped through the whole stack in one
+product, and each result gains a leading T axis: scalars become (T,)
+arrays, joint tables (T, levels_i, levels_f).  The unbatched call is the
+same code without that axis.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -44,11 +52,11 @@ from .channels import Channel
 from .qcore import (
     SpectralDecomposition,
     as_complex_matrix,
-    assert_density_operator,
     coherence_split,
+    density_spectrum,
     dephase,
-    hermitian_eig,
     matrix_phase_exp,
+    spectral_sum,
 )
 from .sampling import _rng
 
@@ -103,6 +111,16 @@ class NonThermalDiagonal(UserWarning):
     """The state's diagonal is not the Gibbs distribution the relation assumes."""
 
 
+def _scalar(x, kind=float):
+    """A 0-d result as a Python number; a batched result stays an array."""
+    return x if isinstance(x, np.ndarray) and x.ndim else kind(x)
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    """Trace of a matrix or of each matrix of a stack."""
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
 def _clamp(p: np.ndarray, tol: float = CLAMP_TOL) -> np.ndarray:
     """Zero out float-noise negatives; anything more negative is an error."""
     p = np.array(p, dtype=float)
@@ -121,7 +139,9 @@ class JointEnergyDistribution:
     and ending at ``final_energies[k]``.  Construction clamps float-noise
     negatives to zero and normalizes the total to one (an off-by-more than
     1e-9 total indicates a bug upstream and raises).  ``n_shots`` is set on
-    empirical distributions produced by :func:`sample_shots`.
+    empirical distributions produced by :func:`sample_shots`.  A batch of
+    tables has ``probs`` (T, levels_i, levels_f), with energy axes given
+    once or per table.
     """
 
     initial_energies: np.ndarray
@@ -134,29 +154,36 @@ class JointEnergyDistribution:
         self.initial_energies = np.asarray(self.initial_energies, dtype=float)
         self.final_energies = np.asarray(self.final_energies, dtype=float)
         p = _clamp(self.probs)
-        if p.shape != (self.initial_energies.size, self.final_energies.size):
+        if p.shape[-2:] != (self.initial_energies.shape[-1], self.final_energies.shape[-1]):
             raise ValueError("probability table shape does not match energy axes")
-        total = p.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"joint probabilities sum to {total:.12g}, not 1")
-        self.probs = p / total
+        total = p.sum(axis=(-2, -1))
+        worst = total.flat[np.abs(total - 1.0).argmax()]
+        if abs(worst - 1.0) > 1e-9:
+            raise ValueError(f"joint probabilities sum to {worst:.12g}, not 1")
+        self.probs = p / total[..., None, None]
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol tag {self.protocol!r}")
 
     def initial_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
+        return self.probs.sum(axis=-1)
 
     def final_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
+        return self.probs.sum(axis=-2)
 
     def delta_grid(self) -> np.ndarray:
         """Energy change for every cell, same shape as ``probs``."""
-        return self.final_energies[None, :] - self.initial_energies[:, None]
+        grid = self.final_energies[..., None, :] - self.initial_energies[..., :, None]
+        return grid if grid.shape == self.probs.shape else np.broadcast_to(grid, self.probs.shape)
 
 
 @dataclass
 class EnergyChangeDistribution:
-    """Probabilities over distinct energy-change values, ascending."""
+    """Probabilities over distinct energy-change values, ascending.
+
+    A batch holds one distribution per row of ``values``/``probs``; rows
+    with fewer values than the longest are padded with zero-probability
+    entries of value 0.
+    """
 
     values: np.ndarray
     probs: np.ndarray
@@ -168,24 +195,23 @@ class EnergyChangeDistribution:
 
 
 def _populations(states, decomposition: SpectralDecomposition) -> np.ndarray:
-    """Level populations Re tr(P_l sigma) of one state or a stack, clamped."""
-    return _clamp(np.einsum("lij,...ji->...l", decomposition.projectors, states).real)
+    """Level populations Re tr(P_l sigma) of a (..., members, d, d) stack, clamped."""
+    return _clamp(np.einsum("...lij,...sji->...sl", decomposition.projectors, states).real)
 
 
 def initial_probabilities(rho, decomposition: SpectralDecomposition) -> np.ndarray:
     """Level populations Tr(rho P_l) of a state, clamped to [0, 1]."""
-    return _populations(as_complex_matrix(rho, "state"), decomposition)
+    return _populations(as_complex_matrix(rho, "state")[None], decomposition)[0]
 
 
-def _eigen_mixture(rho: np.ndarray):
-    """Eigendecomposition of a state as (weights, |s><s| stack), small weights dropped.
+def _eigen_mixture(vals: np.ndarray, vecs: np.ndarray):
+    """A state's eigendecomposition as (weights, |s><s| stack), small weights dropped.
 
     Eigenvalues at or below :data:`EIGEN_CUTOFF` are dropped and the kept
     weights renormalized.  Repeated kept eigenvalues trigger
     :class:`DegenerateEigenbasis` since any basis of the degenerate
     subspace is then equally valid.
     """
-    vals, vecs = hermitian_eig(rho)
     keep = vals > EIGEN_CUTOFF
     w = vals[keep]
     v = vecs[:, keep]
@@ -197,28 +223,30 @@ def _eigen_mixture(rho: np.ndarray):
     return w / w.sum(), np.einsum("is,js->sij", v, v.conj())
 
 
-def _ensemble(protocol: str, rho, spec_i: SpectralDecomposition):
+def _ensemble(protocol: str, state, spec_i: SpectralDecomposition):
     """The weighted states ``(weights, states)`` a scheme sends through the channel.
 
-    EPM sends the state itself, TPM each rank-normalized eigenprojector
-    weighted by its level population, MLL each eigenstate of the state
-    weighted by its eigenvalue.  ``states`` is stacked ``(members, d, d)``.
+    ``state`` is a validated ``(rho, eigenvalues, eigenvectors)`` from
+    :func:`~fluctua.qcore.density_spectrum`.  EPM sends the state itself,
+    TPM each rank-normalized eigenprojector weighted by its level
+    population, MLL each eigenstate of the state weighted by its
+    eigenvalue.  ``states`` is stacked ``(members, d, d)``.
     """
-    r = assert_density_operator(rho)
+    r, vals, vecs = state
     if protocol == "EPM":
         return np.ones(1), r[None]
     if protocol == "TPM":
         ranks = np.asarray(spec_i.ranks, dtype=float)
-        return initial_probabilities(r, spec_i), spec_i.projectors / ranks[:, None, None]
+        return _populations(r[None], spec_i)[0], spec_i.projectors / ranks[:, None, None]
     if protocol == "MLL":
-        return _eigen_mixture(r)
+        return _eigen_mixture(vals, vecs)
     raise ValueError(f"unknown protocol tag {protocol!r}")
 
 
 def _member_populations(protocol: str, rho, channel: Channel,
                         spec_i: SpectralDecomposition, spec_f: SpectralDecomposition):
     """Ensemble weights with each member's initial- and final-level populations."""
-    weights, states = _ensemble(protocol, rho, spec_i)
+    weights, states = _ensemble(protocol, density_spectrum(rho), spec_i)
     return (weights, _populations(states, spec_i),
             _populations(channel.apply_matrix(states), spec_f))
 
@@ -228,7 +256,7 @@ def protocol_joint(protocol: str, rho, channel: Channel,
                    spec_f: SpectralDecomposition) -> JointEnergyDistribution:
     """Joint of a scheme: sum_s w_s tr(P_l sigma_s) tr(P_k Phi[sigma_s]) over its ensemble."""
     weights, before, after = _member_populations(protocol, rho, channel, spec_i, spec_f)
-    probs = np.einsum("s,sl,sk->lk", weights, before, after)
+    probs = np.einsum("s,sl,...sk->...lk", weights, before, after)
     return JointEnergyDistribution(spec_i.energies, spec_f.energies, probs, protocol)
 
 
@@ -250,19 +278,31 @@ def mll_joint(rho, channel: Channel, spec_i: SpectralDecomposition,
     return protocol_joint("MLL", rho, channel, spec_i, spec_f)
 
 
-def _merge_groups(values: np.ndarray, tol: float):
-    """Indices of ``values`` grouped so that neighbors within tol coalesce."""
-    order = np.argsort(values, kind="stable")
-    groups = []
-    current = [order[0]]
-    for idx in order[1:]:
-        if values[idx] - values[current[-1]] <= tol:
-            current.append(idx)
-        else:
-            groups.append(current)
-            current = [idx]
-    groups.append(current)
-    return groups
+def _merge_groups(values: np.ndarray, tol):
+    """Sort ``values`` along the last axis and label its merged groups.
+
+    Returns ``(order, labels)``: the stable sort order, and for each sorted
+    value the index of its group, counted from 0 in each row and offset by
+    row * N over the rows of a batch, so the labels of all rows index one
+    flat array of segment sums.  A sorted value starts a new group when it
+    exceeds the previous one by more than ``tol`` (a scalar, or one per
+    row), so a chain of close neighbors is one group even when the chain
+    spans more than ``tol``.
+    """
+    order = np.argsort(values, axis=-1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=-1)
+    starts = ~(np.diff(ordered, axis=-1) <= np.asarray(tol)[..., None])
+    n = values.shape[-1]
+    rows = np.arange(values.size // n).reshape(values.shape[:-1])
+    labels = np.concatenate([np.zeros(values.shape[:-1] + (1,), dtype=int),
+                             np.cumsum(starts, axis=-1)], axis=-1)
+    return order, labels + n * rows[..., None]
+
+
+def _segment_sums(labels: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sums of ``weights`` per label of :func:`_merge_groups`, shaped like ``labels``."""
+    return np.bincount(labels.ravel(), weights.ravel(),
+                       minlength=labels.size).reshape(labels.shape)
 
 
 def delta_distribution(joint: JointEnergyDistribution,
@@ -272,33 +312,35 @@ def delta_distribution(joint: JointEnergyDistribution,
     Cell values closer than ``merge_tol`` (default 1e-9 times the summed
     energy scales) are combined; the merged value is the probability-
     weighted mean, so moments are preserved to first order in the merge
-    width.
+    width.  A group of zero mass takes the plain mean of its values.
     """
     if merge_tol is None:
-        scale = (float(np.max(np.abs(joint.final_energies)))
-                 + float(np.max(np.abs(joint.initial_energies))))
-        merge_tol = 1e-9 * scale if scale > 0 else 1e-15
-    deltas = joint.delta_grid().reshape(-1)
-    if deltas.size == 0:
-        return EnergyChangeDistribution(np.array([]), np.array([]), merge_tol)
-    probs = joint.probs.reshape(-1)
-    values = []
-    masses = []
-    for group in _merge_groups(deltas, merge_tol):
-        mass = probs[group].sum()
-        if mass > 0:
-            values.append(float(np.dot(probs[group], deltas[group]) / mass))
-        else:
-            values.append(float(np.mean(deltas[group])))
-        masses.append(mass)
-    return EnergyChangeDistribution(np.array(values), np.array(masses), merge_tol)
+        scale = (np.max(np.abs(joint.final_energies), axis=-1, initial=0.0)
+                 + np.max(np.abs(joint.initial_energies), axis=-1, initial=0.0))
+        merge_tol = np.where(scale > 0, 1e-9 * scale, 1e-15)
+    deltas = joint.delta_grid()
+    deltas = deltas.reshape(*deltas.shape[:-2], -1)
+    if deltas.shape[-1] == 0:
+        return EnergyChangeDistribution(np.array([]), np.array([]), _scalar(merge_tol))
+    order, labels = _merge_groups(deltas, merge_tol)
+    deltas = np.take_along_axis(deltas, order, axis=-1)
+    probs = np.take_along_axis(joint.probs.reshape(deltas.shape), order, axis=-1)
+    mass = _segment_sums(labels, probs)
+    count = _segment_sums(labels, np.ones(deltas.shape))
+    values = np.divide(_segment_sums(labels, deltas), count,
+                       out=np.zeros(deltas.shape), where=count > 0)
+    np.divide(_segment_sums(labels, probs * deltas), mass, out=values, where=mass > 0)
+    if deltas.ndim == 1:
+        groups = labels[-1] + 1
+        values, mass = values[:groups], mass[:groups]
+    return EnergyChangeDistribution(values, mass, _scalar(merge_tol))
 
 
 def moment(distribution, n: int) -> float:
     """n-th raw moment of the energy change."""
     if isinstance(distribution, JointEnergyDistribution):
-        return float(np.sum(distribution.probs * distribution.delta_grid() ** n))
-    return float(np.dot(distribution.probs, distribution.values ** n))
+        return _scalar((distribution.probs * distribution.delta_grid() ** n).sum(axis=(-2, -1)))
+    return _scalar((distribution.probs * distribution.values ** n).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +350,10 @@ def moment(distribution, n: int) -> float:
 def characteristic_of_distribution(distribution, u: complex) -> complex:
     """sum_j p_j exp(i u dE_j); accepts a joint or an energy-change distribution."""
     if isinstance(distribution, JointEnergyDistribution):
-        return complex(np.sum(distribution.probs
-                              * np.exp(1j * u * distribution.delta_grid())))
-    return complex(np.dot(distribution.probs,
-                          np.exp(1j * u * distribution.values)))
+        return _scalar((distribution.probs * np.exp(1j * u * distribution.delta_grid()))
+                       .sum(axis=(-2, -1)), complex)
+    return _scalar((distribution.probs * np.exp(1j * u * distribution.values)).sum(axis=-1),
+                   complex)
 
 
 def characteristic_function(protocol: str, rho, channel: Channel,
@@ -326,12 +368,18 @@ def characteristic_function(protocol: str, rho, channel: Channel,
     to complex u (u = i beta gives the exponential averages of the
     fluctuation relations).
     """
-    weights, states = _ensemble(protocol, rho, spec_i)
+    weights, states = _ensemble(protocol, density_spectrum(rho), spec_i)
+    return _characteristic(weights, states, channel, spec_i, spec_f, u)
+
+
+def _characteristic(weights, states, channel: Channel, spec_i: SpectralDecomposition,
+                    spec_f: SpectralDecomposition, u: complex) -> complex:
+    """sum_s w_s tr(exp(-iuH_i) sigma_s) tr(exp(iuH_f) Phi[sigma_s]) over an ensemble."""
     exp_i = matrix_phase_exp(None, -1j * u, decomposition=spec_i)
     exp_f = matrix_phase_exp(None, 1j * u, decomposition=spec_f)
-    front = np.trace(exp_i @ states, axis1=1, axis2=2)
-    back = np.trace(exp_f @ channel.apply_matrix(states), axis1=1, axis2=2)
-    return complex(np.sum(weights * front * back))
+    front = _trace(exp_i @ states)
+    back = _trace(exp_f[..., None, :, :] @ channel.apply_matrix(states))
+    return _scalar(np.sum(weights * front * back, axis=-1), complex)
 
 
 def characteristic_split(rho, channel: Channel, spec_i: SpectralDecomposition,
@@ -347,10 +395,10 @@ def characteristic_split(rho, channel: Channel, spec_i: SpectralDecomposition,
     split = coherence_split(rho, basis=basis, sectors=sectors)
     exp_i = matrix_phase_exp(None, -1j * u, decomposition=spec_i)
     exp_f = matrix_phase_exp(None, 1j * u, decomposition=spec_f)
-    front = np.trace(exp_i @ split.populations)
-    g_pop = front * np.trace(exp_f @ channel.apply_matrix(split.populations))
-    g_coh = front * np.trace(exp_f @ channel.apply_matrix(split.coherences))
-    return complex(g_pop), complex(g_coh)
+    front = _trace(exp_i @ split.populations)
+    g_pop = front * _trace(exp_f @ channel.apply_matrix(split.populations))
+    g_coh = front * _trace(exp_f @ channel.apply_matrix(split.coherences))
+    return _scalar(g_pop, complex), _scalar(g_coh, complex)
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +426,17 @@ def epm_second_moment_split(rho, channel: Channel, spec_i: SpectralDecomposition
     split = coherence_split(rho, basis=basis, sectors=sectors)
     h_i = spec_i.reconstruct()
     h_f = spec_f.reconstruct()
-    h_i2 = np.einsum("l,lij->ij", spec_i.energies ** 2, spec_i.projectors)
-    h_f2 = np.einsum("l,lij->ij", spec_f.energies ** 2, spec_f.projectors)
+    h_i2 = spectral_sum(spec_i.energies ** 2, spec_i)
+    h_f2 = spectral_sum(spec_f.energies ** 2, spec_f)
     pops = split.populations
     chi = split.coherences
     phi_pops = channel.apply_matrix(pops)
     phi_chi = channel.apply_matrix(chi)
-    mean_i_pop = np.trace(pops @ h_i).real
-    population = (np.trace(h_i2 @ pops).real + np.trace(h_f2 @ phi_pops).real
-                  - 2.0 * np.trace(phi_pops @ h_f).real * mean_i_pop)
-    coherence = (np.trace(h_f2 @ phi_chi).real
-                 - 2.0 * np.trace(phi_chi @ h_f).real * mean_i_pop)
+    mean_i_pop = _trace(pops @ h_i).real
+    population = (_trace(h_i2 @ pops).real + _trace(h_f2 @ phi_pops).real
+                  - 2.0 * _trace(phi_pops @ h_f).real * mean_i_pop)
+    coherence = (_trace(h_f2 @ phi_chi).real
+                 - 2.0 * _trace(phi_chi @ h_f).real * mean_i_pop)
     return SecondMomentSplit(population + coherence, population, coherence)
 
 
@@ -416,9 +464,8 @@ class JarzynskiReport:
 
 def _partition_terms(spec: SpectralDecomposition, beta: float):
     """Partition function and Gibbs weights per level (rank-aware)."""
-    e = spec.energies
-    w = np.exp(-beta * e)
-    z = float(np.dot(w, spec.ranks))
+    w = np.exp(-beta * spec.energies)
+    z = np.sum(w * np.asarray(spec.ranks, dtype=float), axis=-1)
     return z, w
 
 
@@ -431,12 +478,13 @@ def jarzynski(rho, channel: Channel, spec_i: SpectralDecomposition,
     state exp(-beta H_i)/Z_i; a :class:`NonThermalDiagonal` warning is
     issued (and the parts no longer sum to the total) when it is not.
     """
-    r = as_complex_matrix(rho, "state")
+    state = density_spectrum(rho)
+    r = state[0]
     d = r.shape[0]
     z_i, w_i = _partition_terms(spec_i, beta)
     z_f, w_f = _partition_terms(spec_f, beta)
-    rho_i_th = np.einsum("l,lij->ij", w_i / z_i, spec_i.projectors)
-    rho_f_th = np.einsum("l,lij->ij", w_f / z_f, spec_f.projectors)
+    rho_i_th = spectral_sum(w_i / z_i, spec_i)
+    rho_f_th = spectral_sum(w_f / z_f[..., None], spec_f)
 
     pops = dephase(r, basis)
     chi = r - pops
@@ -446,19 +494,21 @@ def jarzynski(rho, channel: Channel, spec_i: SpectralDecomposition,
                       NonThermalDiagonal)
 
     if beta != 0.0:
-        delta_f = -math.log(z_f / z_i) / beta
+        delta_f = -np.log(z_f / z_i) / beta
     else:
         # beta -> 0 limit of -ln(Z_f/Z_i)/beta
         ranks_i = np.asarray(spec_i.ranks, dtype=float)
         ranks_f = np.asarray(spec_f.ranks, dtype=float)
-        delta_f = (float(np.dot(spec_f.energies, ranks_f)) -
-                   float(np.dot(spec_i.energies, ranks_i))) / d
+        delta_f = (np.sum(spec_f.energies * ranks_f, axis=-1)
+                   - np.sum(spec_i.energies * ranks_i, axis=-1)) / d
 
-    g_total = characteristic_function("EPM", r, channel, spec_i, spec_f, 1j * beta)
-    total = float((g_total * (z_i / z_f)).real)
-    diagonal = d * float(np.trace(rho_f_th @ channel.apply_matrix(rho_i_th)).real)
-    coherence = d * float(np.trace(rho_f_th @ channel.apply_matrix(chi)).real)
-    return JarzynskiReport(beta, delta_f, total, diagonal, coherence)
+    weights, states = _ensemble("EPM", state, spec_i)
+    g_total = _characteristic(weights, states, channel, spec_i, spec_f, 1j * beta)
+    total = (g_total * (z_i / z_f)).real
+    diagonal = d * _trace(rho_f_th @ channel.apply_matrix(rho_i_th)).real
+    coherence = d * _trace(rho_f_th @ channel.apply_matrix(chi)).real
+    return JarzynskiReport(beta, _scalar(delta_f), _scalar(total), _scalar(diagonal),
+                           _scalar(coherence))
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +516,20 @@ def jarzynski(rho, channel: Channel, spec_i: SpectralDecomposition,
 
 
 def shannon_entropy(distribution) -> float:
-    """Shannon entropy (natural log) of a joint or energy-change distribution."""
+    """Shannon entropy (natural log) of a joint or energy-change distribution.
+
+    A plain array counts as one distribution over all its entries.
+    """
     if isinstance(distribution, JointEnergyDistribution):
-        p = distribution.probs.reshape(-1)
+        p = distribution.probs
+        p = p.reshape(*p.shape[:-2], -1)
     elif isinstance(distribution, EnergyChangeDistribution):
         p = distribution.probs
     else:
         p = np.asarray(distribution, dtype=float).reshape(-1)
-    p = p[p > 0]
-    return float(-np.dot(p, np.log(p)))
+    # 0 log 0 = 0: the log of a nonpositive entry is left at 0
+    logs = np.log(p, out=np.zeros(p.shape), where=p > 0)
+    return _scalar(-(p * logs).sum(axis=-1))
 
 
 def mutual_information(p: JointEnergyDistribution,
@@ -570,11 +625,8 @@ def convexity_witness(rho1, rho2, zeta: float, channel: Channel,
                                        + (1 - zeta) * coherent_cells(rho2))
     # aggregate cells by energy change before taking the total variation
     deltas = (spec_f.energies[None, :] - spec_i.energies[:, None]).reshape(-1)
-    flat = gap_cells.reshape(-1)
     scale = (float(np.max(np.abs(spec_f.energies)))
              + float(np.max(np.abs(spec_i.energies))))
     tol = 1e-9 * scale if scale > 0 else 1e-15
-    total = 0.0
-    for group in _merge_groups(deltas, tol):
-        total += abs(flat[group].sum())
-    return 0.5 * total
+    order, labels = _merge_groups(deltas, tol)
+    return 0.5 * float(np.sum(np.abs(_segment_sums(labels, gap_cells.reshape(-1)[order]))))

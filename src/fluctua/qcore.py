@@ -37,8 +37,10 @@ __all__ = [
     "as_complex_matrix",
     "is_hermitian",
     "assert_density_operator",
+    "density_spectrum",
     "hermitian_eig",
     "spectral_decompose",
+    "spectral_sum",
     "gibbs_state",
     "dephase",
     "dephase_sectors",
@@ -60,27 +62,42 @@ class NonOrthonormalBasis(ValueError):
     """A basis matrix whose columns are not orthonormal."""
 
 
-def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a non-empty square complex128 array, copying only if needed."""
+def as_complex_matrix(m, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
+    """Coerce to a non-empty square complex128 array, copying only if needed.
+
+    With ``stack`` a (T, d, d) stack of square matrices is accepted as well.
+    """
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+    if (a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-1] != a.shape[-2]
+            or a.size == 0):
         raise DimensionMismatch(f"{name} must be square and non-empty, got shape {a.shape}")
     return a
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return m.swapaxes(-1, -2).conj()
+
+
 def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    return float(np.max(np.abs(m - m.conj().T))) <= tol * scale
+    """Whether the matrix, or every matrix of a stack, is Hermitian to ``tol``.
+
+    The tolerance scales with each matrix's largest entry (at least 1).
+    """
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    return bool((np.abs(m - _dagger(m)).max(axis=(-2, -1)) <= tol * scale).all())
 
 
-def assert_density_operator(rho, *, herm_tol: float = 1e-10,
-                            trace_tol: float = 1e-8,
-                            psd_tol: float = 1e-9) -> np.ndarray:
-    """Validate a density operator and return it as complex128.
+def density_spectrum(rho, *, herm_tol: float = 1e-10, trace_tol: float = 1e-8,
+                     psd_tol: float = 1e-9):
+    """Validate a density operator; return it with its eigendecomposition.
 
-    Checks Hermiticity, unit trace and positive semidefiniteness (the
-    smallest eigenvalue may be slightly negative, down to -psd_tol, to
-    admit states assembled from floating-point arithmetic).
+    Returns ``(rho, eigenvalues, eigenvectors)``, the state as complex128
+    and its :func:`hermitian_eig`, so a caller that needs the spectrum does
+    not decompose the state a second time.  Checks Hermiticity, unit trace
+    and positive semidefiniteness (the smallest eigenvalue may be slightly
+    negative, down to -psd_tol, to admit states assembled from
+    floating-point arithmetic).
     """
     a = as_complex_matrix(rho, "density operator")
     if not is_hermitian(a, herm_tol):
@@ -88,10 +105,21 @@ def assert_density_operator(rho, *, herm_tol: float = 1e-10,
     tr = a.trace()
     if abs(tr - 1.0) > trace_tol:
         raise ValueError(f"density operator trace {tr:.12g} differs from 1")
-    evals, _ = hermitian_eig(a)
+    evals, evecs = hermitian_eig(a)
     if evals[0] < -psd_tol:
         raise ValueError(f"density operator has negative eigenvalue {evals[0]:.3e}")
-    return a
+    return a, evals, evecs
+
+
+def assert_density_operator(rho, *, herm_tol: float = 1e-10,
+                            trace_tol: float = 1e-8,
+                            psd_tol: float = 1e-9) -> np.ndarray:
+    """Validate a density operator and return it as complex128.
+
+    The checks are those of :func:`density_spectrum`.
+    """
+    return density_spectrum(rho, herm_tol=herm_tol, trace_tol=trace_tol,
+                            psd_tol=psd_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -109,19 +137,23 @@ def hermitian_eig(matrix):
     eigenvectors as orthonormal columns, so that
     ``matrix @ vecs[:, j] == vals[j] * vecs[:, j]``.  Each column's
     largest-magnitude component (the first one, on a tie to within
-    1e-12) is real and positive.  Raises :class:`numpy.linalg.LinAlgError` if LAPACK does not
-    converge.
+    1e-12) is real and positive.  A (T, d, d) stack is decomposed by one
+    LAPACK call and gives (T, d) eigenvalues and (T, d, d) eigenvectors,
+    each member equal to its matrix's own decomposition.  Raises
+    :class:`numpy.linalg.LinAlgError` if LAPACK does not converge.
     """
-    a = as_complex_matrix(matrix, "eig input")
+    a = as_complex_matrix(matrix, "eig input", stack=True)
     if not is_hermitian(a):
         raise NonHermitianInput("hermitian_eig requires a Hermitian matrix")
     # Work on the exactly Hermitian average so roundoff in the input does
     # not leak into complex eigenvalues.
-    vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
+    vals, vecs = np.linalg.eigh(0.5 * (a + _dagger(a)))
     mag = np.abs(vecs)
-    pivot_rows = np.argmax(mag >= mag.max(axis=0) - _GAUGE_TIE, axis=0)
-    pivots = vecs[pivot_rows, np.arange(vecs.shape[1])]
-    return vals, vecs * (np.abs(pivots) / pivots)
+    pivot_rows = np.argmax(mag >= mag.max(axis=-2, keepdims=True) - _GAUGE_TIE, axis=-2)
+    d = vecs.shape[-1]
+    stack = vecs.reshape(-1, d, d)
+    pivots = stack[np.arange(len(stack))[:, None], pivot_rows.reshape(-1, d), np.arange(d)]
+    return vals, vecs * (np.abs(pivots) / pivots).reshape(vals.shape)[..., None, :]
 
 
 @dataclass
@@ -133,46 +165,77 @@ class SpectralDecomposition:
     eigenspace; ``projectors`` is one stacked ``(levels, d, d)`` array, so
     a spectral sum sum_k f(E_k) P_k is one contraction over its first axis.
     Levels are ascending and the projectors resolve the identity.
+
+    A batch of T Hamiltonians with the same number of levels is one
+    decomposition with a leading axis: ``energies`` (T, levels),
+    ``projectors`` (T, levels, d, d) and one ``grouping_tol`` per member
+    (see :meth:`stack`).
     """
 
     energies: np.ndarray
     projectors: np.ndarray
     grouping_tol: float = 0.0
 
+    @classmethod
+    def stack(cls, members) -> "SpectralDecomposition":
+        """One batched decomposition of members with equal level counts."""
+        return cls(np.stack([m.energies for m in members]),
+                   np.stack([m.projectors for m in members]),
+                   np.array([m.grouping_tol for m in members]))
+
     @property
     def dim(self) -> int:
-        return self.projectors.shape[1]
+        return self.projectors.shape[-1]
 
     @property
-    def ranks(self) -> list[int]:
-        return [int(round(p.trace().real)) for p in self.projectors]
+    def ranks(self) -> list:
+        """Rank of each level (a list, nested for a batch)."""
+        return np.rint(np.trace(self.projectors, axis1=-2, axis2=-1).real).astype(int).tolist()
 
     def reconstruct(self) -> np.ndarray:
-        return np.einsum("l,lij->ij", self.energies, self.projectors)
+        return spectral_sum(self.energies, self)
 
 
-def spectral_decompose(hamiltonian, grouping_tol: float | None = None) -> SpectralDecomposition:
+def spectral_sum(values, decomposition: SpectralDecomposition) -> np.ndarray:
+    """sum_l values_l P_l, broadcast over a batch axis of either operand."""
+    return np.einsum("...l,...lij->...ij", values, decomposition.projectors)
+
+
+def spectral_decompose(hamiltonian, grouping_tol: float | None = None):
     """Group eigenvalues into degenerate levels and build their projectors.
 
     Eigenvalues closer than ``grouping_tol`` (default ``1e-8 * max|E|``)
     are merged into a single level whose projector spans the combined
     eigenvectors; the reported level value is the group mean.
+
+    A (T, d, d) stack gives a list of T decompositions, each equal to that
+    of its matrix alone.  The stack takes one :func:`hermitian_eig` call,
+    and the levels of all members sharing a degeneracy pattern are grouped
+    together.
     """
     vals, vecs = hermitian_eig(hamiltonian)
-    if grouping_tol is None:
-        grouping_tol = 1e-8 * float(np.max(np.abs(vals)))
-    energies = []
-    projectors = []
-    start = 0
-    n = len(vals)
-    for j in range(1, n + 1):
-        if j < n and vals[j] - vals[j - 1] <= grouping_tol:
-            continue
-        block = vecs[:, start:j]
-        projectors.append(block @ block.conj().T)
-        energies.append(float(np.mean(vals[start:j])))
-        start = j
-    return SpectralDecomposition(np.array(energies), np.array(projectors), grouping_tol)
+    stacked = vals.ndim == 2
+    if not stacked:
+        vals, vecs = vals[None], vecs[None]
+    tols = (1e-8 * np.abs(vals).max(axis=-1) if grouping_tol is None
+            else np.full(len(vals), float(grouping_tol)))
+    # a level ends after eigenvalue j unless eigenvalue j + 1 lies within tol
+    ends = ~(np.diff(vals, axis=-1) <= tols[:, None])
+    patterns: dict[bytes, list[int]] = {}
+    for member, row in enumerate(ends):
+        patterns.setdefault(row.tobytes(), []).append(member)
+    out = [None] * len(vals)
+    for members in patterns.values():
+        rows = slice(None) if len(members) == len(vals) else members
+        v = vecs[rows]
+        bounds = [0, *(np.flatnonzero(ends[members[0]]) + 1).tolist(), vals.shape[-1]]
+        projectors = np.stack([v[..., lo:hi] @ _dagger(v[..., lo:hi])
+                               for lo, hi in zip(bounds, bounds[1:])], axis=1)
+        energies = np.add.reduceat(vals[rows], bounds[:-1], axis=-1) / np.diff(bounds)
+        for k, member in enumerate(members):
+            out[member] = SpectralDecomposition(energies[k], projectors[k],
+                                                float(tols[member]))
+    return out if stacked else out[0]
 
 
 def gibbs_state(hamiltonian, beta: float,
@@ -184,7 +247,7 @@ def gibbs_state(hamiltonian, beta: float,
     e0 = float(np.min(decomposition.energies))
     weights = np.exp(-beta * (decomposition.energies - e0))
     z = float(np.dot(weights, decomposition.ranks))
-    return np.einsum("l,lij->ij", weights / z, decomposition.projectors)
+    return spectral_sum(weights / z, decomposition)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +255,11 @@ def gibbs_state(hamiltonian, beta: float,
 
 
 def _check_basis(basis, dim: int) -> np.ndarray:
-    b = as_complex_matrix(basis, "basis")
-    if b.shape[0] != dim:
-        raise DimensionMismatch(f"basis dimension {b.shape[0]} != state dimension {dim}")
-    gram = b.conj().T @ b
+    """A basis matrix, or a stack of them, with orthonormal columns."""
+    b = as_complex_matrix(basis, "basis", stack=True)
+    if b.shape[-1] != dim:
+        raise DimensionMismatch(f"basis dimension {b.shape[-1]} != state dimension {dim}")
+    gram = _dagger(b) @ b
     if float(np.max(np.abs(gram - np.eye(dim)))) > 1e-10:
         raise NonOrthonormalBasis("basis columns are not orthonormal")
     return b
@@ -265,13 +329,20 @@ def coherence_split(rho, basis=None,
 
 
 def coherence_l1(rho, basis=None) -> float:
-    """l1 coherence measure: half the sum of off-diagonal magnitudes."""
-    a = as_complex_matrix(rho, "state")
+    """l1 coherence measure: half the sum of off-diagonal magnitudes.
+
+    A (T, d, d) stack of states, with one basis or a stack of T bases,
+    gives the T measures as an array.
+    """
+    a = as_complex_matrix(rho, "state", stack=True)
     if basis is not None:
-        b = _check_basis(basis, a.shape[0])
-        a = b.conj().T @ a @ b
-    off = np.abs(a - np.diag(np.diag(a)))
-    return 0.5 * float(np.sum(off))
+        b = _check_basis(basis, a.shape[-1])
+        a = _dagger(b) @ a @ b
+    off = np.abs(a)
+    diag = np.arange(a.shape[-1])
+    off[..., diag, diag] = 0.0
+    total = 0.5 * np.sum(off, axis=(-2, -1))
+    return float(total) if total.ndim == 0 else total
 
 
 def matrix_phase_exp(hamiltonian, z: complex,
@@ -284,5 +355,4 @@ def matrix_phase_exp(hamiltonian, z: complex,
     """
     if decomposition is None:
         decomposition = spectral_decompose(hamiltonian)
-    return np.einsum("l,lij->ij", np.exp(z * decomposition.energies),
-                     decomposition.projectors)
+    return spectral_sum(np.exp(z * decomposition.energies), decomposition)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fluctua import channels
 from fluctua.channels import (
     STEP_BLOCK,
     CPTPReport,
@@ -263,6 +264,55 @@ def test_envelopes_are_evaluated_once_per_block():
     assert len(calls) <= sum(math.ceil(n / STEP_BLOCK) for n in counts)
     assert all(isinstance(t, np.ndarray) and t.ndim == 1 and t.size >= 3
                for t in calls)
+
+
+def test_static_schedule_builds_one_step_map_per_window(monkeypatch):
+    # without a drive every step of a window has the same map: it is built
+    # once per window and gives the same series, bit for bit, as the per-block
+    # maps of the same schedule driven by an envelope that stays zero
+    calls = []
+    step_maps = channels._step_maps
+    monkeypatch.setattr(channels, "_step_maps",
+                        lambda *args: calls.append(args[-1]) or step_maps(*args))
+    base, ops = SX + 0.2 * SZ, [0.6 * SM]
+    static = HamiltonianSchedule(base, t_final=3.0)
+    zero_drive = HamiltonianSchedule(base, [SX], lambda t: np.zeros((1, t.size)),
+                                     t_final=3.0)
+    times = [0.0, 0.4, 0.4, 1.9, 3.0]
+    step = 1.0 / 64.0
+    series = propagator_series(static, ops, times, step=step)
+    assert calls == [1, 1, 1]  # one map for each nonempty window
+    reference = propagator_series(zero_drive, ops, times, step=step)
+    for a, b in zip(series, reference):
+        assert np.array_equal(a.superoperator, b.superoperator)
+
+
+def test_schedule_at_an_array_of_times():
+    sched = HamiltonianSchedule(SZ, [SX, SZ], lambda t: np.array([np.sin(t), t ** 2]),
+                                t_final=2.0)
+    times = np.array([0.0, 0.3, 1.7])
+    stack = sched.at(times)
+    assert stack.shape == (3, 2, 2)
+    for t, h in zip(times, stack):
+        assert np.abs(h - sched.at(t)).max() <= 1e-15
+
+
+def test_superoperator_batch_maps_through_every_member():
+    rng = np.random.default_rng(43)
+    d = 3
+    members = rng.normal(size=(4, d * d, d * d)) + 1j * rng.normal(size=(4, d * d, d * d))
+    batch = SuperoperatorChannel(members)
+    assert batch.dim == d
+    stack = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    rho = random_state(rng, d)
+    mapped, applied = batch.apply_matrix(stack), batch.apply(rho)
+    assert mapped.shape == (4, 5, d, d) and applied.shape == (4, d, d)
+    for k, s in enumerate(members):
+        one = SuperoperatorChannel(s)
+        assert np.array_equal(mapped[k], one.apply_matrix(stack))
+        assert np.array_equal(applied[k], one.apply(rho))
+    with pytest.raises(DimensionMismatch):
+        SuperoperatorChannel(np.zeros((2, 8, 8)))
 
 
 def test_propagator_series_memory_is_bounded():

@@ -1,14 +1,18 @@
 import hashlib
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from fluctua.channels import UnitaryChannel, propagate
+from fluctua import qcore
+from fluctua.channels import UnitaryChannel, propagate, propagator_series
 from fluctua.models import (
     DEFAULT_THETA_GRID,
     PRESETS,
     SWEEP_COLUMNS,
+    THREE_LEVEL_COLUMNS,
     InconsistentConfig,
     InitialStateSpec,
     InvalidConfig,
@@ -30,10 +34,25 @@ from fluctua.models import (
 )
 from fluctua.protocols import (
     NonThermalDiagonal,
+    characteristic_function,
     characteristic_of_distribution,
+    delta_distribution,
+    epm_joint,
+    epm_second_moment_split,
+    jarzynski,
+    mll_joint,
+    moment,
     sample_shots,
+    shannon_entropy,
+    tpm_joint,
 )
-from fluctua.qcore import dephase, gibbs_state, hermitian_eig, spectral_decompose
+from fluctua.qcore import (
+    coherence_l1,
+    dephase,
+    gibbs_state,
+    hermitian_eig,
+    spectral_decompose,
+)
 from fluctua.sampling import SeededGenerator
 
 SWEEP_QUANTITIES = ("G_TPM", "G_EPM", "G_EPM_diag", "G_EPM_coh")
@@ -625,6 +644,119 @@ def test_experiment_rejects_bad_sample_times():
         three_level_experiment(cfg, t_samples=[])
     with pytest.raises(InvalidConfig):
         three_level_experiment(cfg, t_samples=[0.0, 2.0])
+
+
+def series_by_time(config, state, t_samples):
+    """Reference for three_level_experiment: the public per-time API, one sample at a time."""
+    schedule, jumps = three_level_model(config)
+    bare = config.measurement_convention == "bare"
+    h0 = schedule.base if bare else schedule.at(0.0)
+    spec_i = spectral_decompose(h0)
+    _, basis_i = hermitian_eig(h0)
+    if isinstance(state, InitialStateSpec):
+        rho_i, beta_ref = three_level_initial_state(config, state), state.beta_ref
+    else:
+        rho_i, beta_ref = np.asarray(state, dtype=complex), InitialStateSpec().beta_ref
+    times = np.asarray(t_samples, dtype=float)
+    cols = {name: [] for name in THREE_LEVEL_COLUMNS}
+    for t, chan in zip(times, propagator_series(schedule, jumps, times, step=config.step)):
+        h_t = schedule.base if bare else schedule.at(t)
+        spec_f = spec_i if bare else spectral_decompose(h_t)
+        basis_f = basis_i if bare else hermitian_eig(h_t)[1]
+        rep = jarzynski(rho_i, chan, spec_i, spec_f, beta_ref, basis=basis_i)
+        z_i = float(np.sum(np.exp(-beta_ref * spec_i.energies) * spec_i.ranks))
+        z_f = float(np.sum(np.exp(-beta_ref * spec_f.energies) * spec_f.ranks))
+        g_tpm = characteristic_function("TPM", rho_i, chan, spec_i, spec_f, 1j * beta_ref)
+        split = epm_second_moment_split(rho_i, chan, spec_i, spec_f, basis=basis_i)
+        de, dt, dm = (delta_distribution(j(rho_i, chan, spec_i, spec_f))
+                      for j in (epm_joint, tpm_joint, mll_joint))
+        for name, value in (
+                ("t", t), ("jarzynski_epm", rep.total),
+                ("jarzynski_diagonal", rep.diagonal_part),
+                ("jarzynski_coherence", rep.coherence_part),
+                ("jarzynski_tpm", (g_tpm * (z_i / z_f)).real),
+                ("m2_epm", split.total), ("m2_population", split.population_part),
+                ("m2_coherence", split.coherence_part),
+                ("m2_coherence_fraction",
+                 0.0 if split.total == 0.0 else split.coherence_part / split.total),
+                ("entropy_epm", shannon_entropy(de)), ("entropy_tpm", shannon_entropy(dt)),
+                ("entropy_mll", shannon_entropy(dm)),
+                ("m2_mll_minus_epm", moment(dm, 2) - moment(de, 2)),
+                ("coherence_l1", coherence_l1(chan.apply(rho_i), basis=basis_f))):
+            cols[name].append(value)
+    return {name: np.array(values, dtype=float) for name, values in cols.items()}
+
+
+# H(t) of this drive is degenerate whenever sin(t) = 0 (levels 0, 0, 3), so the
+# final measurement has two levels at t = 0 and pi and three elsewhere.
+DEGENERATE_DRIVE = ThreeLevelConfig(omega1=1.0, omega3=2.0, drive_amplitude=math.sqrt(2.0),
+                                    t_max=3.5)
+DEFAULT_TIMES = np.linspace(0.0, 10.0, 101)
+SERIES_CASES = {
+    **{name: (preset.three_level, preset.initial_state, DEFAULT_TIMES)
+       for name, preset in PRESETS.items() if preset.kind == "three_level"},
+    "bare": (ThreeLevelConfig(t_max=2.0, measurement_convention="bare"),
+             InitialStateSpec(coherence_seed=5), np.linspace(0.0, 2.0, 11)),
+    "start-only": (ThreeLevelConfig(t_max=2.0), InitialStateSpec(), [0.0]),
+    "end-only": (ThreeLevelConfig(t_max=2.0), InitialStateSpec(), [2.0]),
+    "explicit-state": (ThreeLevelConfig(t_max=2.0),
+                       gibbs_state(three_level_hamiltonian(ThreeLevelConfig()), 0.5)
+                       + 0.05 * np.array([[0, 1, 1j], [1, 0, 0], [-1j, 0, 0]]),
+                       np.linspace(0.0, 2.0, 6)),
+    "degenerate-levels": (DEGENERATE_DRIVE, InitialStateSpec(coherence_seed=3),
+                          [0.0, 0.5, 1.0, math.pi, 3.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_CASES))
+def test_experiment_matches_per_time_evaluation(case):
+    config, state, times = SERIES_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonThermalDiagonal)
+        ser = three_level_experiment(config, state, t_samples=times)
+        ref = series_by_time(config, state, times)
+    assert list(ser.columns) == list(THREE_LEVEL_COLUMNS)
+    for name in THREE_LEVEL_COLUMNS:
+        assert np.abs(ser.columns[name] - ref[name]).max() <= 1e-12, name
+
+
+def test_degenerate_drive_changes_level_count():
+    schedule, _ = three_level_model(DEGENERATE_DRIVE)
+    counts = [spectral_decompose(schedule.at(t)).energies.size for t in (0.0, 0.5, math.pi)]
+    assert counts == [2, 3, 2]
+
+
+def count_eig_calls(monkeypatch):
+    """Count hermitian_eig calls made through any module of the package."""
+    original, calls = qcore.hermitian_eig, []
+
+    def counted(matrix):
+        calls.append(1)
+        return original(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fluctua.") and getattr(module, "hermitian_eig", None) is original:
+            monkeypatch.setattr(module, "hermitian_eig", counted)
+    return calls
+
+
+def test_eig_calls_do_not_grow_with_sample_times(monkeypatch):
+    calls = count_eig_calls(monkeypatch)
+    counts = []
+    for n in (11, 101):
+        calls.clear()
+        three_level_experiment(ThreeLevelConfig(t_max=0.5), InitialStateSpec(),
+                               t_samples=np.linspace(0.0, 0.5, n))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_experiment_rejects_explicit_non_state():
+    cfg = ThreeLevelConfig(t_max=0.5)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        three_level_experiment(cfg, np.diag([1.2, -0.1, -0.1]), t_samples=[0.0, 0.5])
+    with pytest.raises(ValueError, match="trace"):
+        three_level_experiment(cfg, np.diag([0.5, 0.3, 0.1]), t_samples=[0.0, 0.5])
 
 
 # ---------------------------------------------------------------------------

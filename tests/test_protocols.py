@@ -29,7 +29,14 @@ from fluctua.protocols import (
     shannon_entropy,
     tpm_joint,
 )
-from fluctua.qcore import dephase, gibbs_state, spectral_decompose
+from fluctua import qcore
+from fluctua.qcore import (
+    SpectralDecomposition,
+    coherence_l1,
+    dephase,
+    gibbs_state,
+    spectral_decompose,
+)
 from fluctua.sampling import SeededGenerator, random_coherence, random_density
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -293,6 +300,19 @@ def test_delta_single_entry():
     d = delta_distribution(j)
     assert d.values.size == 1 and abs(d.values[0] - 1.0) < 1e-15
     assert abs(d.probs[0] - 1.0) < 1e-15
+
+
+def test_delta_distribution_merges_chains_and_zero_mass_groups():
+    # Changes 0, 0.08, 0.16, 0.24 each lie within tol = 0.1 of the previous
+    # one, so they form one group although they span 0.24; 2.0 and 2.05 form
+    # a group of zero mass, whose value is the plain mean of its changes.
+    final = np.array([0.0, 0.08, 0.16, 0.24, 1.0, 2.0, 2.05])
+    probs = np.array([[0.1, 0.2, 0.3, 0.0, 0.4, 0.0, 0.0]])
+    j = JointEnergyDistribution(np.array([0.0]), final, probs, "EPM")
+    d = delta_distribution(j, merge_tol=0.1)
+    assert np.allclose(d.values, [(0.08 * 0.2 + 0.16 * 0.3) / 0.6, 1.0, 2.025],
+                       rtol=0, atol=1e-15)
+    assert np.allclose(d.probs, [0.6, 0.4, 0.0], rtol=0, atol=1e-15)
 
 
 def test_mean_matches_trace_formula():
@@ -759,8 +779,92 @@ def test_non_states_are_rejected():
         sample_shots("MLL", bad, chan, spec, spec, 16, SeededGenerator(1))
 
 
+def test_mll_reuses_the_validation_eigendecomposition(monkeypatch):
+    original, calls = qcore.hermitian_eig, []
+    monkeypatch.setattr(qcore, "hermitian_eig",
+                        lambda matrix: calls.append(1) or original(matrix))
+    spec = spectral_decompose(H_PAIR)
+    calls.clear()
+    mll_joint(random_density(4, gen=SeededGenerator(9)), identity_channel(4), spec, spec)
+    assert len(calls) == 1
+
+
 def test_protocol_joint_rejects_unknown_tag():
     spec = spectral_decompose(SZ)
     with pytest.raises(ValueError):
         protocol_joint("ABC", np.eye(2, dtype=complex) / 2.0,
                        identity_channel(2), spec, spec)
+
+
+# ---------------------------------------------------------------------------
+# evaluation over a batch of channels
+
+
+def assert_batch_matches(batch, singles, tol=1e-14):
+    # a quantity that does not depend on the channel stays unbatched
+    batch = np.broadcast_to(batch, (len(singles),) + np.shape(singles[0]))
+    for k, single in enumerate(singles):
+        assert np.abs(batch[k] - single).max() <= tol
+
+
+@pytest.mark.parametrize("batched_final", [False, True])
+def test_protocols_broadcast_over_a_channel_batch(batched_final):
+    rng = np.random.default_rng(81)
+    d, n = 3, 4
+    chans = [random_cptp(rng, d) for _ in range(n)]
+    batch = SuperoperatorChannel(np.array([c.superoperator for c in chans]))
+    h_i = random_hamiltonian(rng, d)
+    spec_i = spectral_decompose(h_i)
+    energies, basis = np.linalg.eigh(h_i)
+    specs_f = (spectral_decompose(np.array([random_hamiltonian(rng, d) for _ in range(n)]))
+               if batched_final else [spec_i] * n)
+    spec_f = SpectralDecomposition.stack(specs_f) if batched_final else spec_i
+    beta = 0.6
+    pops = np.exp(-beta * energies)
+    pops /= pops.sum()
+    rho = basis @ (np.diag(pops) + random_coherence(pops, SeededGenerator(4))) @ basis.conj().T
+    pairs = list(zip(chans, specs_f))
+
+    for protocol in ("EPM", "TPM", "MLL"):
+        joint = protocol_joint(protocol, rho, batch, spec_i, spec_f)
+        singles = [protocol_joint(protocol, rho, c, spec_i, s) for c, s in pairs]
+        assert_batch_matches(joint.probs, [j.probs for j in singles])
+        dist = delta_distribution(joint)
+        for k, single in enumerate(singles):
+            ref = delta_distribution(single)
+            m = ref.values.size
+            assert np.abs(dist.values[k, :m] - ref.values).max() <= 1e-14
+            assert np.abs(dist.probs[k, :m] - ref.probs).max() <= 1e-14
+            assert not dist.probs[k, m:].any()
+        assert_batch_matches(shannon_entropy(dist),
+                             [shannon_entropy(delta_distribution(j)) for j in singles])
+        assert_batch_matches(moment(dist, 2),
+                             [moment(delta_distribution(j), 2) for j in singles])
+        assert_batch_matches(moment(joint, 3), [moment(j, 3) for j in singles])
+        assert_batch_matches(characteristic_of_distribution(joint, 0.4j),
+                             [characteristic_of_distribution(j, 0.4j) for j in singles])
+        assert_batch_matches(
+            characteristic_function(protocol, rho, batch, spec_i, spec_f, 1j * beta),
+            [characteristic_function(protocol, rho, c, spec_i, s, 1j * beta)
+             for c, s in pairs])
+    g_pop, g_coh = characteristic_split(rho, batch, spec_i, spec_f, 0.8, basis=basis)
+    singles = [characteristic_split(rho, c, spec_i, s, 0.8, basis=basis) for c, s in pairs]
+    assert_batch_matches(g_pop, [g[0] for g in singles])
+    assert_batch_matches(g_coh, [g[1] for g in singles])
+    split = epm_second_moment_split(rho, batch, spec_i, spec_f, basis=basis)
+    singles = [epm_second_moment_split(rho, c, spec_i, s, basis=basis) for c, s in pairs]
+    for field in ("total", "population_part", "coherence_part"):
+        assert_batch_matches(getattr(split, field), [getattr(x, field) for x in singles])
+    rep = jarzynski(rho, batch, spec_i, spec_f, beta, basis=basis)
+    singles = [jarzynski(rho, c, spec_i, s, beta, basis=basis) for c, s in pairs]
+    for field in ("delta_free_energy", "total", "diagonal_part", "coherence_part"):
+        assert_batch_matches(getattr(rep, field), [getattr(x, field) for x in singles])
+    assert_batch_matches(coherence_l1(batch.apply(rho)),
+                         [coherence_l1(c.apply(rho)) for c in chans])
+
+
+def test_batched_joint_rejects_any_bad_total():
+    probs = np.array([[[0.5, 0.5], [0.0, 0.0]], [[0.5, 0.1], [0.25, 0.25]]])
+    with pytest.raises(ValueError, match="sum to 1.1"):
+        JointEnergyDistribution(np.array([1.0, -1.0]), np.array([1.0, -1.0]),
+                                probs, "EPM")

@@ -8,11 +8,13 @@ from fluctua.qcore import (
     DimensionMismatch,
     NonHermitianInput,
     NonOrthonormalBasis,
+    SpectralDecomposition,
     assert_density_operator,
     coherence_l1,
     coherence_split,
     dephase,
     dephase_sectors,
+    density_spectrum,
     gibbs_state,
     hermitian_eig,
     matrix_phase_exp,
@@ -127,6 +129,14 @@ def test_eig_rejects_empty():
         spectral_decompose(np.zeros((0, 0)))
 
 
+def test_eig_rejects_stack_with_one_nonhermitian_member():
+    stack = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+    with pytest.raises(NonHermitianInput):
+        hermitian_eig(stack)
+    with pytest.raises(DimensionMismatch):
+        hermitian_eig(np.zeros((2, 2, 3, 3)))
+
+
 def test_eig_complex_phases():
     # purely imaginary off-diagonal part (i * antisymmetric is Hermitian)
     rng = np.random.default_rng(11)
@@ -176,6 +186,50 @@ def test_spectral_grouping_merges_near_degenerate():
     dec = spectral_decompose(h)
     assert len(dec.energies) == 2
     assert dec.ranks == [2, 1]
+
+
+def mixed_degeneracy_stack(rng, d=4):
+    """Hamiltonians sharing no level pattern: degenerate, merged and resolved pairs."""
+    patterns = ([1.0, 1.0, 2.0, 3.0], [1.0, 1.0 + 1e-12, 2.0, 2.0],
+                [1.0, 1.0 + 1e-6, 2.0, 3.0], [-1.0, 0.5, 0.5, 0.5],
+                [0.3, 0.3, 0.3, 0.3])
+    stack = []
+    for energies in patterns:
+        _, v = np.linalg.eigh(random_hermitian(rng, d))
+        h = v @ np.diag(energies) @ v.conj().T
+        stack.append(0.5 * (h + h.conj().T))
+    stack += [random_hermitian(rng, d) for _ in range(3)]
+    return np.array(stack)
+
+
+def test_stacked_eig_and_decomposition_equal_each_matrix():
+    stack = mixed_degeneracy_stack(np.random.default_rng(8))
+    vals, vecs = hermitian_eig(stack)
+    decs = spectral_decompose(stack)
+    assert len({dec.energies.size for dec in decs}) == 4  # level counts 1, 2, 3, 4
+    for h, v, w, dec in zip(stack, vals, vecs, decs):
+        ref_vals, ref_vecs = hermitian_eig(h)
+        assert np.array_equal(v, ref_vals) and np.array_equal(w, ref_vecs)
+        ref = spectral_decompose(h)
+        assert np.array_equal(dec.energies, ref.energies)
+        assert np.array_equal(dec.projectors, ref.projectors)
+        assert dec.grouping_tol == ref.grouping_tol
+    # an explicit tolerance applies to every member alike
+    for h, dec in zip(stack, spectral_decompose(stack, grouping_tol=1e-3)):
+        ref = spectral_decompose(h, grouping_tol=1e-3)
+        assert np.array_equal(dec.projectors, ref.projectors)
+
+
+def test_stacked_decomposition_broadcasts_spectral_sums():
+    rng = np.random.default_rng(9)
+    decs = spectral_decompose(np.array([random_hermitian(rng, 3) for _ in range(4)]))
+    batch = SpectralDecomposition.stack(decs)
+    assert batch.energies.shape == (4, 3) and batch.projectors.shape == (4, 3, 3, 3)
+    assert batch.ranks == [dec.ranks for dec in decs]
+    for k, dec in enumerate(decs):
+        assert np.array_equal(batch.reconstruct()[k], dec.reconstruct())
+        assert np.array_equal(matrix_phase_exp(None, 0.7j, batch)[k],
+                              matrix_phase_exp(None, 0.7j, dec))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +334,19 @@ def test_coherence_l1_plus_state():
     assert coherence_l1(plus, basis) < 1e-12
 
 
+def test_coherence_l1_of_a_stack():
+    rng = np.random.default_rng(31)
+    states = np.array([random_state(rng, 3) for _ in range(4)])
+    _, bases = hermitian_eig(np.array([random_hermitian(rng, 3) for _ in range(4)]))
+    plain = coherence_l1(states)
+    per_basis = coherence_l1(states, bases)
+    one_basis = coherence_l1(states, bases[0])
+    for k, rho in enumerate(states):
+        assert plain[k] == coherence_l1(rho)
+        assert abs(per_basis[k] - coherence_l1(rho, bases[k])) < 1e-15
+        assert abs(one_basis[k] - coherence_l1(rho, bases[0])) < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # matrix_phase_exp
 
@@ -328,3 +395,11 @@ def test_assert_density_rejects_nonhermitian():
 def test_assert_density_rejects_negative():
     with pytest.raises(ValueError):
         assert_density_operator(np.diag([1.5, -0.5]))
+
+
+def test_density_spectrum_returns_the_validated_decomposition():
+    rho = random_state(np.random.default_rng(30), 3)
+    a, vals, vecs = density_spectrum(rho)
+    assert np.array_equal(a, assert_density_operator(rho))
+    ref_vals, ref_vecs = hermitian_eig(rho)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
