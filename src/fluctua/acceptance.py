@@ -123,11 +123,9 @@ def sweep_closed_forms() -> CriterionResult:
     cfg = TwoQubitExperimentConfig()
     _, beta = cfg.resolved()
     res = two_qubit_sweep(cfg)
-    worst = 0.0
-    for q in ("G_EPM", "G_EPM_diag", "G_EPM_coh"):
-        expected = np.array([closed_form_characteristics(th, beta)[q]
-                             for th in res.columns["theta"]])
-        worst = max(worst, float(np.abs(res.columns[q] - expected).max()))
+    expected = closed_form_characteristics(res.columns["theta"], beta)
+    worst = max(float(np.abs(res.columns[q] - expected[q]).max())
+                for q in ("G_EPM", "G_EPM_diag", "G_EPM_coh"))
 
     # End-to-end spot value at the first grid point for a directly given
     # inverse temperature, computed from the operator expressions.

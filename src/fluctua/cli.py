@@ -220,10 +220,7 @@ def _sweep_self_check(result, model: dict[str, np.ndarray] | None) -> list[str]:
     model standard errors of a shot-mode sweep (``None`` when exact)."""
     cols = result.columns
     fails = []
-    closed = {name: np.array([
-        closed_form_characteristics(t, result.beta, result.epsilon)[name]
-        for t in cols["theta"]])
-        for name in ("G_TPM", "G_EPM", "G_EPM_diag", "G_EPM_coh")}
+    closed = closed_form_characteristics(cols["theta"], result.beta, result.epsilon)
     if result.n_shots is None:
         dev_tpm = float(np.abs(cols["G_TPM"] - 1.0).max())
         if dev_tpm > SWEEP_TOLERANCES["tpm_identity"]:
@@ -305,9 +302,8 @@ def _run_two_qubit(preset, settings: dict, out_dir: Path) -> list[str]:
                "grid_points": len(cols["theta"]),
                "max_abs_G_TPM_minus_1": float(np.abs(cols["G_TPM"] - 1).max())}
     if n_shots is None:
-        closed = np.array([closed_form_characteristics(t, beta,
-                                                       result.epsilon)["G_EPM"]
-                           for t in cols["theta"]])
+        closed = closed_form_characteristics(cols["theta"], beta,
+                                             result.epsilon)["G_EPM"]
         results["max_closed_form_deviation"] = \
             float(np.abs(cols["G_EPM"] - closed).max())
         tolerances = dict(SWEEP_TOLERANCES)

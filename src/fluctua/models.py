@@ -115,6 +115,8 @@ class TwoQubitExperimentConfig:
         """(theta0, beta) with the missing member derived."""
         if self.epsilon <= 0.0:
             raise InvalidConfig("epsilon must be positive")
+        if len(self.theta_grid) == 0:
+            raise InvalidConfig("theta_grid needs at least one value")
         t0, b = self.theta0, self.beta
         if t0 is None and b is None:
             t0 = DEFAULT_THETA0
@@ -169,26 +171,29 @@ def two_qubit_initial_state(config: TwoQubitExperimentConfig) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def closed_form_characteristics(theta: float, beta: float,
-                                epsilon: float = 1.0) -> dict[str, float]:
+def closed_form_characteristics(theta, beta: float,
+                                epsilon: float = 1.0) -> dict[str, float | np.ndarray]:
     """Characteristic functions of the sweep at u = i*beta, in closed form.
 
     ``theta`` is the sweep abscissa (see :func:`two_qubit_sweep` for how
-    it parameterizes the gate).  The expressions depend on 2*theta and
-    4*theta only, so the sweep repeats with period pi.
+    it parameterizes the gate), a number or an array; every value has its
+    shape.  The expressions depend on 2*theta and 4*theta only, so the
+    sweep repeats with period pi.
     """
     b = beta * epsilon
     e1 = math.exp(b)
     e2, e4, e6, e8 = e1 ** 2, e1 ** 4, e1 ** 6, e1 ** 8
-    s2, c2 = math.sin(2.0 * theta), math.cos(2.0 * theta)
+    two_theta = 2.0 * np.asarray(theta, dtype=float)
+    s2, c2 = np.sin(two_theta), np.cos(two_theta)
     denom = (e2 + 1.0) ** 4
     g_epm = 4.0 * (e6 * (s2 - e1 * c2) ** 2
                    + e4 * (e1 * s2 + c2) ** 2 + e4 + 1.0) / denom
     g_diag = 4.0 * (2.0 * e6 * s2 ** 2
                     + (e4 + e8) * c2 ** 2 + e4 + 1.0) / denom
     sech = 1.0 / math.cosh(b)
-    g_coh = -0.5 * e2 * math.sin(4.0 * theta) * math.tanh(b) * sech ** 3
-    return {"G_TPM": 1.0, "G_EPM": g_epm,
+    g_coh = -0.5 * e2 * np.sin(2.0 * two_theta) * math.tanh(b) * sech ** 3
+    # [()] gives a scalar theta a scalar, not a 0-d array
+    return {"G_TPM": np.ones_like(s2)[()], "G_EPM": g_epm,
             "G_EPM_diag": g_diag, "G_EPM_coh": g_coh}
 
 
@@ -213,48 +218,51 @@ def _linear_weights(joint: JointEnergyDistribution, beta: float) -> dict[str, np
 
 
 def _shot_errors(probs: np.ndarray, weights: dict[str, np.ndarray],
-                 n_shots: int) -> dict[str, float]:
+                 n_shots: int) -> dict[str, float | np.ndarray]:
     """Standard errors of statistics linear in a table of shot frequencies.
 
     A statistic sum_c w_c p_c estimated from ``n_shots`` independent draws
     of the table ``probs`` has variance sum_c p_c (w_c - sum p w)^2 / n_shots.
     The centred form cannot go negative and is exactly zero for a table
-    with a single occupied cell.
+    with a single occupied cell.  A (T, levels_i, levels_f) batch of tables
+    gives (T,) errors.
     """
-    p = probs.reshape(-1)
+    batch = probs.shape[:-2]
+    p = probs.reshape(batch + (1, -1))
     out = {}
     for name, w in weights.items():
-        w = w.reshape(-1)
-        out[name] = math.sqrt(float(p @ (w - p @ w) ** 2) / n_shots)
+        w = np.broadcast_to(w, probs.shape).reshape(batch + (-1, 1))
+        out[name] = np.sqrt((p @ (w - p @ w) ** 2)[..., 0, 0] / n_shots)
     return out
 
 
 def _sweep_errors(epm: JointEnergyDistribution, tpm: JointEnergyDistribution,
                   dia: JointEnergyDistribution, beta: float,
-                  n_shots: int) -> dict[str, float]:
-    """Standard error of every sweep column estimated from three tables."""
+                  n_shots: int) -> dict[str, np.ndarray]:
+    """Standard error of every sweep column estimated from three batches of tables."""
     w = _linear_weights(epm, beta)
     se_epm = _shot_errors(epm.probs, w, n_shots)
     se_tpm = _shot_errors(tpm.probs, w, n_shots)
     se_dia = _shot_errors(dia.probs, {"G": w["G"]}, n_shots)["G"]
     out = {"G_TPM": se_tpm["G"], "G_EPM": se_epm["G"], "G_EPM_diag": se_dia,
-           "G_EPM_coh": math.hypot(se_epm["G"], se_dia)}
+           "G_EPM_coh": np.hypot(se_epm["G"], se_dia)}
     for label in ("mean", "m2", "m3", "m4"):
         out[f"{label}_EPM"] = se_epm[label]
         out[f"{label}_TPM"] = se_tpm[label]
     return out
 
 
-def _sweep_channel(config: TwoQubitExperimentConfig, theta: float) -> UnitaryChannel:
-    """The circuit at sweep abscissa ``theta``."""
-    return UnitaryChannel(controlled_gate(-4.0 * theta, config.phi, config.lam))
-
-
 def _sweep_setup(config: TwoQubitExperimentConfig):
-    """(pair spectrum, initial state, its dephased populations)."""
+    """(pair spectrum, initial state, its dephased populations, circuits of the grid).
+
+    The circuits form one batch channel, a (T, 16, 16) superoperator stack.
+    """
     spec = spectral_decompose(two_qubit_hamiltonian(config.epsilon))
     rho = two_qubit_initial_state(config)
-    return spec, rho, dephase(rho)
+    circuits = SuperoperatorChannel(np.stack([
+        UnitaryChannel(controlled_gate(-4.0 * theta, config.phi, config.lam))
+        .as_superoperator() for theta in config.theta_grid]))
+    return spec, rho, dephase(rho), circuits
 
 
 def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None) -> SweepResult:
@@ -263,13 +271,14 @@ def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None) -> SweepResult:
     The sweep abscissa theta enters the circuit as controlled_gate(-4*theta,
     phi, lam); with that parameterization the swept quantities take the
     closed forms of :func:`closed_form_characteristics` and the sweep is
-    pi-periodic.  In exact mode every column is computed from the operator
-    expressions.  With ``n_shots`` set, columns hold finite-shot estimates
-    from the simulated measurement records and ``*_se`` columns append
-    their closed-form standard errors, evaluated on the sampled tables.
-    ``gen`` (a :class:`SeededGenerator`, an integer seed or None for seed
-    0) seeds the whole run: grid point i draws its three records from
-    child streams 0, 1 and 2 of its child stream i.
+    pi-periodic.  The whole grid is evaluated as one batch of circuits.
+    In exact mode every column is computed from the operator expressions.
+    With ``n_shots`` set, columns hold finite-shot estimates from the
+    simulated measurement records and ``*_se`` columns append their
+    closed-form standard errors, evaluated on the sampled tables.  ``gen``
+    (a :class:`SeededGenerator`, an integer seed or None for seed 0) seeds
+    the whole run: grid point i draws its three records from child streams
+    0, 1 and 2 of its child stream i.
     """
     if isinstance(gen, SeededGenerator):
         master = gen
@@ -280,52 +289,34 @@ def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None) -> SweepResult:
                         "pass a SeededGenerator, an int seed or None, not "
                         f"{type(gen).__name__}")
     theta0, beta = config.resolved()
-    spec, rho, pops = _sweep_setup(config)
+    spec, rho, pops, circuits = _sweep_setup(config)
+    u = 1j * beta
+    if config.n_shots is None:
+        epm, tpm = epm_joint(rho, circuits, spec, spec), tpm_joint(rho, circuits, spec, spec)
+        g_pop, g_coh = characteristic_split(rho, circuits, spec, spec, u)
+        values = {"G_TPM": characteristic_function("TPM", rho, circuits, spec, spec, u),
+                  "G_EPM": characteristic_function("EPM", rho, circuits, spec, spec, u),
+                  "G_EPM_diag": g_pop, "G_EPM_coh": g_coh}
+    else:
+        points = [master.spawn(idx) for idx in range(len(config.theta_grid))]
+        epm, tpm, dia = (
+            sample_shots(protocol, state, circuits, spec, spec, config.n_shots,
+                         [point.spawn(k) for point in points])
+            for k, (protocol, state) in enumerate((("EPM", rho), ("TPM", rho),
+                                                   ("EPM", pops))))
+        g_epm = characteristic_of_distribution(epm, u).real
+        g_dia = characteristic_of_distribution(dia, u).real
+        values = {"G_TPM": characteristic_of_distribution(tpm, u), "G_EPM": g_epm,
+                  "G_EPM_diag": g_dia, "G_EPM_coh": g_epm - g_dia}
+    for n, label in enumerate(("mean", "m2", "m3", "m4"), start=1):
+        values[f"{label}_EPM"] = moment(epm, n)
+        values[f"{label}_TPM"] = moment(tpm, n)
 
-    names = ["theta"] + list(SWEEP_COLUMNS)
+    columns = {"theta": np.array(config.theta_grid, dtype=float)}
+    columns.update((name, np.array(values[name].real)) for name in SWEEP_COLUMNS)
     if config.n_shots is not None:
-        names += [c + "_se" for c in SWEEP_COLUMNS]
-    cols: dict[str, list[float]] = {name: [] for name in names}
-
-    for idx, theta in enumerate(config.theta_grid):
-        chan = _sweep_channel(config, theta)
-        cols["theta"].append(float(theta))
-        if config.n_shots is None:
-            g_tpm = characteristic_function("TPM", rho, chan, spec, spec, 1j * beta)
-            g_epm = characteristic_function("EPM", rho, chan, spec, spec, 1j * beta)
-            g_pop, g_coh = characteristic_split(rho, chan, spec, spec, 1j * beta)
-            je = epm_joint(rho, chan, spec, spec)
-            jt = tpm_joint(rho, chan, spec, spec)
-            cols["G_TPM"].append(g_tpm.real)
-            cols["G_EPM"].append(g_epm.real)
-            cols["G_EPM_diag"].append(g_pop.real)
-            cols["G_EPM_coh"].append(g_coh.real)
-            for n, label in enumerate(("mean", "m2", "m3", "m4"), start=1):
-                cols[f"{label}_EPM"].append(moment(je, n))
-                cols[f"{label}_TPM"].append(moment(jt, n))
-        else:
-            point = master.spawn(idx)
-            emp_epm = sample_shots("EPM", rho, chan, spec, spec,
-                                   config.n_shots, point.spawn(0))
-            emp_tpm = sample_shots("TPM", rho, chan, spec, spec,
-                                   config.n_shots, point.spawn(1))
-            emp_dia = sample_shots("EPM", pops, chan, spec, spec,
-                                   config.n_shots, point.spawn(2))
-            g_epm = characteristic_of_distribution(emp_epm, 1j * beta).real
-            g_dia = characteristic_of_distribution(emp_dia, 1j * beta).real
-            cols["G_TPM"].append(
-                characteristic_of_distribution(emp_tpm, 1j * beta).real)
-            cols["G_EPM"].append(g_epm)
-            cols["G_EPM_diag"].append(g_dia)
-            cols["G_EPM_coh"].append(g_epm - g_dia)
-            for n, label in enumerate(("mean", "m2", "m3", "m4"), start=1):
-                cols[f"{label}_EPM"].append(moment(emp_epm, n))
-                cols[f"{label}_TPM"].append(moment(emp_tpm, n))
-            se = _sweep_errors(emp_epm, emp_tpm, emp_dia, beta, config.n_shots)
-            for name in SWEEP_COLUMNS:
-                cols[name + "_se"].append(se[name])
-
-    columns = {name: np.asarray(cols[name], dtype=float) for name in names}
+        se = _sweep_errors(epm, tpm, dia, beta, config.n_shots)
+        columns.update((name + "_se", se[name]) for name in SWEEP_COLUMNS)
     return SweepResult(theta0, beta, config.epsilon, config.n_shots, columns)
 
 
@@ -339,17 +330,10 @@ def sweep_model_errors(config: TwoQubitExperimentConfig) -> dict[str, np.ndarray
     if config.n_shots is None:
         raise InvalidConfig("model standard errors need n_shots")
     _, beta = config.resolved()
-    spec, rho, pops = _sweep_setup(config)
-    cols: dict[str, list[float]] = {name: [] for name in SWEEP_COLUMNS}
-    for theta in config.theta_grid:
-        chan = _sweep_channel(config, theta)
-        se = _sweep_errors(epm_joint(rho, chan, spec, spec),
-                           tpm_joint(rho, chan, spec, spec),
-                           epm_joint(pops, chan, spec, spec),
-                           beta, config.n_shots)
-        for name in SWEEP_COLUMNS:
-            cols[name].append(se[name])
-    return {name: np.asarray(cols[name]) for name in SWEEP_COLUMNS}
+    spec, rho, pops, circuits = _sweep_setup(config)
+    return _sweep_errors(epm_joint(rho, circuits, spec, spec),
+                         tpm_joint(rho, circuits, spec, spec),
+                         epm_joint(pops, circuits, spec, spec), beta, config.n_shots)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ same code without that axis.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -122,9 +123,13 @@ def _trace(m: np.ndarray) -> np.ndarray:
 
 
 def _clamp(p: np.ndarray, tol: float = CLAMP_TOL) -> np.ndarray:
-    """Zero out float-noise negatives; anything more negative is an error."""
+    """Zero out float-noise negatives; anything more negative, or non-finite, is an error."""
     p = np.array(p, dtype=float)
-    low = p.min() if p.size else 0.0
+    low, high = (p.min(), p.max()) if p.size else (0.0, 0.0)
+    # a NaN anywhere makes both extremes NaN
+    if not (math.isfinite(low) and math.isfinite(high)):
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(p))[0])
+        raise ValueError(f"non-finite probability {p[index]} at index {index}")
     if low < -tol:
         raise NegativeProbability(f"probability {low:.3e} below -{tol:g}")
     p[p < 0.0] = 0.0
@@ -558,16 +563,22 @@ def mutual_information(p: JointEnergyDistribution,
 # finite-shot emulation
 
 
-def _draw(rng, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """For each shot j, an index drawn from row ``rows[j]`` of ``probs``.
+def _draw(rngs, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each shot j, an index drawn from row ``rows[..., j]`` of ``probs``.
 
-    Each uniform is counted against its row's cumulative sum without the
-    last entry, so a uniform above a total of 1 - 1e-16 picks the last
-    index instead of running past it.
+    ``rows`` is (n_shots,), or (T, n_shots) for a batch whose member t
+    draws its uniforms from ``rngs[t]``; ``probs`` (..., rows, K)
+    broadcasts over the batch.  Each uniform is counted against its row's
+    cumulative sum without the last entry, so a uniform above a total of
+    1 - 1e-16 picks the last index instead of running past it.
     """
-    below = np.cumsum(probs, axis=1)[:, :-1].T
-    u = rng.random(rows.size)
-    return np.sum(np.take(below, rows, axis=1) <= u, axis=0)
+    below = np.cumsum(probs, axis=-1)
+    below = below.reshape((1,) * (rows.ndim + 1 - below.ndim) + below.shape)
+    u = np.stack([rng.random(rows.shape[-1]) for rng in rngs]).reshape(rows.shape)
+    picked = np.zeros(rows.shape, dtype=int)
+    for k in range(below.shape[-1] - 1):
+        picked += np.take_along_axis(below[..., k], rows, axis=-1) <= u
+    return picked
 
 
 def sample_shots(protocol: str, rho, channel: Channel,
@@ -579,20 +590,28 @@ def sample_shots(protocol: str, rho, channel: Channel,
     member, then its final level from the member's evolved state.  EPM
     has one member and draws no member; a TPM member is the level it
     measured, so TPM draws no separate initial level; MLL draws all three.
-    All draws come from one stream, ``gen`` resolved once.  The result
-    carries ``n_shots`` so shot-noise standard errors can be attached
-    downstream.
+    All draws come from one stream, ``gen`` resolved once.  A batch of T
+    channels takes a sequence of T streams as ``gen`` and gives T tables:
+    table t holds exactly what a call with channel t and stream t draws.
+    The result carries ``n_shots`` so shot-noise standard errors can be
+    attached downstream.
     """
     if n_shots <= 0:
         raise ValueError("n_shots must be positive")
-    rng = _rng(gen)
     weights, before, after = _member_populations(protocol, rho, channel, spec_i, spec_f)
-    first = np.zeros(n_shots, dtype=int)
-    member = first if protocol == "EPM" else _draw(rng, weights[None], first)
-    level = member if protocol == "TPM" else _draw(rng, before, member)
-    final = _draw(rng, after, member)
-    n_i, n_f = spec_i.energies.size, spec_f.energies.size
-    counts = np.bincount(level * n_f + final, minlength=n_i * n_f).reshape(n_i, n_f)
+    batch = after.shape[:-2]
+    rngs = [_rng(g) for g in (gen if isinstance(gen, (list, tuple)) else [gen])]
+    if len(rngs) != math.prod(batch):
+        raise ValueError(f"{len(rngs)} streams for a batch of {math.prod(batch)} channels")
+    first = np.zeros(batch + (n_shots,), dtype=int)
+    member = first if protocol == "EPM" else _draw(rngs, weights[None], first)
+    level = member if protocol == "TPM" else _draw(rngs, before, member)
+    final = _draw(rngs, after, member)
+    n_i, n_f = spec_i.energies.shape[-1], spec_f.energies.shape[-1]
+    # each table's cells are counted in a range of their own
+    offset = n_i * n_f * np.arange(len(rngs)).reshape(batch + (1,))
+    counts = np.bincount((offset + level * n_f + final).ravel(),
+                         minlength=len(rngs) * n_i * n_f).reshape(batch + (n_i, n_f))
     return JointEnergyDistribution(spec_i.energies, spec_f.energies,
                                    counts / n_shots, protocol, n_shots=n_shots)
 

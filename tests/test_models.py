@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import sys
@@ -19,6 +20,7 @@ from fluctua.models import (
     ThreeLevelConfig,
     TwoQubitExperimentConfig,
     _shot_errors,
+    _sweep_errors,
     closed_form_characteristics,
     controlled_gate,
     sweep_model_errors,
@@ -36,6 +38,7 @@ from fluctua.protocols import (
     NonThermalDiagonal,
     characteristic_function,
     characteristic_of_distribution,
+    characteristic_split,
     delta_distribution,
     epm_joint,
     epm_second_moment_split,
@@ -147,6 +150,13 @@ def test_closed_form_baseline_values():
     for th in (0.0, 0.4, 1.1):
         vals = closed_form_characteristics(th, 0.443)
         assert vals["G_TPM"] == 1.0
+    # an array of angles gives every value that shape, equal to the scalar results
+    grid = np.array([[0.0, 0.4, 1.1], [2.0, 2.9, 6.0]])
+    batch = closed_form_characteristics(grid, 0.443)
+    for name, values in batch.items():
+        assert values.shape == grid.shape
+        scalar = [closed_form_characteristics(float(th), 0.443)[name] for th in grid.flat]
+        assert np.abs(values.reshape(-1) - scalar).max() <= 1e-15, name
     # Infinite-temperature limit: every average collapses to one.
     for th in np.linspace(0.0, math.pi, 9):
         assert abs(closed_form_characteristics(th, 0.0)["G_EPM"] - 1.0) < 1e-12
@@ -207,6 +217,91 @@ def test_exact_sweep_has_no_error_columns():
     res = two_qubit_sweep(TwoQubitExperimentConfig())
     assert res.n_shots is None
     assert all(not name.endswith("_se") for name in res.column_names())
+
+
+def sweep_by_point(config, master):
+    """Reference for two_qubit_sweep: the public per-point API, one grid point at a time."""
+    _, beta = config.resolved()
+    spec = spectral_decompose(two_qubit_hamiltonian(config.epsilon))
+    rho = two_qubit_initial_state(config)
+    pops = dephase(rho)
+    names = ["theta", *SWEEP_COLUMNS]
+    if config.n_shots is not None:
+        names += [name + "_se" for name in SWEEP_COLUMNS]
+    cols = {name: [] for name in names}
+    for idx, theta in enumerate(config.theta_grid):
+        chan = UnitaryChannel(controlled_gate(-4.0 * theta, config.phi, config.lam))
+        cols["theta"].append(theta)
+        if config.n_shots is None:
+            g_pop, g_coh = characteristic_split(rho, chan, spec, spec, 1j * beta)
+            epm, tpm = epm_joint(rho, chan, spec, spec), tpm_joint(rho, chan, spec, spec)
+            values = {"G_TPM": characteristic_function("TPM", rho, chan, spec, spec, 1j * beta),
+                      "G_EPM": characteristic_function("EPM", rho, chan, spec, spec, 1j * beta),
+                      "G_EPM_diag": g_pop, "G_EPM_coh": g_coh}
+        else:
+            point = master.spawn(idx)
+            epm, tpm, dia = (sample_shots(tag, state, chan, spec, spec, config.n_shots,
+                                          point.spawn(k))
+                             for k, (tag, state) in enumerate((("EPM", rho), ("TPM", rho),
+                                                                ("EPM", pops))))
+            g_epm = characteristic_of_distribution(epm, 1j * beta).real
+            g_dia = characteristic_of_distribution(dia, 1j * beta).real
+            values = {"G_TPM": characteristic_of_distribution(tpm, 1j * beta),
+                      "G_EPM": g_epm, "G_EPM_diag": g_dia, "G_EPM_coh": g_epm - g_dia}
+            se = _sweep_errors(epm, tpm, dia, beta, config.n_shots)
+            values.update((name + "_se", se[name]) for name in SWEEP_COLUMNS)
+        for n, label in enumerate(("mean", "m2", "m3", "m4"), start=1):
+            values[f"{label}_EPM"] = moment(epm, n)
+            values[f"{label}_TPM"] = moment(tpm, n)
+        for name in names[1:]:
+            cols[name].append(values[name].real)
+    return {name: np.array(values, dtype=float) for name, values in cols.items()}
+
+
+OFFSET_PHASES = TwoQubitExperimentConfig(phi=0.7, lam=-1.3,
+                                         theta_grid=tuple(np.linspace(0.0, 3.0, 13)))
+
+
+@pytest.mark.parametrize("config", [TwoQubitExperimentConfig(), OFFSET_PHASES],
+                         ids=["default", "offset-phases"])
+def test_exact_sweep_matches_per_point_evaluation(config):
+    res = two_qubit_sweep(config).columns
+    ref = sweep_by_point(config, SeededGenerator(0))
+    assert list(res) == list(ref)
+    for name, values in ref.items():
+        assert np.abs(res[name] - values).max() <= 1e-13 * np.abs(values).max(), name
+
+
+@pytest.mark.parametrize("n_shots, seed", [(2048, 5), (1000, 3)])
+def test_shot_sweep_matches_per_point_draws(n_shots, seed):
+    # grid point i still draws from child streams 0-2 of child stream i
+    for config in (TwoQubitExperimentConfig(n_shots=n_shots),
+                   dataclasses.replace(OFFSET_PHASES, n_shots=n_shots)):
+        res = two_qubit_sweep(config, SeededGenerator(seed)).columns
+        ref = sweep_by_point(config, SeededGenerator(seed))
+        assert list(res) == list(ref)
+        for name, values in ref.items():
+            assert np.array_equal(res[name], values), name
+
+
+def test_sweep_validates_each_state_once_per_call(monkeypatch):
+    calls = count_qcore_calls(monkeypatch, "density_spectrum")
+    for n_shots in (None, 256):
+        counts = []
+        for size in (2, 21):
+            calls.clear()
+            two_qubit_sweep(TwoQubitExperimentConfig(
+                n_shots=n_shots, theta_grid=DEFAULT_THETA_GRID[:size]))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0, n_shots
+
+
+def test_empty_theta_grid_is_rejected():
+    cfg = TwoQubitExperimentConfig(theta_grid=())
+    with pytest.raises(InvalidConfig, match="theta_grid"):
+        cfg.resolved()
+    with pytest.raises(InvalidConfig):
+        two_qubit_sweep(cfg)
 
 
 def test_default_grid_spacing():
@@ -318,6 +413,12 @@ def test_shot_errors_closed_form():
     se = _shot_errors(two, w, 300)
     assert se["G"] == pytest.approx(math.sqrt(0.25 * 0.75 * 0.75 ** 2 / 300), rel=1e-14)
     assert se["m"] == pytest.approx(math.sqrt(0.25 * 0.75 * 81.0 / 300), rel=1e-14)
+    # a stack of tables gives one error per table
+    stacked = _shot_errors(np.stack([one_hot, two]), w, 300)
+    assert stacked["G"].shape == stacked["m"].shape == (2,)
+    assert stacked["G"][0] == stacked["m"][0] == 0.0
+    assert stacked["G"][1] == pytest.approx(se["G"], rel=1e-14)
+    assert stacked["m"][1] == pytest.approx(se["m"], rel=1e-14)
 
 
 def _column_digest(res, names):
@@ -726,22 +827,22 @@ def test_degenerate_drive_changes_level_count():
     assert counts == [2, 3, 2]
 
 
-def count_eig_calls(monkeypatch):
-    """Count hermitian_eig calls made through any module of the package."""
-    original, calls = qcore.hermitian_eig, []
+def count_qcore_calls(monkeypatch, function):
+    """Count calls of a qcore function made through any module of the package."""
+    original, calls = getattr(qcore, function), []
 
-    def counted(matrix):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return original(matrix)
+        return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("fluctua.") and getattr(module, "hermitian_eig", None) is original:
-            monkeypatch.setattr(module, "hermitian_eig", counted)
+        if name.startswith("fluctua.") and getattr(module, function, None) is original:
+            monkeypatch.setattr(module, function, counted)
     return calls
 
 
 def test_eig_calls_do_not_grow_with_sample_times(monkeypatch):
-    calls = count_eig_calls(monkeypatch)
+    calls = count_qcore_calls(monkeypatch, "hermitian_eig")
     counts = []
     for n in (11, 101):
         calls.clear()

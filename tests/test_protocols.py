@@ -701,6 +701,48 @@ def test_sample_shots_validates_input():
                      SeededGenerator(1))
 
 
+def random_cptp_batch(rng, d, size):
+    return SuperoperatorChannel(np.stack([random_cptp(rng, d).superoperator
+                                          for _ in range(size)]))
+
+
+@pytest.mark.parametrize("degenerate", [False, True], ids=["generic", "degenerate-d3"])
+def test_batched_sample_shots_matches_single_calls(degenerate):
+    rng = np.random.default_rng(505)
+    if degenerate:
+        d = 3
+        spec_i = spectral_decompose(np.diag([1.0, 1.0, -1.0]).astype(complex))
+    else:
+        d = 4
+        spec_i = spectral_decompose(random_hamiltonian(rng, d))
+    spec_f = spectral_decompose(random_hamiltonian(rng, d))
+    batch = random_cptp_batch(rng, d, 5)
+    rho = random_density(d, gen=SeededGenerator(5050))
+    master = SeededGenerator(5051)
+    for tag in ("EPM", "TPM", "MLL"):
+        streams = [master.spawn(t) for t in range(5)]
+        emp = sample_shots(tag, rho, batch, spec_i, spec_f, 300, streams)
+        assert emp.probs.shape == (5,) + emp.probs.shape[-2:] and emp.n_shots == 300
+        for t in range(5):
+            one = sample_shots(tag, rho, SuperoperatorChannel(batch.superoperator[t]),
+                               spec_i, spec_f, 300, master.spawn(t))
+            assert np.array_equal(emp.probs[t], one.probs), (tag, t)
+
+
+def test_batched_sample_shots_needs_one_stream_per_channel():
+    rng = np.random.default_rng(506)
+    spec = spectral_decompose(H_PAIR)
+    batch = random_cptp_batch(rng, 4, 3)
+    streams = [SeededGenerator(k) for k in range(2)]
+    with pytest.raises(ValueError, match="2 streams for a batch of 3 channels"):
+        sample_shots("EPM", two_qubit_pure(), batch, spec, spec, 16, streams)
+    with pytest.raises(ValueError, match="1 streams for a batch of 3 channels"):
+        sample_shots("TPM", two_qubit_pure(), batch, spec, spec, 16, SeededGenerator(1))
+    with pytest.raises(ValueError, match="2 streams for a batch of 1 channels"):
+        sample_shots("EPM", two_qubit_pure(), UnitaryChannel(controlled_rotation(0.4)),
+                     spec, spec, 16, streams)
+
+
 def test_bootstrap_standard_error_scales():
     # the sweep's closed-form errors drop as 1/sqrt(n): factor 4 from 400 to 6400
     def se(n):
@@ -764,6 +806,22 @@ def test_joint_rejects_bad_total():
     with pytest.raises(ValueError):
         JointEnergyDistribution(np.array([1.0, -1.0]), np.array([1.0, -1.0]),
                                 probs, "EPM")
+
+
+def test_joint_rejects_non_finite_probability():
+    probs = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"non-finite probability nan at index \(0, 0\)"):
+        JointEnergyDistribution(np.array([0.0, 1.0]), np.array([0.0, 1.0]), probs, "EPM")
+
+
+def test_sampler_rejects_non_finite_channel():
+    # a NaN in the superoperator must not pass as a plausible table
+    spec = spectral_decompose(SZ)
+    superop = np.eye(4, dtype=complex)
+    superop[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite probability"):
+        sample_shots("EPM", np.diag([0.5, 0.5]).astype(complex),
+                     SuperoperatorChannel(superop), spec, spec, 64, SeededGenerator(1))
 
 
 def test_non_states_are_rejected():
