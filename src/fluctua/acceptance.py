@@ -5,6 +5,11 @@ protocols, the model systems, or the integrator, at pinned seeds and
 explicit tolerances.  ``run_all`` executes the whole battery and returns
 one :class:`CriterionResult` per check; the command line's ``check``
 subcommand prints them as a table and sets the exit code.
+
+``sweep_checks`` and ``series_checks`` hold the identity checks of one
+run, each a tested value with its bound.  ``fluctua run`` reports them in
+``summary.json`` and ``--check`` decides on them; three criteria below
+read the same rows.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .models import (
     TwoQubitExperimentConfig,
     closed_form_characteristics,
     controlled_gate,
+    sweep_model_errors,
     three_level_experiment,
     three_level_hamiltonian,
     three_level_initial_state,
@@ -53,13 +59,103 @@ from .protocols import (
 from .qcore import dephase, gibbs_state, hermitian_eig, spectral_decompose
 from .sampling import SeededGenerator, haar_random_pure, random_density
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA", "TPM_IDENTITY_TOL",
-           "CLOSED_FORM_TOL", "COHERENCE_SHARE_MIN"]
+__all__ = ["CriterionResult", "IdentityCheck", "run_all", "CRITERIA",
+           "series_checks", "sweep_checks"]
 
-# Thresholds shared with the self-check of ``fluctua run --check``.
-TPM_IDENTITY_TOL = 1e-9  # max |G_TPM - 1| over the exact sweep
-CLOSED_FORM_TOL = 1e-9  # max sweep deviation from the closed forms
-COHERENCE_SHARE_MIN = 0.3  # peak coherence share of <dE^2>, figS3 preset
+
+@dataclass(frozen=True)
+class IdentityCheck:
+    """One self-check of a run: a tested ``value`` against its ``bound``.
+
+    ``direction`` "max" passes while the value does not exceed the bound,
+    "min" while it does not fall below it; a NaN value fails either way.
+    """
+
+    value: float
+    bound: float
+    direction: str
+    what: str
+
+    @property
+    def passed(self) -> bool:
+        if self.direction == "max":
+            return self.value <= self.bound
+        return self.value >= self.bound
+
+    def failure(self) -> str:
+        side = "above" if self.direction == "max" else "below"
+        return f"{self.what} is {self.value:.3g}, {side} the bound {self.bound:g}"
+
+
+def _sigma_distance(estimate, target, se) -> float:
+    """Largest |estimate - target| in units of ``se``.  A miss within 1e-12,
+    the roundoff of a point whose value is certain, counts as no distance;
+    a larger miss where ``se`` is zero counts as infinitely far."""
+    dev = np.abs(estimate - target)
+    dev[dev <= 1e-12] = 0.0
+    far = np.where(dev > 0, np.inf, 0.0)
+    return float(np.divide(dev, se, out=far, where=se > 0).max())
+
+
+def sweep_checks(result, config: TwoQubitExperimentConfig) -> dict[str, IdentityCheck]:
+    """Identity checks of a qubit-pair sweep, keyed by their summary name.
+
+    An exact sweep is checked against the two-point identity, the split of
+    the end-point average and the closed forms.  A shot-mode sweep is
+    checked against the same targets in the model standard errors of
+    ``config``: the error formula evaluated on the exact joints the shots
+    are drawn from.  The targets are known, so the distances are not
+    measured in errors estimated from the same shots.
+    """
+    cols = result.columns
+    closed = closed_form_characteristics(cols["theta"], result.beta, result.epsilon)
+    if result.n_shots is None:
+        split = cols["G_EPM_diag"] + cols["G_EPM_coh"] - cols["G_EPM"]
+        closed_gap = max(float(np.abs(cols[name] - closed[name]).max())
+                         for name in ("G_EPM", "G_EPM_diag", "G_EPM_coh"))
+        return {
+            "max_abs_G_TPM_minus_1": IdentityCheck(
+                float(np.abs(cols["G_TPM"] - 1.0).max()), 1e-9, "max",
+                "max |G_TPM - 1|"),
+            "max_split_defect": IdentityCheck(
+                float(np.abs(split).max()), 1e-10, "max",
+                "max |G_EPM_diag + G_EPM_coh - G_EPM|"),
+            "max_closed_form_deviation": IdentityCheck(
+                closed_gap, 1e-9, "max", "max closed-form deviation of "
+                "G_EPM, G_EPM_diag and G_EPM_coh")}
+    model = sweep_model_errors(config)
+    return {f"max_sigma_distance_{name[2:].lower()}": IdentityCheck(
+                _sigma_distance(cols[name], closed[name], model[name]), 5.0,
+                "max", f"{name}'s largest distance in model standard errors "
+                       f"from {'1' if name == 'G_TPM' else 'its closed form'}")
+            for name in ("G_TPM", "G_EPM", "G_EPM_diag", "G_EPM_coh")}
+
+
+COHERENCE_SHARE_PRESET = "figS3-second-moment"
+
+
+def series_checks(series, preset_name: str) -> dict[str, IdentityCheck]:
+    """Identity checks of a three-level series, keyed by their summary name.
+
+    Every column must be finite and the population and coherence parts of
+    the exponential average and of <dE^2> must add up to their totals; the
+    figS3 preset must also show its sizable coherence share.
+    """
+    cols = series.columns
+    checks = {"non_finite_values": IdentityCheck(
+        sum(int(np.count_nonzero(~np.isfinite(v))) for v in cols.values()), 0,
+        "max", "the number of non-finite values in the columns")}
+    for stem, pop in (("jarzynski", "diagonal"), ("m2", "population")):
+        parts = f"{stem}_{pop} + {stem}_coherence"
+        defect = cols[f"{stem}_{pop}"] + cols[f"{stem}_coherence"] - cols[f"{stem}_epm"]
+        checks[f"max_parts_defect_{stem}"] = IdentityCheck(
+            float(np.abs(defect).max()), 1e-10, "max",
+            f"max |{parts} - {stem}_epm|")
+    if preset_name == COHERENCE_SHARE_PRESET:
+        checks["peak_coherence_fraction"] = IdentityCheck(
+            float(cols["m2_coherence_fraction"].max()), 0.3, "min",
+            "the peak coherence share of <dE^2>")
+    return checks
 
 
 @dataclass(frozen=True)
@@ -110,22 +206,19 @@ def _delta_tv(a, b) -> float:
 
 def tpm_exponential_identity() -> CriterionResult:
     """Two-point exponential average is exactly one across the sweep."""
-    res = two_qubit_sweep(TwoQubitExperimentConfig())
-    gap = float(np.abs(res.columns["G_TPM"] - 1.0).max())
+    cfg = TwoQubitExperimentConfig()
+    res = two_qubit_sweep(cfg)
+    gap = sweep_checks(res, cfg)["max_abs_G_TPM_minus_1"]
     return CriterionResult(
-        "tpm-exponential-identity", gap < TPM_IDENTITY_TOL,
-        f"max |G_TPM - 1| = {gap:.2e} over {res.columns['theta'].size} "
-        f"grid points (tolerance {TPM_IDENTITY_TOL:g})")
+        "tpm-exponential-identity", gap.passed,
+        f"max |G_TPM - 1| = {gap.value:.2e} over {res.columns['theta'].size} "
+        f"grid points (tolerance {gap.bound:g})")
 
 
 def sweep_closed_forms() -> CriterionResult:
     """Simulated sweep columns agree with their closed-form expressions."""
     cfg = TwoQubitExperimentConfig()
-    _, beta = cfg.resolved()
-    res = two_qubit_sweep(cfg)
-    expected = closed_form_characteristics(res.columns["theta"], beta)
-    worst = max(float(np.abs(res.columns[q] - expected[q]).max())
-                for q in ("G_EPM", "G_EPM_diag", "G_EPM_coh"))
+    worst = sweep_checks(two_qubit_sweep(cfg), cfg)["max_closed_form_deviation"]
 
     # End-to-end spot value at the first grid point for a directly given
     # inverse temperature, computed from the operator expressions.
@@ -135,10 +228,9 @@ def sweep_closed_forms() -> CriterionResult:
     chan = UnitaryChannel(controlled_gate(0.0))
     spot = characteristic_function("EPM", rho, chan, spec, spec, 1j * 0.443).real
     spot_gap = abs(spot - 1.37632)
-    passed = worst < CLOSED_FORM_TOL and spot_gap < 1e-4
     return CriterionResult(
-        "sweep-closed-forms", passed,
-        f"max closed-form gap {worst:.2e} (tolerance {CLOSED_FORM_TOL:g}); "
+        "sweep-closed-forms", worst.passed and spot_gap < 1e-4,
+        f"max closed-form gap {worst.value:.2e} (tolerance {worst.bound:g}); "
         f"spot value {spot:.6f} vs 1.37632 (tolerance 1e-4)")
 
 
@@ -369,15 +461,14 @@ def gibbs_relaxation(occupation: str = "bose") -> CriterionResult:
 
 def coherence_moment_share() -> CriterionResult:
     """Initial coherence carries a sizable share of the second moment."""
-    preset = PRESETS["figS3-second-moment"]
+    preset = PRESETS[COHERENCE_SHARE_PRESET]
     series = three_level_experiment(preset.three_level, preset.initial_state)
-    frac = series.columns["m2_coherence_fraction"]
-    peak = float(frac.max())
-    t_peak = float(series.times[int(frac.argmax())])
+    peak = series_checks(series, preset.name)["peak_coherence_fraction"]
+    t_peak = float(series.times[int(series.columns["m2_coherence_fraction"].argmax())])
     return CriterionResult(
-        "coherence-moment-share", peak >= COHERENCE_SHARE_MIN,
-        f"max coherence share of <dE^2> is {peak:.4f} at t = {t_peak:.2f} "
-        f"(threshold {COHERENCE_SHARE_MIN:g})")
+        "coherence-moment-share", peak.passed,
+        f"max coherence share of <dE^2> is {peak.value:.4f} at t = {t_peak:.2f} "
+        f"(threshold {peak.bound:g})")
 
 
 def finite_shot_calibration() -> CriterionResult:

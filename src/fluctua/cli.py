@@ -24,24 +24,21 @@ import csv
 import dataclasses
 import json
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .acceptance import (
-    CLOSED_FORM_TOL,
-    COHERENCE_SHARE_MIN,
-    TPM_IDENTITY_TOL,
-    run_all,
-)
+from .acceptance import run_all, series_checks, sweep_checks
 from .channels import IntegrationFailure
 from .models import (
     PRESETS,
     InconsistentConfig,
     InitialStateSpec,
     InvalidConfig,
-    closed_form_characteristics,
-    sweep_model_errors,
+    ThreeLevelConfig,
+    TwoQubitExperimentConfig,
     three_level_experiment,
     two_qubit_sweep,
 )
@@ -53,11 +50,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_CHECK = 4
 
-SWEEP_TOLERANCES = {"tpm_identity": TPM_IDENTITY_TOL,
-                    "closed_form": CLOSED_FORM_TOL, "split_identity": 1e-10}
-SWEEP_SHOT_TOLERANCES = {"tpm_sigma": 5.0, "closed_form_sigma": 5.0}
-SERIES_TOLERANCES = {"parts_sum": 1e-10}
-
 
 class ConfigError(ValueError):
     """Malformed or inapplicable run configuration."""
@@ -68,6 +60,23 @@ def _parse_int(key: str, value: str) -> int:
         return int(value)
     except ValueError:
         raise ConfigError(f"{key} expects an integer, got {value!r}") from None
+
+
+def _parse_seed(key: str, value: str) -> int:
+    seed = _parse_int(key, value)
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
+    return seed
+
+
+def _parse_shots(key: str, value: str) -> int | None:
+    """A positive shot count, or None for "exact"."""
+    if value == "exact":
+        return None
+    count = _parse_int(key, value)
+    if count <= 0:
+        raise ConfigError("shots must be a positive integer or 'exact'")
+    return count
 
 
 def _parse_float(key: str, value: str) -> float:
@@ -91,30 +100,53 @@ def _parse_grid(key: str, value: str) -> tuple[float, ...]:
         raise ConfigError(f"{key} expects numbers, got {value!r}") from None
 
 
-_KEY_PARSERS = {
-    "experiment": _parse_str,
-    "out": _parse_str,
-    "seed": _parse_int,
-    "shots": _parse_str,
-    "beta": _parse_float,
-    "theta0": _parse_float,
-    "theta_grid": _parse_grid,
-    "gamma": _parse_float,
-    "beta1": _parse_float,
-    "beta2": _parse_float,
-    "beta3": _parse_float,
-    "drive_amplitude": _parse_float,
-    "drive_form": _parse_str,
-    "t_max": _parse_float,
-    "step": _parse_float,
-    "occupation": _parse_str,
-    "measurement": _parse_str,
+@dataclass(frozen=True)
+class _RunKey:
+    """A run setting: its parser and, per preset kind it applies to, the
+    (config class, field) it sets, or None when it sets no config field."""
+
+    parse: Callable[[str, str], object]
+    targets: dict[str, tuple[type, str] | None]
+
+
+def _sweep(field: str) -> dict:
+    return {"two_qubit": (TwoQubitExperimentConfig, field)}
+
+
+def _model(field: str) -> dict:
+    return {"three_level": (ThreeLevelConfig, field)}
+
+
+_BOTH = {"two_qubit": None, "three_level": None}
+
+# every key of a config file and of the run flags, in one table
+RUN_KEYS = {
+    "experiment": _RunKey(_parse_str, _BOTH),
+    "out": _RunKey(_parse_str, _BOTH),
+    "seed": _RunKey(_parse_seed, {
+        "two_qubit": None,  # seeds the shot sampler
+        "three_level": (InitialStateSpec, "coherence_seed")}),
+    # shots=exact is accepted by the three-level presets too
+    "shots": _RunKey(_parse_shots, {**_sweep("n_shots"), "three_level": None}),
+    "beta": _RunKey(_parse_float, {**_sweep("beta"),
+                                   "three_level": (InitialStateSpec, "beta_ref")}),
+    "theta0": _RunKey(_parse_float, _sweep("theta0")),
+    "theta_grid": _RunKey(_parse_grid, _sweep("theta_grid")),
+    "gamma": _RunKey(_parse_float, _model("gamma")),
+    "beta1": _RunKey(_parse_float, _model("beta1")),
+    "beta2": _RunKey(_parse_float, _model("beta2")),
+    "beta3": _RunKey(_parse_float, _model("beta3")),
+    "drive_amplitude": _RunKey(_parse_float, _model("drive_amplitude")),
+    "drive_form": _RunKey(_parse_str, _model("drive_form")),
+    "t_max": _RunKey(_parse_float, _model("t_max")),
+    "step": _RunKey(_parse_float, _model("step")),
+    "occupation": _RunKey(_parse_str, _model("occupation_convention")),
+    "measurement": _RunKey(_parse_str, _model("measurement_convention")),
 }
 
-_TWO_QUBIT_ONLY = {"theta0", "theta_grid"}
-_THREE_LEVEL_ONLY = {"gamma", "beta1", "beta2", "beta3", "drive_amplitude",
-                     "drive_form", "t_max", "step", "occupation",
-                     "measurement"}
+# where a key of the other preset kind is meaningful, by preset kind
+_ELSEWHERE = {"two_qubit": "driven three-level presets",
+              "three_level": "qubit-pair sweep preset"}
 
 
 def _read_config_file(path: str) -> dict:
@@ -132,264 +164,100 @@ def _read_config_file(path: str) -> dict:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, value = key.strip(), value.strip()
-        if key not in _KEY_PARSERS:
+        if key not in RUN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown configuration "
                               f"key {key!r}")
-        data[key] = _KEY_PARSERS[key](key, value)
+        data[key] = RUN_KEYS[key].parse(key, value)
     return data
 
 
 def _merge_run_settings(args) -> dict:
     settings = _read_config_file(args.config) if args.config else {}
-    for key in ("out", "seed", "shots", "beta", "theta0", "occupation",
-                "measurement"):
-        value = getattr(args, key)
+    for key, spec in RUN_KEYS.items():
+        value = getattr(args, key, None)
         if value is not None:
-            settings[key] = value
-    if args.experiment is not None:
-        settings["experiment"] = args.experiment
+            settings[key] = spec.parse(key, value)
     return settings
 
 
-def _resolve_shots(settings: dict) -> int | None:
-    raw = settings.get("shots")
-    if raw is None or raw == "exact":
-        return None
-    count = _parse_int("shots", raw) if isinstance(raw, str) else raw
-    if count <= 0:
-        raise ConfigError("shots must be a positive integer or 'exact'")
-    return count
-
-
 def _check_applicability(settings: dict, kind: str) -> None:
-    if kind == "two_qubit":
-        stray = sorted(_THREE_LEVEL_ONLY & settings.keys())
-        if stray:
-            raise ConfigError(
-                f"{', '.join(stray)}: only meaningful for the driven "
-                "three-level presets")
-    else:
-        stray = sorted(_TWO_QUBIT_ONLY & settings.keys())
-        if stray:
-            raise ConfigError(
-                f"{', '.join(stray)}: only meaningful for the qubit-pair "
-                "sweep preset")
-        if _resolve_shots(settings) is not None:
-            raise ConfigError(
-                "finite-shot sampling is only defined for the qubit-pair "
-                "sweep preset; use shots=exact")
-    seed = settings.get("seed")
-    if seed is not None and seed < 0:
-        raise ConfigError("seed must be non-negative")
+    stray = sorted(key for key in settings if kind not in RUN_KEYS[key].targets)
+    if stray:
+        raise ConfigError(f"{', '.join(stray)}: only meaningful for the "
+                          f"{_ELSEWHERE[kind]}")
+    if kind == "three_level" and settings.get("shots") is not None:
+        raise ConfigError(
+            "finite-shot sampling is only defined for the qubit-pair "
+            "sweep preset; use shots=exact")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
-    return obj
+def _overrides(settings: dict, cls: type) -> dict:
+    """The ``cls`` fields that the settings override."""
+    return {target[1]: settings[key] for key, spec in RUN_KEYS.items()
+            if key in settings for target in spec.targets.values()
+            if target and target[0] is cls}
 
 
-def _write_outputs(out_dir: Path, columns: dict, summary: dict,
-                   plot_title: str, x_name: str, plot_columns) -> None:
+def _resolved_config(settings: dict, kind: str, configs) -> dict:
+    """Each key that applies to ``kind``, read back from the configs it sets."""
+    by_class = {type(cfg): cfg for cfg in configs}
+    echo = {}
+    for key, spec in RUN_KEYS.items():
+        if kind in spec.targets:
+            target = spec.targets[kind]
+            echo[key] = (getattr(by_class[target[0]], target[1]) if target
+                         else settings.get(key))
+    return echo
+
+
+def _write_outputs(out_dir: Path, preset, columns: dict, summary: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     names = list(columns)
-    n_rows = len(columns[names[0]])
     with open(out_dir / "results.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for i in range(n_rows):
+        for i in range(len(columns[names[0]])):
             writer.writerow([f"{float(columns[name][i]):.12g}"
                              for name in names])
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    series = {name: columns[name] for name in plot_columns if name in columns}
-    svg = line_chart(columns[x_name], series, title=plot_title,
-                     x_label=x_name)
+    series = {name: columns[name] for name in preset.plot_columns
+              if name in columns}
+    svg = line_chart(columns[names[0]], series, title=preset.name,
+                     x_label=names[0])
     (out_dir / "plot.svg").write_text(svg)
 
 
-def _sweep_self_check(result, model: dict[str, np.ndarray] | None) -> list[str]:
-    """Identity and closed-form checks of a sweep; ``model`` holds the
-    model standard errors of a shot-mode sweep (``None`` when exact)."""
-    cols = result.columns
-    fails = []
-    closed = closed_form_characteristics(cols["theta"], result.beta, result.epsilon)
-    if result.n_shots is None:
-        dev_tpm = float(np.abs(cols["G_TPM"] - 1.0).max())
-        if dev_tpm > SWEEP_TOLERANCES["tpm_identity"]:
-            fails.append(f"max |G_TPM - 1| = {dev_tpm:.3e} exceeds "
-                         f"{SWEEP_TOLERANCES['tpm_identity']:g}")
-        dev_split = float(np.abs(cols["G_EPM_diag"] + cols["G_EPM_coh"]
-                                 - cols["G_EPM"]).max())
-        if dev_split > SWEEP_TOLERANCES["split_identity"]:
-            fails.append(f"max split defect = {dev_split:.3e} exceeds "
-                         f"{SWEEP_TOLERANCES['split_identity']:g}")
-        dev_cf = max(float(np.abs(cols[name] - closed[name]).max())
-                     for name in ("G_EPM", "G_EPM_diag", "G_EPM_coh"))
-        if dev_cf > SWEEP_TOLERANCES["closed_form"]:
-            fails.append(f"max closed-form deviation = {dev_cf:.3e} exceeds "
-                         f"{SWEEP_TOLERANCES['closed_form']:g}")
-    else:
-        sigma = SWEEP_SHOT_TOLERANCES["tpm_sigma"]
-        bad = np.abs(cols["G_TPM"] - 1.0) > sigma * model["G_TPM"] + 1e-12
-        if bad.any():
-            fails.append(f"{int(bad.sum())} grid points put G_TPM farther "
-                         f"than {sigma:g} model standard errors from 1")
-        sigma = SWEEP_SHOT_TOLERANCES["closed_form_sigma"]
-        for name in ("G_EPM", "G_EPM_diag", "G_EPM_coh"):
-            bad = (np.abs(cols[name] - closed[name])
-                   > sigma * model[name] + 1e-12)
-            if bad.any():
-                fails.append(f"{int(bad.sum())} grid points put {name} "
-                             f"farther than {sigma:g} model standard errors "
-                             "from its closed form")
-    return fails
-
-
-def _series_self_check(series, preset_name: str) -> list[str]:
-    cols = series.columns
-    fails = []
-    for name, values in cols.items():
-        if not np.isfinite(values).all():
-            fails.append(f"column {name} contains non-finite values")
-    dev_jar = float(np.abs(cols["jarzynski_diagonal"]
-                           + cols["jarzynski_coherence"]
-                           - cols["jarzynski_epm"]).max())
-    if dev_jar > SERIES_TOLERANCES["parts_sum"]:
-        fails.append(f"exponential-average parts miss their total by "
-                     f"{dev_jar:.3e} (tolerance "
-                     f"{SERIES_TOLERANCES['parts_sum']:g})")
-    dev_m2 = float(np.abs(cols["m2_population"] + cols["m2_coherence"]
-                          - cols["m2_epm"]).max())
-    if dev_m2 > SERIES_TOLERANCES["parts_sum"]:
-        fails.append(f"second-moment parts miss their total by "
-                     f"{dev_m2:.3e} (tolerance "
-                     f"{SERIES_TOLERANCES['parts_sum']:g})")
-    if preset_name == "figS3-second-moment":
-        peak = float(cols["m2_coherence_fraction"].max())
-        if peak < COHERENCE_SHARE_MIN:
-            fails.append(f"peak coherence share {peak:.4f} is below "
-                         f"{COHERENCE_SHARE_MIN:g}")
-    return fails
-
-
-def _run_two_qubit(preset, settings: dict, out_dir: Path) -> list[str]:
-    base = preset.two_qubit
-    n_shots = _resolve_shots(settings)
-    seed = settings.get("seed", 0)
+def _run_two_qubit(preset, settings: dict):
     try:
-        cfg = dataclasses.replace(
-            base,
-            theta0=settings.get("theta0", base.theta0),
-            beta=settings.get("beta", base.beta),
-            theta_grid=tuple(settings.get("theta_grid", base.theta_grid)),
-            n_shots=n_shots)
+        cfg = dataclasses.replace(preset.two_qubit, **_overrides(
+            settings, TwoQubitExperimentConfig))
         theta0, beta = cfg.resolved()
     except (InconsistentConfig, InvalidConfig) as exc:
         raise ConfigError(str(exc)) from None
-    result = two_qubit_sweep(cfg, gen=SeededGenerator(seed))
-    cols = result.columns
-    model = None
-
-    results = {"theta0": theta0, "beta": beta, "epsilon": result.epsilon,
-               "grid_points": len(cols["theta"]),
-               "max_abs_G_TPM_minus_1": float(np.abs(cols["G_TPM"] - 1).max())}
-    if n_shots is None:
-        closed = closed_form_characteristics(cols["theta"], beta,
-                                             result.epsilon)["G_EPM"]
-        results["max_closed_form_deviation"] = \
-            float(np.abs(cols["G_EPM"] - closed).max())
-        tolerances = dict(SWEEP_TOLERANCES)
-    else:
-        results["n_shots"] = n_shots
-        results["seed"] = seed
-        # the estimates are compared with known values, so their distance
-        # is measured in the standard errors of the exact distributions the
-        # shots are drawn from, not in the errors estimated from the shots;
-        # the self-check below uses the same errors
-        model = sweep_model_errors(cfg)
-        se = model["G_TPM"]
-        mask = se > 0
-        results["max_sigma_distance_tpm"] = float(
-            (np.abs(cols["G_TPM"] - 1)[mask] / se[mask]).max()) \
-            if mask.any() else 0.0
-        tolerances = dict(SWEEP_SHOT_TOLERANCES)
-
-    summary = {"experiment": preset.name, "kind": preset.kind,
-               "description": preset.description,
-               "config": {k: settings.get(k) for k in _KEY_PARSERS},
-               "results": results, "tolerances": tolerances,
-               "columns": result.column_names(),
-               "rows": len(cols["theta"])}
-    _write_outputs(out_dir, cols, summary, preset.name, "theta",
-                   preset.plot_columns)
-    return _sweep_self_check(result, model)
+    result = two_qubit_sweep(cfg, gen=SeededGenerator(settings.setdefault("seed", 0)))
+    results = {"epsilon": result.epsilon, "grid_points": len(result.columns["theta"])}
+    return (result.columns, [dataclasses.replace(cfg, theta0=theta0, beta=beta)],
+            results, sweep_checks(result, cfg))
 
 
-def _run_three_level(preset, settings: dict, out_dir: Path) -> list[str]:
-    overrides = {}
-    for key, field in (("gamma", "gamma"), ("beta1", "beta1"),
-                       ("beta2", "beta2"), ("beta3", "beta3"),
-                       ("drive_amplitude", "drive_amplitude"),
-                       ("drive_form", "drive_form"), ("t_max", "t_max"),
-                       ("step", "step"),
-                       ("occupation", "occupation_convention"),
-                       ("measurement", "measurement_convention")):
-        if key in settings:
-            overrides[field] = settings[key]
+def _run_three_level(preset, settings: dict):
     try:
-        cfg = dataclasses.replace(preset.three_level, **overrides)
+        cfg = dataclasses.replace(preset.three_level,
+                                  **_overrides(settings, ThreeLevelConfig))
     except (InvalidConfig, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    state = preset.initial_state or InitialStateSpec()
-    if "beta" in settings:
-        state = dataclasses.replace(state, beta_ref=settings["beta"])
-    if "seed" in settings:
-        state = dataclasses.replace(state, coherence_seed=settings["seed"])
+    state = dataclasses.replace(preset.initial_state or InitialStateSpec(),
+                                **_overrides(settings, InitialStateSpec))
     series = three_level_experiment(cfg, state)
     cols = series.columns
-
-    results = {"beta_ref": series.beta_ref, "gamma": cfg.gamma,
-               "omega1": cfg.omega1, "omega2": cfg.omega2,
-               "omega3": cfg.omega3,
-               "drive_amplitude": cfg.drive_amplitude,
-               "drive_form": cfg.drive_form, "t_max": cfg.t_max,
-               "step": cfg.step,
-               "occupation_convention": cfg.occupation_convention,
-               "measurement_convention": cfg.measurement_convention,
-               "coherence_seed": state.coherence_seed,
-               "peak_coherence_fraction":
-                   float(cols["m2_coherence_fraction"].max()),
+    results = {"omega1": cfg.omega1, "omega2": cfg.omega2, "omega3": cfg.omega3,
+               "peak_coherence_fraction": float(cols["m2_coherence_fraction"].max()),
                "final_jarzynski_epm": float(cols["jarzynski_epm"][-1]),
                "final_entropy_gap_epm_tpm":
-                   float(cols["entropy_epm"][-1] - cols["entropy_tpm"][-1]),
-               "max_parts_defect_jarzynski":
-                   float(np.abs(cols["jarzynski_diagonal"]
-                                + cols["jarzynski_coherence"]
-                                - cols["jarzynski_epm"]).max()),
-               "max_parts_defect_m2":
-                   float(np.abs(cols["m2_population"] + cols["m2_coherence"]
-                                - cols["m2_epm"]).max())}
-    tolerances = dict(SERIES_TOLERANCES)
-    if preset.name == "figS3-second-moment":
-        tolerances["coherence_share_min"] = COHERENCE_SHARE_MIN
-
-    summary = {"experiment": preset.name, "kind": preset.kind,
-               "description": preset.description,
-               "config": {k: settings.get(k) for k in _KEY_PARSERS},
-               "results": results, "tolerances": tolerances,
-               "columns": series.column_names(),
-               "rows": len(series.times)}
-    _write_outputs(out_dir, cols, summary, preset.name, "t",
-                   preset.plot_columns)
-    return _series_self_check(series, preset.name)
+                   float(cols["entropy_epm"][-1] - cols["entropy_tpm"][-1])}
+    return cols, [cfg, state], results, series_checks(series, preset.name)
 
 
 def _cmd_run(args) -> int:
@@ -403,16 +271,24 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"unknown preset {name!r}; valid presets: "
                           + ", ".join(sorted(PRESETS)))
     _check_applicability(settings, preset.kind)
-    out_dir = Path(settings.get("out", name))
-    if preset.kind == "two_qubit":
-        failures = _run_two_qubit(preset, settings, out_dir)
-    else:
-        failures = _run_three_level(preset, settings, out_dir)
+    out_dir = Path(settings.setdefault("out", name))
+    run = _run_two_qubit if preset.kind == "two_qubit" else _run_three_level
+    columns, configs, results, checks = run(preset, settings)
+    # every checked value is reported under results, its bound under
+    # tolerances, by the same name
+    _write_outputs(out_dir, preset, columns, {
+        "experiment": preset.name, "kind": preset.kind,
+        "description": preset.description,
+        "config": _resolved_config(settings, preset.kind, configs),
+        "results": {**results, **{k: c.value for k, c in checks.items()}},
+        "tolerances": {k: c.bound for k, c in checks.items()},
+        "columns": list(columns), "rows": len(columns[next(iter(columns))])})
     print(f"wrote {out_dir}/results.csv, summary.json, plot.svg")
     if args.check:
+        failures = [c.failure() for c in checks.values() if not c.passed]
+        for message in failures:
+            print(f"self-check failed: {message}", file=sys.stderr)
         if failures:
-            for message in failures:
-                print(f"self-check failed: {message}", file=sys.stderr)
             return EXIT_CHECK
         print("self-check passed")
     return EXIT_OK
@@ -449,15 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="flat key=value file; flags override its values")
     run_p.add_argument("--out", metavar="DIR",
                        help="output directory (default: ./PRESET)")
-    run_p.add_argument("--seed", type=int,
+    run_p.add_argument("--seed",
                        help="shot sampling seed, or the coherence seed of "
                             "the driven-system initial state")
     run_p.add_argument("--shots", metavar="N|exact",
                        help="finite-shot estimation with N samples per "
                             "grid point (sweep preset only)")
-    run_p.add_argument("--beta", type=float,
+    run_p.add_argument("--beta",
                        help="inverse temperature of the initial state")
-    run_p.add_argument("--theta0", type=float,
+    run_p.add_argument("--theta0",
                        help="initial qubit rotation angle (sweep preset)")
     run_p.add_argument("--occupation", choices=("bose", "as_printed"),
                        help="bath occupation convention (three-level)")

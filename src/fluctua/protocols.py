@@ -283,6 +283,14 @@ def mll_joint(rho, channel: Channel, spec_i: SpectralDecomposition,
     return protocol_joint("MLL", rho, channel, spec_i, spec_f)
 
 
+def _merge_tol(initial_energies, final_energies):
+    """Default merge width of energy changes: 1e-9 times the summed energy
+    scales (one per row of a batch), or 1e-15 when both scales are zero."""
+    scale = (np.max(np.abs(final_energies), axis=-1, initial=0.0)
+             + np.max(np.abs(initial_energies), axis=-1, initial=0.0))
+    return np.where(scale > 0, 1e-9 * scale, 1e-15)
+
+
 def _merge_groups(values: np.ndarray, tol):
     """Sort ``values`` along the last axis and label its merged groups.
 
@@ -320,9 +328,7 @@ def delta_distribution(joint: JointEnergyDistribution,
     width.  A group of zero mass takes the plain mean of its values.
     """
     if merge_tol is None:
-        scale = (np.max(np.abs(joint.final_energies), axis=-1, initial=0.0)
-                 + np.max(np.abs(joint.initial_energies), axis=-1, initial=0.0))
-        merge_tol = np.where(scale > 0, 1e-9 * scale, 1e-15)
+        merge_tol = _merge_tol(joint.initial_energies, joint.final_energies)
     deltas = joint.delta_grid()
     deltas = deltas.reshape(*deltas.shape[:-2], -1)
     if deltas.shape[-1] == 0:
@@ -388,8 +394,7 @@ def _characteristic(weights, states, channel: Channel, spec_i: SpectralDecomposi
 
 
 def characteristic_split(rho, channel: Channel, spec_i: SpectralDecomposition,
-                         spec_f: SpectralDecomposition, u: complex,
-                         basis=None, sectors: SpectralDecomposition | None = None):
+                         spec_f: SpectralDecomposition, u: complex, basis=None):
     """EPM characteristic function split into population and coherence parts.
 
     Returns ``(g_pop, g_coh)`` with g_pop built from the dephased state and
@@ -397,7 +402,7 @@ def characteristic_split(rho, channel: Channel, spec_i: SpectralDecomposition,
     dephasing basis diagonalizes the initial Hamiltonian (the intended
     use), g_pop + g_coh equals the EPM characteristic function.
     """
-    split = coherence_split(rho, basis=basis, sectors=sectors)
+    split = coherence_split(rho, basis=basis)
     exp_i = matrix_phase_exp(None, -1j * u, decomposition=spec_i)
     exp_f = matrix_phase_exp(None, 1j * u, decomposition=spec_f)
     front = _trace(exp_i @ split.populations)
@@ -420,15 +425,14 @@ class SecondMomentSplit:
 
 
 def epm_second_moment_split(rho, channel: Channel, spec_i: SpectralDecomposition,
-                            spec_f: SpectralDecomposition, basis=None,
-                            sectors: SpectralDecomposition | None = None) -> SecondMomentSplit:
+                            spec_f: SpectralDecomposition, basis=None) -> SecondMomentSplit:
     """Split <dE^2> under EPM into the dephased part plus coherence terms.
 
     The population part is the second moment the protocol would give for
     the dephased state; the coherence part is
     tr(H_f^2 Phi[chi]) - 2 tr(Phi[chi] H_f) tr(P H_i).
     """
-    split = coherence_split(rho, basis=basis, sectors=sectors)
+    split = coherence_split(rho, basis=basis)
     h_i = spec_i.reconstruct()
     h_f = spec_f.reconstruct()
     h_i2 = spectral_sum(spec_i.energies ** 2, spec_i)
@@ -644,8 +648,5 @@ def convexity_witness(rho1, rho2, zeta: float, channel: Channel,
                                        + (1 - zeta) * coherent_cells(rho2))
     # aggregate cells by energy change before taking the total variation
     deltas = (spec_f.energies[None, :] - spec_i.energies[:, None]).reshape(-1)
-    scale = (float(np.max(np.abs(spec_f.energies)))
-             + float(np.max(np.abs(spec_i.energies))))
-    tol = 1e-9 * scale if scale > 0 else 1e-15
-    order, labels = _merge_groups(deltas, tol)
+    order, labels = _merge_groups(deltas, _merge_tol(spec_i.energies, spec_f.energies))
     return 0.5 * float(np.sum(np.abs(_segment_sums(labels, gap_cells.reshape(-1)[order]))))

@@ -11,7 +11,8 @@ any global state.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,14 +36,20 @@ class DegenerateTarget(UserWarning):
 
 @dataclass
 class SeededGenerator:
-    """Deterministic random stream with index-addressable child streams."""
+    """Deterministic random stream with index-addressable child streams.
+
+    The PCG64 generator is built on first use, so a stream that only
+    spawns children never builds one.
+    """
 
     seed: int
-    rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
         self.seed = int(self.seed) & _MASK64
-        self.rng = np.random.Generator(np.random.PCG64(self.seed))
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(self.seed))
 
     def spawn(self, index: int) -> "SeededGenerator":
         """Child stream number ``index`` (deterministic, order-independent)."""

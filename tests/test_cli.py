@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 import fluctua
-from fluctua.acceptance import CriterionResult
+from fluctua.acceptance import CriterionResult, IdentityCheck
 from fluctua.channels import IntegrationFailure
 from fluctua.cli import main
 from fluctua.models import SWEEP_COLUMNS, THREE_LEVEL_COLUMNS, PRESETS
-from fluctua.models import closed_form_characteristics
+from fluctua.models import closed_form_characteristics, sweep_model_errors
 from fluctua.qcore import dephase
 
 
@@ -53,7 +53,7 @@ def test_run_exact_sweep_outputs(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["rows"] == 21
     assert summary["experiment"] == "fig2-sweep"
-    assert math.isclose(summary["results"]["beta"], math.log(math.tan(1.0)),
+    assert math.isclose(summary["config"]["beta"], math.log(math.tan(1.0)),
                         rel_tol=0, abs_tol=1e-12)
     doc = xml.dom.minidom.parse(str(out / "plot.svg"))
     assert doc.getElementsByTagName("polyline")
@@ -109,7 +109,7 @@ def test_run_three_level_preset(tmp_path):
     assert header == list(THREE_LEVEL_COLUMNS)
     assert len(rows) == 101
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["results"]["t_max"] == 2.0
+    assert summary["config"]["t_max"] == 2.0
     assert summary["results"]["max_parts_defect_jarzynski"] < 1e-10
 
 
@@ -132,7 +132,7 @@ def test_beta_flag_sets_reference_temperature(tmp_path):
     main(["run", "figS2-jarzynski-closed", "--config", str(cfg),
           "--beta", "0.8", "--out", str(out)])
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["results"]["beta_ref"] == 0.8
+    assert summary["config"]["beta"] == 0.8
 
 
 def test_config_file_values_and_flag_override(tmp_path):
@@ -141,11 +141,11 @@ def test_config_file_values_and_flag_override(tmp_path):
                    f"out={tmp_path / 'a'}\n")
     assert main(["run", "--config", str(cfg)]) == 0
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
-    assert summary["results"]["beta"] == 0.7
+    assert summary["config"]["beta"] == 0.7
     assert main(["run", "--config", str(cfg), "--beta", "0.9",
                  "--out", str(tmp_path / "b")]) == 0
     summary = json.loads((tmp_path / "b" / "summary.json").read_text())
-    assert summary["results"]["beta"] == 0.9
+    assert summary["config"]["beta"] == 0.9
 
 
 def test_default_out_dir_is_preset_name(tmp_path, monkeypatch):
@@ -256,21 +256,26 @@ def test_shot_summary_distance_is_the_self_check_z_score(tmp_path, monkeypatch):
     # the summary reports G_TPM's distance from 1 in the same model
     # standard errors that the shot-mode self-check tests against
     seen = {}
-    real = fluctua.cli._sweep_self_check
+    real = fluctua.cli.sweep_checks
 
-    def spy(result, model):
-        seen.update(result=result, model=model)
-        return real(result, model)
+    def spy(result, config):
+        seen.update(result=result, config=config)
+        seen["checks"] = real(result, config)
+        return seen["checks"]
 
-    monkeypatch.setattr("fluctua.cli._sweep_self_check", spy)
+    monkeypatch.setattr("fluctua.cli.sweep_checks", spy)
     code = main(["run", "fig2-sweep", "--shots", "2048", "--seed", "5",
                  "--out", str(tmp_path / "s"), "--check"])
     assert code == 0
     summary = json.loads((tmp_path / "s" / "summary.json").read_text())
-    se = seen["model"]["G_TPM"]
-    z = np.abs(seen["result"].columns["G_TPM"] - 1.0)[se > 0] / se[se > 0]
-    assert summary["results"]["max_sigma_distance_tpm"] == z.max()
-    assert z.max() < summary["tolerances"]["tpm_sigma"]
+    se = sweep_model_errors(seen["config"])["G_TPM"]
+    dev = np.abs(seen["result"].columns["G_TPM"] - 1.0)
+    assert np.all(dev[se == 0] <= 1e-12)
+    z = dev[se > 0] / se[se > 0]
+    check = seen["checks"]["max_sigma_distance_tpm"]
+    assert summary["results"]["max_sigma_distance_tpm"] == check.value == z.max()
+    assert summary["tolerances"]["max_sigma_distance_tpm"] == check.bound == 5.0
+    assert z.max() < check.bound and check.passed
 
 
 def test_shot_self_check_catches_incoherent_sampler(tmp_path, monkeypatch, capsys):
@@ -290,8 +295,8 @@ def test_shot_self_check_catches_incoherent_sampler(tmp_path, monkeypatch, capsy
 
 
 def test_failed_self_check_exits_4(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr("fluctua.cli._sweep_self_check",
-                        lambda result, model: ["synthetic defect"])
+    failing = {"synthetic": IdentityCheck(1.0, 0.0, "max", "synthetic defect")}
+    monkeypatch.setattr("fluctua.cli.sweep_checks", lambda result, config: failing)
     code = main(["run", "fig2-sweep", "--out", str(tmp_path / "s"),
                  "--check"])
     assert code == 4
@@ -304,3 +309,129 @@ def test_plot_contains_legend_labels(tmp_path):
     svg = (out / "plot.svg").read_text()
     for name in PRESETS["fig2-sweep"].plot_columns:
         assert name in svg
+
+
+SWEEP, SERIES = "fig2-sweep", "figS2-jarzynski-closed"
+
+# key: (preset, config-file value, where it must land, parsed value)
+# where: a TwoQubitExperimentConfig ("sweep"), ThreeLevelConfig ("model")
+# or InitialStateSpec ("state") field, or the sweep's generator seed
+KEY_CASES = {
+    "experiment": [(SWEEP, SWEEP, None, None), (SERIES, SERIES, None, None)],
+    "out": [(SWEEP, "elsewhere", None, None), (SERIES, "elsewhere", None, None)],
+    "seed": [(SWEEP, "9", ("gen", "seed"), 9),
+             (SERIES, "5", ("state", "coherence_seed"), 5)],
+    "shots": [(SWEEP, "16", ("sweep", "n_shots"), 16),
+              (SERIES, "exact", None, None)],
+    "beta": [(SWEEP, "0.7", ("sweep", "beta"), 0.7),
+             (SERIES, "0.8", ("state", "beta_ref"), 0.8)],
+    "theta0": [(SWEEP, "1.9", ("sweep", "theta0"), 1.9)],
+    "theta_grid": [(SWEEP, "0, 0.5 1", ("sweep", "theta_grid"), (0.0, 0.5, 1.0))],
+    "gamma": [(SERIES, "0.25", ("model", "gamma"), 0.25)],
+    "beta1": [(SERIES, "2.5", ("model", "beta1"), 2.5)],
+    "beta2": [(SERIES, "1.5", ("model", "beta2"), 1.5)],
+    "beta3": [(SERIES, "0.5", ("model", "beta3"), 0.5)],
+    "drive_amplitude": [(SERIES, "1.25", ("model", "drive_amplitude"), 1.25)],
+    "drive_form": [(SERIES, "double_frequency", ("model", "drive_form"),
+                    "double_frequency")],
+    "t_max": [(SERIES, "3", ("model", "t_max"), 3.0)],
+    "step": [(SERIES, "0.002", ("model", "step"), 0.002)],
+    "occupation": [(SERIES, "as_printed", ("model", "occupation_convention"),
+                    "as_printed")],
+    "measurement": [(SERIES, "bare", ("model", "measurement_convention"), "bare")],
+}
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_key_cases_cover_the_key_table():
+    assert set(KEY_CASES) == set(fluctua.cli.RUN_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(KEY_CASES))
+def test_config_key_reaches_its_field(key, tmp_path, monkeypatch, capsys):
+    seen = {}
+    real_sweep = fluctua.cli.two_qubit_sweep
+
+    def sweep(cfg, gen=None):
+        seen.update(sweep=cfg, gen=gen)
+        return real_sweep(cfg, gen=gen)
+
+    def series(cfg, state):
+        seen.update(model=cfg, state=state)
+        raise _Stop
+
+    monkeypatch.setattr("fluctua.cli.two_qubit_sweep", sweep)
+    monkeypatch.setattr("fluctua.cli.three_level_experiment", series)
+    monkeypatch.chdir(tmp_path)
+    for preset, text, where, value in KEY_CASES[key]:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        argv = ["run", "--config", str(cfg)]
+        if key != "experiment":
+            argv.insert(1, preset)
+        seen.clear()
+        if preset == SWEEP:
+            assert main(argv) == 0
+        else:
+            with pytest.raises(_Stop):
+                main(argv)
+        assert ("sweep" if preset == SWEEP else "model") in seen
+        if where is not None:
+            assert getattr(seen[where[0]], where[1]) == value
+    if key == "out":
+        assert (tmp_path / "elsewhere" / "results.csv").is_file()
+
+    # a key of only one preset kind is refused by the other kind
+    kinds = {preset for preset, *_ in KEY_CASES[key]}
+    if kinds != {SWEEP, SERIES}:
+        other = SERIES if kinds == {SWEEP} else SWEEP
+        text = KEY_CASES[key][0][1]
+        cfg.write_text(f"{key} = {text}\n")
+        capsys.readouterr()
+        assert main(["run", other, "--config", str(cfg)]) == 2
+        assert f"{key}: only meaningful for the" in capsys.readouterr().err
+
+
+def test_config_echo_holds_the_resolved_value_of_each_applicable_key(tmp_path):
+    out = tmp_path / "s"
+    assert main(["run", SWEEP, "--out", str(out)]) == 0
+    config = json.loads((out / "summary.json").read_text())["config"]
+    sweep_keys = {k for k, spec in fluctua.cli.RUN_KEYS.items()
+                  if "two_qubit" in spec.targets}
+    assert set(config) == sweep_keys
+    assert config["theta0"] == 2.0 and config["seed"] == 0
+    assert config["shots"] is None and config["out"] == str(out)
+    assert math.isclose(config["beta"], math.log(math.tan(1.0)), abs_tol=1e-12)
+
+
+_SHORT = "t_max=2.0\nstep=0.005\n"
+# the only check whose tested value must stay above its bound
+_FLOORS = {"peak_coherence_fraction"}
+
+
+@pytest.mark.parametrize("argv, config_text, code", [
+    ([SWEEP], None, 0),
+    ([SWEEP, "--shots", "2048", "--seed", "5"], None, 0),
+    ([SWEEP, "--shots", "2048", "--seed", "2135193589"], None, 4),
+    (["figS2b-jarzynski-open"], _SHORT, 0),
+    (["figS3-second-moment"], None, 0),
+    (["figS3-second-moment"], _SHORT, 4),
+], ids=["exact-sweep", "shot-sweep", "shot-sweep-alarm", "three-level",
+        "figS3", "figS3-short"])
+def test_check_verdict_is_the_summary_comparison(argv, config_text, code, tmp_path):
+    args = ["run", *argv, "--out", str(tmp_path / "s"), "--check"]
+    if config_text:
+        (tmp_path / "run.cfg").write_text(config_text)
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert main(args) == code
+    summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+    results, tolerances = summary["results"], summary["tolerances"]
+    assert tolerances and set(tolerances) <= set(results)
+    held = [results[k] >= bound if k in _FLOORS else results[k] <= bound
+            for k, bound in tolerances.items()]
+    assert code == (0 if all(held) else 4)
+    if argv[0] == "figS3-second-moment":
+        assert "peak_coherence_fraction" in tolerances

@@ -29,6 +29,21 @@ def test_spawn_is_deterministic_and_distinct():
     assert gen.normal() == y
 
 
+def test_spawned_streams_draw_pinned_values():
+    # the generator is built on first use; the draws of a spawned stream are
+    # the ones it gave when every stream built its generator at creation
+    gen = SeededGenerator(2026)
+    kid = gen.spawn(3).spawn(1)
+    assert "rng" not in vars(gen) and "rng" not in vars(kid)
+    assert kid.seed == 4950324153757274004
+    assert kid.random(3).tolist() == [0.11891065623916741, 0.21636639928255685,
+                                      0.923836774876697]
+    assert kid.normal(2).tolist() == [-0.11702338149142243, -0.0787000718359688]
+    assert kid.integers(0, 1000, size=3).tolist() == [416, 585, 444]
+    assert gen.spawn(20).spawn(2).random(2).tolist() == [0.27001737570856,
+                                                         0.04672543423683628]
+
+
 def test_integer_seed_accepted():
     assert np.array_equal(haar_random_pure(3, 7), haar_random_pure(3, 7))
 
