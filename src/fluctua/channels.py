@@ -18,16 +18,19 @@ channels; :func:`propagate` applies its last snapshot to one state.
 The integrator is deliberately fixed-step (no adaptivity) so runs are
 bitwise reproducible; the step is an upper bound and each window is
 subdivided uniformly.  The drive is affine, H(t) = H0 + sum_j e_j(t) V_j,
-so L(t) = L0 + D + sum_j e_j(t) L_j from pieces built once per run.  One
-RK4 step of dS/dt = L(t) S is a product S <- M S with a step map M built
-from the generators at the step's start, midpoint and end.  Blocks of at
-most :data:`STEP_BLOCK` maps are built from one array call of the
-envelopes (bounding the memory of a long window), and a prefix scan
-turns each block into its propagators.  Each step's propagator is
-projected onto the Hermiticity-preserving maps, ``S <- (S + P conj(S) P)/2``
-with P the transpose permutation of vec indices, which removes the slow
-Hermiticity drift of plain RK4 without touching the dynamics; a trace
-drift beyond 1e-6 (or any NaN) at any step aborts the run.
+so L(t) = L0 + D + sum_j e_j(t) L_j from pieces built once per run.
+Every Lindblad generator maps Hermitian matrices to Hermitian matrices,
+so in an orthonormal basis of Hermitian matrices it is a real matrix:
+the pieces are rewritten in that basis once, and the whole integration
+runs in float64.  One RK4 step of dS/dt = L(t) S is a product S <- M S
+with a step map M built from the generators at the step's start,
+midpoint and end.  The maps are built a block at a time from one array
+call of the envelopes, each block's stack bounded by
+:data:`BLOCK_BYTES` (so memory does not grow with the window), and a
+prefix scan turns each block into its propagators.  A real propagator
+preserves Hermiticity by construction, so no step is projected; a trace
+drift beyond 1e-6 (or any NaN) at any step aborts the run.  The
+snapshots return to the row-major vec basis in one batched product.
 """
 
 from __future__ import annotations
@@ -66,8 +69,9 @@ __all__ = [
 ]
 
 TRACE_DRIFT_ABORT = 1e-6
-# Most RK4 step maps built at once: bounds the (n, d^2, d^2) stacks of a block.
-STEP_BLOCK = 16
+# Bytes of one block's (n, d^2, d^2) float64 stack of RK4 step maps: 50 steps
+# at d = 3, 256 at d = 2.
+BLOCK_BYTES = 32 * 1024
 
 
 class IntegrationFailure(RuntimeError):
@@ -310,6 +314,24 @@ def lindblad_generator(hamiltonian, jump_operators) -> np.ndarray:
                                                    h.shape[0])
 
 
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Unitary whose columns are row-major vecs of an orthonormal Hermitian basis.
+
+    The basis is the E_jj, then (E_jk + E_kj)/sqrt(2) and
+    i(E_jk - E_kj)/sqrt(2) for each j < k.  A map that preserves
+    Hermiticity has a real matrix U^dag S U in it, and the trace of a
+    matrix is the sum of its first d coordinates.
+    """
+    u = np.zeros((d, d, d * d), dtype=np.complex128)
+    u[range(d), range(d), range(d)] = 1.0
+    j, k = np.triu_indices(d, 1)
+    sym = d + 2 * np.arange(j.size)
+    u[j, k, sym] = u[k, j, sym] = math.sqrt(0.5)
+    u[j, k, sym + 1] = 1j * math.sqrt(0.5)
+    u[k, j, sym + 1] = -1j * math.sqrt(0.5)
+    return u.reshape(d * d, d * d)
+
+
 def _step_maps(schedule: HamiltonianSchedule, static: np.ndarray,
                coupled: np.ndarray, t0: float, h: float, first: int,
                n: int) -> np.ndarray:
@@ -343,13 +365,18 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     once and incrementally, so the cost is one pass over
     [t_initial, max(times)] regardless of how many snapshot times are
     requested.  Each window between consecutive times takes
-    ceil(span/step) equal steps.  The maps of :data:`STEP_BLOCK` steps
-    are built at a time (see :func:`_step_maps`), so memory does not grow
-    with the window.  With S folded into the first map, a Hillis-Steele
-    scan (the level of stride k sets P_i <- P_i P_{i-k}) gives the block's
-    propagators S_i = M_i ... M_first S in ceil(log2 n) batched products.
-    Every step's propagator is still projected and checked for trace
-    drift.  Times must be non-decreasing and lie inside the schedule window.
+    ceil(span/step) equal steps.  The generators are taken to the real
+    Hermitian basis of :func:`_hermitian_basis`, L_R = U^dag L U, once per
+    call, and everything after runs in float64.  The step maps are built
+    a block at a time (see :func:`_step_maps`), as many as fit in
+    :data:`BLOCK_BYTES`, so memory does not grow with the window.  With S
+    folded into the first map, a Hillis-Steele scan (the level of stride
+    k sets P_i <- P_i P_{i-k}) gives the block's propagators
+    S_i = M_i ... M_first S in ceil(log2 n) batched products.  Every
+    step's propagator is checked for trace drift; none is projected, since
+    a real propagator maps Hermitian matrices to Hermitian matrices.  The
+    snapshots return as U S_R U^dag in one batched product.  Times must be
+    non-decreasing and lie inside the schedule window.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -361,12 +388,14 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     if ts and ts[-1] > schedule.t_final + 1e-12:
         raise ValueError("snapshot after the schedule end")
     d = schedule.dim
-    static = lindblad_generator(schedule.base, jump_operators)
-    coupled = _hamiltonian_generator(schedule.couplings)
+    u = _hermitian_basis(d)
+    u_dag = u.conj().T
+    static = (u_dag @ lindblad_generator(schedule.base, jump_operators) @ u).real.copy()
+    coupled = (u_dag @ _hamiltonian_generator(schedule.couplings) @ u).real.copy()
     driven = len(schedule.couplings) > 0
+    block = max(1, BLOCK_BYTES // static.nbytes)
 
-    diagonal = np.arange(d) * (d + 1)  # vec indices of the diagonal entries
-    s = np.eye(d * d, dtype=np.complex128)
+    s = np.eye(d * d)
     out = []
     t0 = schedule.t_initial
     for t1 in ts:
@@ -374,24 +403,23 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
         if span > 0:
             n_steps = max(1, math.ceil(span / step - 1e-12))
             h = span / n_steps
-            tr0 = s[diagonal].sum(axis=0)
+            tr0 = s[:d].sum(axis=0)
             # without a drive every step of the window has the same map
             window_map = None if driven else _step_maps(schedule, static, coupled,
                                                         t0, h, 0, 1)
-            for first in range(0, n_steps, STEP_BLOCK):
-                n = min(STEP_BLOCK, n_steps - first)
+            for first in range(0, n_steps, block):
+                n = min(block, n_steps - first)
                 steps = (_step_maps(schedule, static, coupled, t0, h, first, n)
                          if driven else np.repeat(window_map, n, axis=0))
-                steps[0] = steps[0] @ s
-                stride = 1
-                while stride < n:
-                    steps[stride:] = steps[stride:] @ steps[:-stride]
-                    stride *= 2
-                # S <- (S + P conj(S) P)/2: the map X -> S(X^dag)^dag, written
-                # on the (row, column) indices of input and output
-                flipped = steps.reshape(n, d, d, d, d).transpose(0, 2, 1, 4, 3)
-                steps = 0.5 * (steps + flipped.reshape(n, d * d, d * d).conj())
-                drift = np.abs(steps[:, diagonal].sum(axis=1) - tr0).max(axis=1)
+                # a run that blows up overflows in the rest of its block; the
+                # drift check below reports the first step that went bad
+                with np.errstate(over="ignore", invalid="ignore"):
+                    steps[0] = steps[0] @ s
+                    stride = 1
+                    while stride < n:
+                        steps[stride:] = steps[stride:] @ steps[:-stride]
+                        stride *= 2
+                    drift = np.abs(steps[:, :d].sum(axis=1) - tr0).max(axis=1)
                 bad = ~(drift <= TRACE_DRIFT_ABORT)
                 if bad.any():
                     i = first + int(np.argmax(bad))
@@ -401,8 +429,9 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
             if np.isnan(s).any():
                 raise IntegrationFailure("NaN in integrated propagator")
         t0 = t1
-        out.append(SuperoperatorChannel(s))
-    return out
+        out.append(s)
+    snapshots = u @ np.array(out).reshape(-1, d * d, d * d) @ u_dag
+    return [SuperoperatorChannel(m) for m in snapshots]
 
 
 def propagate(schedule: HamiltonianSchedule, jump_operators, rho0,

@@ -23,6 +23,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -81,9 +82,12 @@ def _parse_shots(key: str, value: str) -> int | None:
 
 def _parse_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{key} expects a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} expects a finite number, got {value!r}")
+    return number
 
 
 def _parse_str(key: str, value: str) -> str:
@@ -94,10 +98,7 @@ def _parse_grid(key: str, value: str) -> tuple[float, ...]:
     tokens = value.replace(",", " ").split()
     if not tokens:
         raise ConfigError(f"{key} needs at least one value")
-    try:
-        return tuple(float(tok) for tok in tokens)
-    except ValueError:
-        raise ConfigError(f"{key} expects numbers, got {value!r}") from None
+    return tuple(_parse_float(key, tok) for tok in tokens)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,8 @@ class TwoQubitExperimentConfig:
         if len(self.theta_grid) == 0:
             raise InvalidConfig("theta_grid needs at least one value")
         t0, b = self.theta0, self.beta
+        if any(v is not None and not math.isfinite(v) for v in (t0, b)):
+            raise InvalidConfig("theta0 and beta must be finite")
         if t0 is None and b is None:
             t0 = DEFAULT_THETA0
         if t0 is not None:

@@ -6,7 +6,7 @@ import pytest
 
 from fluctua import channels
 from fluctua.channels import (
-    STEP_BLOCK,
+    BLOCK_BYTES,
     CPTPReport,
     HamiltonianSchedule,
     IntegrationFailure,
@@ -222,17 +222,22 @@ def test_lindblad_superoperator_matches_propagation():
         assert np.max(np.abs(propagate(sched, ops, rho, step=1e-2) - direct)) < 1e-13
 
 
+# steps in one block at d = 2: the byte bound over one 4 x 4 float64 step map
+QUBIT_BLOCK = BLOCK_BYTES // (16 * 8)
+# window step counts for the block-edge tests: none a multiple of the block,
+# and the longest spans four blocks
+EDGE_COUNTS = [5, QUBIT_BLOCK + 44, 3 * QUBIT_BLOCK + 65, 19]
+
+
 def test_propagator_series_steps_across_block_edges():
-    # windows of 5, 23, 53 and 19 steps: none a multiple of the block of
-    # step maps, and the 53-step window spans four blocks.  Each snapshot
-    # must be the same RK4 as stepping a state window by window.
+    # each snapshot must be the same RK4 as stepping a state window by window
+    counts = EDGE_COUNTS
+    assert all(n % QUBIT_BLOCK for n in counts) and max(counts) > 3 * QUBIT_BLOCK
+    step = 1.0 / 64.0  # a binary fraction, so every node time is exact
     sched = HamiltonianSchedule(SX + 0.2 * SZ, [SX, SZ],
                                 lambda t: [0.5 * np.cos(3 * t), 0.3 * np.sin(t)],
-                                t_final=2.0)
+                                t_final=sum(counts) * step)
     ops = [0.6 * SM, 0.2 * SM.T]
-    step = 1.0 / 64.0  # a binary fraction, so every node time is exact
-    counts = [5, 23, 53, 19]
-    assert all(n % STEP_BLOCK for n in counts) and max(counts) > 3 * STEP_BLOCK
     times = np.cumsum(counts) * step
     series = propagator_series(sched, ops, times, step=step)
     rng = np.random.default_rng(13)
@@ -256,12 +261,13 @@ def test_envelopes_are_evaluated_once_per_block():
         calls.append(t)
         return [0.5 * np.cos(3 * t)]
 
-    sched = HamiltonianSchedule(SX + 0.2 * SZ, [SX], envelopes, t_final=2.0)
     step = 1.0 / 64.0
-    counts = [5, 23, 53, 19]
+    counts = EDGE_COUNTS
+    sched = HamiltonianSchedule(SX + 0.2 * SZ, [SX], envelopes,
+                                t_final=sum(counts) * step)
     calls.clear()  # drop the probe made at construction
     propagator_series(sched, [0.6 * SM], np.cumsum(counts) * step, step=step)
-    assert len(calls) <= sum(math.ceil(n / STEP_BLOCK) for n in counts)
+    assert len(calls) <= sum(math.ceil(n / QUBIT_BLOCK) for n in counts)
     assert all(isinstance(t, np.ndarray) and t.ndim == 1 and t.size >= 3
                for t in calls)
 
@@ -388,6 +394,39 @@ def test_propagator_series_rejects_times_outside_window():
     propagator_series(sched, None, [0.8, 1.0 + 1e-13])
 
 
+def random_hermitian(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return 0.5 * (g + g.conj().T)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_hermitian_basis_is_unitary_with_the_diagonal_first(d):
+    u = channels._hermitian_basis(d)
+    assert u.shape == (d * d, d * d)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(d * d))) < 1e-15
+    for j in range(d):
+        e_jj = np.zeros((d, d))
+        e_jj[j, j] = 1.0
+        assert np.array_equal(u[:, j], vec(e_jj))
+    # every basis element is Hermitian
+    for col in u.T:
+        m = unvec(col)
+        assert np.array_equal(m, m.conj().T)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_generators_are_real_in_the_hermitian_basis(d):
+    rng = np.random.default_rng(60 + d)
+    u = channels._hermitian_basis(d)
+    ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
+    couplings = np.array([random_hermitian(rng, d) for _ in range(2)])
+    gens = [lindblad_generator(random_hermitian(rng, d), ops),
+            *channels._hamiltonian_generator(couplings)]
+    for gen in gens:
+        in_basis = u.conj().T @ gen @ u
+        assert np.max(np.abs(in_basis.imag)) <= 1e-14 * np.max(np.abs(gen))
+
+
 def _transpose_permutation(d):
     # P vec(X) = vec(X^T)
     p = np.zeros((d * d, d * d))
@@ -397,7 +436,7 @@ def _transpose_permutation(d):
     return p
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_propagator_series_matches_exact_exponential(d):
     # static generator: the propagator is exp(L t), here by eigendecomposition
     rng = np.random.default_rng(20 + d)
@@ -409,13 +448,15 @@ def test_propagator_series_matches_exact_exponential(d):
     w, v = np.linalg.eig(lindblad_generator(h, ops))
     v_inv = np.linalg.inv(v)
     times = [0.0, 0.3, 1.1, 2.0]
-    series = propagator_series(sched, ops, times, step=2e-3)
+    # at d = 4 the RK4 error of a 2e-3 step is 1.3e-10, above the bound below
+    series = propagator_series(sched, ops, times, step=1e-3)
     p = _transpose_permutation(d)
     for t, snap in zip(times, series):
         s = snap.superoperator
         assert np.max(np.abs(s - (v * np.exp(w * t)) @ v_inv)) < 1e-10
-        # Hermiticity preserving, S(X^dag) = S(X)^dag for every X: the
-        # projection after each step makes this hold exactly, not to roundoff
+        # Hermiticity preserving, S(X^dag) = S(X)^dag for every X: a real
+        # propagator in the Hermitian basis makes this hold exactly, not to
+        # roundoff
         assert np.array_equal(s, p @ s.conj() @ p)
         traces = np.einsum("mmjk->jk", s.reshape(d, d, d, d))
         assert np.max(np.abs(traces - np.eye(d))) < 1e-12

@@ -206,6 +206,24 @@ def test_negative_seed_exits_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("preset, argv, config_text", [
+    ("fig2-sweep", ["--beta", "nan"], None),
+    ("fig2-sweep", ["--beta", "inf"], None),
+    ("figS3-second-moment", [], "t_max = inf\n"),
+    ("fig2-sweep", [], "theta_grid = 0.1, nan, 0.3\n"),
+])
+def test_non_finite_number_exits_2_before_writing(preset, argv, config_text,
+                                                  tmp_path, capsys):
+    out = tmp_path / "out"
+    if config_text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text)
+        argv = argv + ["--config", str(cfg)]
+    assert main(["run", preset, *argv, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise IntegrationFailure("trace drift 2.0e-03 at t = 4")

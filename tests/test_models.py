@@ -296,6 +296,13 @@ def test_sweep_validates_each_state_once_per_call(monkeypatch):
         assert counts[0] == counts[1] > 0, n_shots
 
 
+@pytest.mark.parametrize("field, value", [("beta", math.nan), ("beta", math.inf),
+                                          ("beta", -math.inf), ("theta0", math.nan)])
+def test_non_finite_angle_or_beta_is_rejected(field, value):
+    with pytest.raises(InvalidConfig, match="finite"):
+        TwoQubitExperimentConfig(**{field: value}).resolved()
+
+
 def test_empty_theta_grid_is_rejected():
     cfg = TwoQubitExperimentConfig(theta_grid=())
     with pytest.raises(InvalidConfig, match="theta_grid"):
