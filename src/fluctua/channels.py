@@ -24,13 +24,18 @@ so in an orthonormal basis of Hermitian matrices it is a real matrix:
 the pieces are rewritten in that basis once, and the whole integration
 runs in float64.  One RK4 step of dS/dt = L(t) S is a product S <- M S
 with a step map M built from the generators at the step's start,
-midpoint and end.  The maps are built a block at a time from one array
-call of the envelopes, each block's stack bounded by
-:data:`BLOCK_BYTES` (so memory does not grow with the window), and a
-prefix scan turns each block into its propagators.  A real propagator
-preserves Hermiticity by construction, so no step is projected; a trace
-drift beyond 1e-6 (or any NaN) at any step aborts the run.  The
-snapshots return to the row-major vec basis in one batched product.
+midpoint and end: three products with the stacked pieces [I; L0 + D;
+L_j] give I + (h/2)A, (h/2)B and (h/6)C, and three batched matrix
+products turn those into M.  Steps are taken a block at a time, as many
+consecutive steps as fit in :data:`BLOCK_BYTES` whichever windows they
+belong to (so memory does not grow with the run), with one array call of
+the envelopes per block.  A chunked scan turns each block's maps into its
+propagators: prefix products inside chunks of about sqrt(n) maps, run in
+lock-step, then a carry from each chunk into the next.  A real
+propagator preserves Hermiticity by construction, so no step is
+projected; a trace drift beyond 1e-6 (or any NaN) at any step aborts
+the run.  The snapshots return to the row-major vec basis in one batched
+product.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ __all__ = [
     "Channel",
     "UnitaryChannel",
     "SuperoperatorChannel",
+    "unitary_superoperator",
     "identity_channel",
     "lindblad_generator",
     "propagate",
@@ -69,9 +75,9 @@ __all__ = [
 ]
 
 TRACE_DRIFT_ABORT = 1e-6
-# Bytes of one block's (n, d^2, d^2) float64 stack of RK4 step maps: 50 steps
-# at d = 3, 256 at d = 2.
-BLOCK_BYTES = 32 * 1024
+# Bytes of one block's (n, d^2, d^2) float64 stack of RK4 step maps: 202 steps
+# at d = 3, 1024 at d = 2.  A block works in about five such stacks.
+BLOCK_BYTES = 128 * 1024
 
 
 class IntegrationFailure(RuntimeError):
@@ -211,16 +217,34 @@ class Channel:
         raise NotImplementedError
 
 
+def _assert_unitary(u: np.ndarray) -> None:
+    """Raise unless u, or every matrix of a (T, d, d) stack, is unitary to 1e-10."""
+    if float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])))) > 1e-10:
+        raise ValueError("matrix is not unitary")
+
+
+def unitary_superoperator(unitary) -> np.ndarray:
+    """kron(U, conj(U)) of a unitary, or of each matrix of a (T, d, d) stack.
+
+    The whole stack is checked unitary, then multiplied with its conjugate
+    in one broadcast product (each entry is the same single product as in
+    np.kron), giving (d^2, d^2) or (T, d^2, d^2).
+    """
+    u = as_complex_matrix(unitary, "unitary", stack=True)
+    _assert_unitary(u)
+    d = u.shape[-1]
+    return (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(
+        *u.shape[:-2], d * d, d * d)
+
+
 class UnitaryChannel(Channel):
     """rho -> U rho U^dag."""
 
     def __init__(self, unitary):
         u = as_complex_matrix(unitary, "unitary")
-        d = u.shape[0]
-        if float(np.max(np.abs(u.conj().T @ u - np.eye(d)))) > 1e-10:
-            raise ValueError("matrix is not unitary")
+        _assert_unitary(u)
         self.unitary = u
-        self.dim = d
+        self.dim = u.shape[0]
 
     def apply(self, rho) -> np.ndarray:
         r = assert_density_operator(rho)
@@ -233,7 +257,7 @@ class UnitaryChannel(Channel):
         return self.unitary @ a @ self.unitary.conj().T
 
     def as_superoperator(self) -> np.ndarray:
-        return np.kron(self.unitary, self.unitary.conj())
+        return unitary_superoperator(self.unitary)
 
 
 class SuperoperatorChannel(Channel):
@@ -332,29 +356,102 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return u.reshape(d * d, d * d)
 
 
-def _step_maps(schedule: HamiltonianSchedule, static: np.ndarray,
-               coupled: np.ndarray, t0: float, h: float, first: int,
+def _step_maps(pieces: np.ndarray, weights: np.ndarray, work: np.ndarray,
                n: int) -> np.ndarray:
-    """RK4 step maps of steps first..first+n-1 from t0 + i h, as (n, d^2, d^2).
+    """RK4 step maps of n steps, as an (n, d^2, d^2) view of ``work[0, :n]``.
 
-    The generator at time t is static + sum_j e_j(t) coupled_j.  With A,
-    B, C the generators at a step's start, midpoint and end, the step
-    S <- S + h/6 (k1 + 2 k2 + 2 k3 + k4) of dS/dt = L S is S <- M S with
-    X2 = B(I + h/2 A), X3 = B(I + h/2 X2), X4 = C(I + h X3) and
-    M = I + h/6 (A + 2 X2 + 2 X3 + X4).  Adjacent steps share their end
-    node, so the envelopes are evaluated at 2n + 1 times.
+    ``pieces`` is the (K, d^4) stack of the flattened I, L0 + D and L_j,
+    and ``work`` a (3, m, d^4) buffer with m >= n.  The rows of
+    ``weights[:, :n] @ pieces`` are, for each step of size h with
+    generators A, B, C at its start, midpoint and end, Y1 = I + (h/2) A,
+    B' = (h/2) B and C' = (h/6) C.  The step S <- S + h/6 (k1 + 2 k2 +
+    2 k3 + k4) of dS/dt = L S is then S <- M S with Y2 = I + B' Y1,
+    Y3 = I + 2 B' Y2 and M = (Y1 + 2 Y2 + Y3)/3 + C' Y3 - I/3, which is
+    I + h/6 (A + 2 B Y1 + 2 B Y2 + C Y3) regrouped.
     """
-    nodes = t0 + np.arange(2 * first, 2 * (first + n) + 1) * (0.5 * h)
-    side = static.shape[0]
-    drive = schedule.envelope_values(nodes).T @ coupled.reshape(-1, side * side)
-    gens = static + drive.reshape(-1, side, side)
-    a, b, c = gens[0:-1:2], gens[1::2], gens[2::2]
-    x2 = b + (0.5 * h) * (b @ a)
-    x3 = b + (0.5 * h) * (b @ x2)
-    x4 = c + h * (c @ x3)
-    maps = (h / 6.0) * (a + 2.0 * x2 + 2.0 * x3 + x4)
-    maps += np.eye(side)
-    return maps
+    side = math.isqrt(pieces.shape[1])
+    np.matmul(weights[:, :n], pieces, out=work[:, :n])
+    y1, b, c = work[:, :n].reshape(3, n, side, side)
+    y2 = b @ y1
+    _diagonal(y2)[:] += 1.0
+    y3 = b @ y2
+    y3 *= 2.0
+    _diagonal(y3)[:] += 1.0
+    y1 += y2
+    y1 += y2
+    y1 += y3
+    y1 *= 1.0 / 3.0
+    y1 += np.matmul(c, y3, out=y2)
+    _diagonal(y1)[:] -= 1.0 / 3.0
+    return y1
+
+
+def _diagonal(stack: np.ndarray) -> np.ndarray:
+    """Writable (n, k) view of the diagonals of a contiguous (n, k, k) stack."""
+    return stack.reshape(len(stack), -1)[:, ::stack.shape[-1] + 1]
+
+
+def _prefix_products(maps: np.ndarray, s: np.ndarray) -> None:
+    """maps[i] <- maps[i] ... maps[0] s in place.
+
+    The n maps are cut into chunks of c = ceil(sqrt(n)) consecutive maps.
+    The products inside the chunks run in lock-step, one batched product
+    per position in a chunk; then each chunk is carried into the next by
+    the last product of the one before.  That is about 2n products in
+    about 2 sqrt(n) calls.
+    """
+    n = len(maps)
+    c = math.isqrt(n - 1) + 1
+    maps[0] = maps[0] @ s
+    for j in range(1, c):
+        here = maps[j::c]
+        here[:] = here @ maps[j - 1::c][:len(here)]
+    for first in range(c, n, c):
+        maps[first:first + c] = maps[first:first + c] @ maps[first - 1]
+
+
+def _blocks(windows: list, block: int):
+    """Cut the steps of consecutive windows into blocks of ``block`` steps.
+
+    ``windows`` holds (start, step size, step count) per window.  Yields
+    (n, segments) per block, a segment being (start, step size, first
+    step in the window, count, offset in the block) of one window's steps.
+    """
+    segments, k = [], 0
+    for t0, h, n_steps in windows:
+        first = 0
+        while first < n_steps:
+            take = min(n_steps - first, block - k)
+            segments.append((t0, h, first, take, k))
+            first += take
+            k += take
+            if k == block:
+                yield k, segments
+                segments, k = [], 0
+    if k:
+        yield k, segments
+
+
+def _drive_weights(schedule: HamiltonianSchedule, segments: list,
+                   weights: np.ndarray, n: int) -> None:
+    """Fill ``weights[:, :n, 1:]`` for the steps of one block.
+
+    The envelopes are read in one call at the nodes of the block's
+    segments, 2 c + 1 nodes for c steps since adjacent steps of a window
+    share their end node.  Column 1 weights L0 + D and column 1 + j
+    weights L_j: h/2 at a step's start and midpoint, h/6 at its end.
+    """
+    nodes = np.concatenate([
+        t0 + np.arange(2 * first, 2 * (first + take) + 1) * (0.5 * h)
+        for t0, h, first, take, _ in segments])
+    e = schedule.envelope_values(nodes)
+    counts = [seg[3] for seg in segments]
+    # step i of the j-th segment starts at node 2 i + j
+    start = 2 * np.arange(n) + np.repeat(np.arange(len(segments)), counts)
+    hs = np.array([seg[1] for seg in segments])
+    scale = np.repeat(np.array([0.5 * hs, 0.5 * hs, hs / 6.0]), counts, axis=1)
+    weights[:, :n, 1] = scale
+    weights[:, :n, 2:] = (e[:, start + np.arange(3)[:, None]] * scale).transpose(1, 2, 0)
 
 
 def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
@@ -367,16 +464,20 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     requested.  Each window between consecutive times takes
     ceil(span/step) equal steps.  The generators are taken to the real
     Hermitian basis of :func:`_hermitian_basis`, L_R = U^dag L U, once per
-    call, and everything after runs in float64.  The step maps are built
-    a block at a time (see :func:`_step_maps`), as many as fit in
-    :data:`BLOCK_BYTES`, so memory does not grow with the window.  With S
-    folded into the first map, a Hillis-Steele scan (the level of stride
-    k sets P_i <- P_i P_{i-k}) gives the block's propagators
-    S_i = M_i ... M_first S in ceil(log2 n) batched products.  Every
-    step's propagator is checked for trace drift; none is projected, since
+    call, and everything after runs in float64.  The steps are taken a
+    block at a time: as many consecutive steps as fit in
+    :data:`BLOCK_BYTES`, whichever windows they belong to, each with its
+    own step size.  The drive is read once per block, at the nodes of the
+    windows the block covers; the block's step maps come from
+    :func:`_step_maps` (one map per window when nothing drives the
+    schedule), and :func:`_prefix_products`, with S folded into the first
+    map, turns them into the propagators S_i = M_i ... M_first S.  A
+    window's snapshot is the propagator at its last step.  Every step's
+    propagator is checked for trace drift, max |t S_i - t| with t the
+    trace row (ones on the first d coordinates); none is projected, since
     a real propagator maps Hermitian matrices to Hermitian matrices.  The
-    snapshots return as U S_R U^dag in one batched product.  Times must be
-    non-decreasing and lie inside the schedule window.
+    snapshots return as U S_R U^dag in one batched product.  Times must
+    be non-decreasing and lie inside the schedule window.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -388,49 +489,66 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     if ts and ts[-1] > schedule.t_final + 1e-12:
         raise ValueError("snapshot after the schedule end")
     d = schedule.dim
+    side = d * d
     u = _hermitian_basis(d)
     u_dag = u.conj().T
-    static = (u_dag @ lindblad_generator(schedule.base, jump_operators) @ u).real.copy()
-    coupled = (u_dag @ _hamiltonian_generator(schedule.couplings) @ u).real.copy()
+    static = (u_dag @ lindblad_generator(schedule.base, jump_operators) @ u).real
+    coupled = (u_dag @ _hamiltonian_generator(schedule.couplings) @ u).real
+    pieces = np.concatenate([np.eye(side)[None], static[None], coupled]).reshape(
+        -1, side * side)
     driven = len(schedule.couplings) > 0
-    block = max(1, BLOCK_BYTES // static.nbytes)
 
-    s = np.eye(d * d)
-    out = []
-    t0 = schedule.t_initial
+    windows, t0 = [], schedule.t_initial
     for t1 in ts:
-        span = t1 - t0
-        if span > 0:
-            n_steps = max(1, math.ceil(span / step - 1e-12))
-            h = span / n_steps
-            tr0 = s[:d].sum(axis=0)
-            # without a drive every step of the window has the same map
-            window_map = None if driven else _step_maps(schedule, static, coupled,
-                                                        t0, h, 0, 1)
-            for first in range(0, n_steps, block):
-                n = min(block, n_steps - first)
-                steps = (_step_maps(schedule, static, coupled, t0, h, first, n)
-                         if driven else np.repeat(window_map, n, axis=0))
-                # a run that blows up overflows in the rest of its block; the
-                # drift check below reports the first step that went bad
-                with np.errstate(over="ignore", invalid="ignore"):
-                    steps[0] = steps[0] @ s
-                    stride = 1
-                    while stride < n:
-                        steps[stride:] = steps[stride:] @ steps[:-stride]
-                        stride *= 2
-                    drift = np.abs(steps[:, :d].sum(axis=1) - tr0).max(axis=1)
-                bad = ~(drift <= TRACE_DRIFT_ABORT)
-                if bad.any():
-                    i = first + int(np.argmax(bad))
-                    raise IntegrationFailure(f"trace drift {drift[i - first]:.3e} at "
-                                             f"t = {t0 + i * h + h:.6g} (step {h:.3g})")
-                s = steps[-1].copy()
-            if np.isnan(s).any():
-                raise IntegrationFailure("NaN in integrated propagator")
+        n_steps = max(1, math.ceil((t1 - t0) / step - 1e-12)) if t1 > t0 else 0
+        windows.append((t0, (t1 - t0) / max(n_steps, 1), n_steps))
         t0 = t1
-        out.append(s)
-    snapshots = u @ np.array(out).reshape(-1, d * d, d * d) @ u_dag
+    # a window's snapshot is the propagator after step ends[w] - 1
+    ends = np.cumsum([n_steps for *_, n_steps in windows], dtype=int)
+    block = max(1, min(BLOCK_BYTES // (8 * side * side), int(ends[-1]) if ts else 0))
+    snapshots = np.empty((len(ts), side, side))
+    snapshots[ends == 0] = np.eye(side)
+    work = np.empty((3, block, side * side))
+    # weights of the pieces for Y1, B' and C': the identity only in Y1
+    weights = np.zeros((3, block, len(pieces)))
+    weights[0, :, 0] = 1.0
+    trace = np.zeros(side)
+    trace[:d] = 1.0
+
+    s = np.eye(side)
+    g = 0
+    for n, segments in _blocks(windows, block):
+        if driven:
+            _drive_weights(schedule, segments, weights, n)
+            steps = _step_maps(pieces, weights, work, n)
+        else:
+            # every step of a window has the same map, built once per window
+            steps = work[0, :n].reshape(n, side, side)
+            for _, h, first, take, offset in segments:
+                if first == 0:
+                    one = np.array([[[1.0, 0.5 * h]], [[0.0, 0.5 * h]], [[0.0, h / 6.0]]])
+                    window_map = _step_maps(pieces, one, np.empty((3, 1, side * side)), 1)
+                steps[offset:offset + take] = window_map
+        # a run that blows up overflows in the rest of its block; the drift
+        # check below reports the first step that went bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            _prefix_products(steps, s)
+            drift = np.abs(trace[:d] @ steps[:, :d] - trace)
+        if not drift.max() <= TRACE_DRIFT_ABORT:
+            drift = drift.max(axis=1)
+            i = int(np.argmax(~(drift <= TRACE_DRIFT_ABORT)))
+            t0, h, first, _, offset = next(seg for seg in reversed(segments)
+                                           if seg[4] <= i)
+            raise IntegrationFailure(f"trace drift {drift[i]:.3e} at t = "
+                                     f"{t0 + (first + i - offset) * h + h:.6g} "
+                                     f"(step {h:.3g})")
+        s = steps[-1].copy()
+        if np.isnan(s).any():
+            raise IntegrationFailure("NaN in integrated propagator")
+        lo, hi = np.searchsorted(ends, [g, g + n], side="right")
+        snapshots[lo:hi] = steps[ends[lo:hi] - 1 - g]
+        g += n
+    snapshots = u @ snapshots @ u_dag
     return [SuperoperatorChannel(m) for m in snapshots]
 
 

@@ -21,8 +21,8 @@ from .channels import (
     HamiltonianSchedule,
     JumpOperatorSet,
     SuperoperatorChannel,
-    UnitaryChannel,
     propagator_series,
+    unitary_superoperator,
 )
 from .protocols import (
     JointEnergyDistribution,
@@ -261,9 +261,9 @@ def _sweep_setup(config: TwoQubitExperimentConfig):
     """
     spec = spectral_decompose(two_qubit_hamiltonian(config.epsilon))
     rho = two_qubit_initial_state(config)
-    circuits = SuperoperatorChannel(np.stack([
-        UnitaryChannel(controlled_gate(-4.0 * theta, config.phi, config.lam))
-        .as_superoperator() for theta in config.theta_grid]))
+    gates = np.stack([controlled_gate(-4.0 * theta, config.phi, config.lam)
+                      for theta in config.theta_grid])
+    circuits = SuperoperatorChannel(unitary_superoperator(gates))
     return spec, rho, dephase(rho), circuits
 
 

@@ -574,14 +574,20 @@ def _draw(rngs, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     draws its uniforms from ``rngs[t]``; ``probs`` (..., rows, K)
     broadcasts over the batch.  Each uniform is counted against its row's
     cumulative sum without the last entry, so a uniform above a total of
-    1 - 1e-16 picks the last index instead of running past it.
+    1 - 1e-16 picks the last index instead of running past it.  The sums
+    are laid out level-major, one flat (members * rows) array per level,
+    so each level is one ``take`` at the flat index row + rows * member.
     """
     below = np.cumsum(probs, axis=-1)
-    below = below.reshape((1,) * (rows.ndim + 1 - below.ndim) + below.shape)
+    n_rows, n_levels = below.shape[-2:]
+    levels = np.ascontiguousarray(below.reshape(-1, n_levels).T[:-1])
+    flat = rows
+    if levels.shape[1] > n_rows:  # a table of rows for each batch member
+        flat = rows + n_rows * np.arange(len(rngs)).reshape(-1, 1)
     u = np.stack([rng.random(rows.shape[-1]) for rng in rngs]).reshape(rows.shape)
     picked = np.zeros(rows.shape, dtype=int)
-    for k in range(below.shape[-1] - 1):
-        picked += np.take_along_axis(below[..., k], rows, axis=-1) <= u
+    for level in levels:
+        picked += level.take(flat) <= u
     return picked
 
 

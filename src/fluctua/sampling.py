@@ -109,11 +109,15 @@ def random_coherence(diag_target, gen, scale: float = 1.0) -> np.ndarray:
     """Random zero-diagonal Hermitian chi with diag(diag_target) + chi PSD.
 
     Draws a random coherence direction supported on the strictly positive
-    populations, normalizes it to unit spectral norm, then bisects the
-    largest multiplier in (0, scale] that keeps the total matrix positive
-    semidefinite.  Populations at (numerical) zero cannot carry coherence;
-    if fewer than two positive populations remain, the zero matrix is
-    returned under a :class:`DegenerateTarget` warning.
+    populations and normalizes it to unit spectral norm.  It is then scaled
+    by the multiplier m nearest ``scale``, between 0 and ``scale``, that
+    keeps the smallest eigenvalue of the total matrix at or above -1e-12.
+    On the support S that holds exactly when I + m W chi W is positive
+    semidefinite, with W = diag(p_S + 1e-12)^(-1/2), so m is ``scale``
+    clipped to [-1/lambda_max, -1/lambda_min] of W chi W.  Populations at
+    (numerical) zero cannot carry
+    coherence; if fewer than two positive populations remain, the zero
+    matrix is returned under a :class:`DegenerateTarget` warning.
     """
     p = np.asarray(diag_target, dtype=float).reshape(-1)
     d = p.size
@@ -136,22 +140,8 @@ def random_coherence(diag_target, gen, scale: float = 1.0) -> np.ndarray:
     if spectral == 0.0:
         return chi
     chi /= spectral
-
-    base = np.diag(p).astype(np.complex128)
-
-    def psd(mult: float) -> bool:
-        vals, _ = hermitian_eig(base + mult * chi)
-        return vals[0] >= -1e-12
-
-    if psd(scale):
-        return scale * chi
-    lo, hi = 0.0, float(scale)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if psd(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, scale):
-            break
-    return lo * chi
+    # W chi W has a zero diagonal and is not zero, so its extreme
+    # eigenvalues have opposite signs
+    w = 1.0 / np.sqrt(p[support] + 1e-12)
+    vals, _ = hermitian_eig(w[:, None] * chi[np.ix_(support, support)] * w)
+    return float(np.clip(scale, -1.0 / vals[-1], -1.0 / vals[0])) * chi

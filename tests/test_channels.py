@@ -175,6 +175,14 @@ def test_propagate_detects_blowup():
         propagate(sched, [math.sqrt(50.0) * SM], np.diag([0.0, 1.0]), step=0.2)
 
 
+def test_propagate_detects_blowup_in_a_later_window_of_a_block():
+    # one stable 0.04 step, then a window of 0.2 steps that blows up; both
+    # windows share one block, and the failure names the later window's step
+    sched = HamiltonianSchedule(np.zeros((2, 2)), t_final=50.0)
+    with pytest.raises(IntegrationFailure, match=r"at t = 1\.44 \(step 0\.2\)"):
+        propagator_series(sched, [math.sqrt(50.0) * SM], [0.04, 2.04], step=0.2)
+
+
 def test_rk4_order_halving_factor():
     # global error should drop ~16x per halving; 12 is the acceptance floor
     sched = HamiltonianSchedule(SX + 0.7 * SZ, [SX],
@@ -227,6 +235,10 @@ QUBIT_BLOCK = BLOCK_BYTES // (16 * 8)
 # window step counts for the block-edge tests: none a multiple of the block,
 # and the longest spans four blocks
 EDGE_COUNTS = [5, QUBIT_BLOCK + 44, 3 * QUBIT_BLOCK + 65, 19]
+# unequal windows that all fit in one block: an empty first window, a
+# repeated time, windows shorter than one chunk of the block's scan, and
+# spans that are not whole steps, so each window has a step size of its own
+INNER_TIMES = [0.0, 3 / 64, 3 / 64, 0.3, 0.3 + 1 / 64, 1.0]
 
 
 def test_propagator_series_steps_across_block_edges():
@@ -238,18 +250,19 @@ def test_propagator_series_steps_across_block_edges():
                                 lambda t: [0.5 * np.cos(3 * t), 0.3 * np.sin(t)],
                                 t_final=sum(counts) * step)
     ops = [0.6 * SM, 0.2 * SM.T]
-    times = np.cumsum(counts) * step
-    series = propagator_series(sched, ops, times, step=step)
     rng = np.random.default_rng(13)
-    for _ in range(3):
-        rho = random_state(rng, 2)
-        direct, t_prev = rho, sched.t_initial
-        for t, snap in zip(times, series):
-            window = HamiltonianSchedule(sched.base, sched.couplings,
-                                         sched.envelopes, t_prev, t)
-            direct = _operator_form_rk4(window, ops, direct, step)
-            assert np.max(np.abs(snap.apply(rho) - direct)) < 1e-13
-            t_prev = t
+    for times in (np.cumsum(counts) * step, INNER_TIMES):
+        series = propagator_series(sched, ops, times, step=step)
+        for _ in range(3):
+            rho = random_state(rng, 2)
+            direct, t_prev = rho, sched.t_initial
+            for t, snap in zip(times, series):
+                if t > t_prev:
+                    window = HamiltonianSchedule(sched.base, sched.couplings,
+                                                 sched.envelopes, t_prev, t)
+                    direct = _operator_form_rk4(window, ops, direct, step)
+                assert np.max(np.abs(snap.apply(rho) - direct)) < 1e-13
+                t_prev = t
 
 
 def test_envelopes_are_evaluated_once_per_block():

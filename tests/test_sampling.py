@@ -102,6 +102,39 @@ def test_random_coherence_respects_scale():
     assert np.max(np.abs(evals)) <= 0.05 + 1e-12
 
 
+def _bisected_multiplier(p, direction, scale):
+    """m nearest scale, between 0 and scale, keeping diag(p) + m direction
+    above -1e-12, by bisection."""
+    def psd(m):
+        return np.linalg.eigvalsh(np.diag(p) + m * direction)[0] >= -1e-12
+
+    if psd(scale):
+        return scale
+    lo, hi = 0.0, scale
+    while abs(hi - lo) > 1e-14:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if psd(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("p, scale", [
+    ([0.5, 0.3, 0.2], 1.0),
+    ([0.7, 0.2, 0.1, 1e-13], 1.0),
+    ([0.4, 0.0, 0.35, 0.25], 1.0),
+    ([0.05, 0.95], 1.0),
+    (np.full(5, 0.2), 0.05),
+    ([0.5, 0.3, 0.2], -1.0),
+])
+def test_random_coherence_multiplier_matches_bisection(p, scale):
+    # the closed-form multiplier is the one a bisection on the smallest
+    # eigenvalue finds; chi has unit spectral norm before it is scaled
+    p = np.asarray(p)
+    for seed in range(10):
+        chi = random_coherence(p, SeededGenerator(seed), scale=scale)
+        m = np.copysign(np.max(np.abs(np.linalg.eigvalsh(chi))), scale)
+        assert abs(m - _bisected_multiplier(p, chi / m, scale)) < 1e-12
+
+
 def test_random_coherence_pure_target_warns():
     with pytest.warns(DegenerateTarget):
         chi = random_coherence([1.0, 0.0, 0.0], SeededGenerator(47))
