@@ -319,12 +319,19 @@ def _hamiltonian_generator(h: np.ndarray) -> np.ndarray:
 
 
 def _dissipator(ops: list, d: int) -> np.ndarray:
+    """sum_L kron(L, L*) - (kron(k, I) + kron(I, k.T))/2 with k = L^dag L.
+
+    Built by broadcasting, as :func:`_hamiltonian_generator` is; each
+    product and sum is the one np.kron would take, so the result is the same.
+    """
     eye = np.eye(d)
-    out = np.zeros((d * d, d * d), dtype=np.complex128)
+    out = np.zeros((d, d, d, d), dtype=np.complex128)
     for L in ops:
         k = L.conj().T @ L
-        out += np.kron(L, L.conj()) - 0.5 * (np.kron(k, eye) + np.kron(eye, k.T))
-    return out
+        out += (L[:, None, :, None] * L.conj()[None, :, None, :]
+                - 0.5 * (k[:, None, :, None] * eye[None, :, None, :]
+                         + eye[:, None, :, None] * k.T[None, :, None, :]))
+    return out.reshape(d * d, d * d)
 
 
 def lindblad_generator(hamiltonian, jump_operators) -> np.ndarray:

@@ -368,7 +368,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationFailure, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+            FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

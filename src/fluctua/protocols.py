@@ -95,6 +95,10 @@ EIGEN_CUTOFF = 1e-12
 
 PROTOCOLS = ("EPM", "TPM", "MLL")
 
+# The shot sampler's picks are uint8 counts, and its cell codes
+# level * levels_f + final stay below 2**16 at this many levels a side.
+MAX_LEVELS = 255
+
 
 class NegativeProbability(ValueError):
     """A probability below the clamping tolerance, i.e. a genuine negativity."""
@@ -567,27 +571,36 @@ def mutual_information(p: JointEnergyDistribution,
 # finite-shot emulation
 
 
-def _draw(rngs, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """For each shot j, an index drawn from row ``rows[..., j]`` of ``probs``.
+def _draw(rngs, probs: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
+    """A uint8 index per shot j of stream t, drawn from row ``rows[t, j]`` of ``probs``.
 
-    ``rows`` is (n_shots,), or (T, n_shots) for a batch whose member t
-    draws its uniforms from ``rngs[t]``; ``probs`` (..., rows, K)
-    broadcasts over the batch.  Each uniform is counted against its row's
-    cumulative sum without the last entry, so a uniform above a total of
-    1 - 1e-16 picks the last index instead of running past it.  The sums
-    are laid out level-major, one flat (members * rows) array per level,
-    so each level is one ``take`` at the flat index row + rows * member.
+    ``u`` is the call's (T, n_shots) uniform buffer, which every draw of
+    the call reuses: row t is refilled by one ``rngs[t].random(n_shots)``,
+    so each stream is read exactly as by a draw of its own.  ``probs`` is
+    (rows, K), shared by the batch, or (T, rows, K) with a table per batch
+    member.  A pick is the number of the row's cumulative sums, the last
+    one excluded, that are at or below the uniform, so a uniform above a
+    total of 1 - 1e-16 picks the last index instead of running past it.
+    With one row the sums of member t are compared with row t of ``u`` and
+    ``rows`` is not read; with more, the count against each row r is kept
+    where ``rows == r``.  No index array is built and nothing is gathered.
     """
-    below = np.cumsum(probs, axis=-1)
-    n_rows, n_levels = below.shape[-2:]
-    levels = np.ascontiguousarray(below.reshape(-1, n_levels).T[:-1])
-    flat = rows
-    if levels.shape[1] > n_rows:  # a table of rows for each batch member
-        flat = rows + n_rows * np.arange(len(rngs)).reshape(-1, 1)
-    u = np.stack([rng.random(rows.shape[-1]) for rng in rngs]).reshape(rows.shape)
-    picked = np.zeros(rows.shape, dtype=int)
-    for level in levels:
-        picked += level.take(flat) <= u
+    n_rows, n_levels = probs.shape[-2:]
+    if n_levels > MAX_LEVELS:
+        raise ValueError(f"the shot sampler draws from at most {MAX_LEVELS} "
+                         f"levels, not {n_levels}")
+    below = np.cumsum(probs, axis=-1).reshape(-1, n_rows, n_levels)[..., None]
+    for t, rng in enumerate(rngs):
+        u[t] = rng.random(u.shape[1])
+    picked = np.zeros(u.shape, dtype=np.uint8)
+    count = picked if n_rows == 1 else np.empty_like(picked)
+    hit = np.empty(u.shape, dtype=bool)
+    for r in range(n_rows):
+        count.fill(0)
+        for k in range(n_levels - 1):
+            count += np.less_equal(below[:, r, k], u, out=hit)
+        if n_rows > 1:
+            np.copyto(picked, count, where=np.equal(rows, r, out=hit))
     return picked
 
 
@@ -605,6 +618,14 @@ def sample_shots(protocol: str, rho, channel: Channel,
     table t holds exactly what a call with channel t and stream t draws.
     The result carries ``n_shots`` so shot-noise standard errors can be
     attached downstream.
+
+    The call allocates one (T, n_shots) float64 uniform buffer, and every
+    draw refills it (see :func:`_draw`).  Picks are uint8, and table t is
+    the bincount of the uint16 codes ``level * levels_f + final`` of stream
+    t.  Each stream still gives one ``random(n_shots)`` per draw, in the
+    order member, level, final, so the tables are the same bit for bit as
+    from one array per draw.  A draw has at most :data:`MAX_LEVELS`
+    outcomes; more raise ``ValueError``.
     """
     if n_shots <= 0:
         raise ValueError("n_shots must be positive")
@@ -613,17 +634,16 @@ def sample_shots(protocol: str, rho, channel: Channel,
     rngs = [_rng(g) for g in (gen if isinstance(gen, (list, tuple)) else [gen])]
     if len(rngs) != math.prod(batch):
         raise ValueError(f"{len(rngs)} streams for a batch of {math.prod(batch)} channels")
-    first = np.zeros(batch + (n_shots,), dtype=int)
-    member = first if protocol == "EPM" else _draw(rngs, weights[None], first)
-    level = member if protocol == "TPM" else _draw(rngs, before, member)
-    final = _draw(rngs, after, member)
+    u = np.empty((len(rngs), n_shots))
+    member = None if protocol == "EPM" else _draw(rngs, weights[None], None, u)
+    level = member if protocol == "TPM" else _draw(rngs, before, member, u)
+    final = _draw(rngs, after, member, u)
     n_i, n_f = spec_i.energies.shape[-1], spec_f.energies.shape[-1]
-    # each table's cells are counted in a range of their own
-    offset = n_i * n_f * np.arange(len(rngs)).reshape(batch + (1,))
-    counts = np.bincount((offset + level * n_f + final).ravel(),
-                         minlength=len(rngs) * n_i * n_f).reshape(batch + (n_i, n_f))
+    codes = level.astype(np.uint16) * n_f + final
+    counts = np.stack([np.bincount(c, minlength=n_i * n_f) for c in codes])
     return JointEnergyDistribution(spec_i.energies, spec_f.energies,
-                                   counts / n_shots, protocol, n_shots=n_shots)
+                                   counts.reshape(batch + (n_i, n_f)) / n_shots,
+                                   protocol, n_shots=n_shots)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,19 @@ def test_rhs_traceless_and_hermiticity_preserving():
     assert np.max(np.abs(out - operator_form_rhs(h, ops, rho))) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 9])
+def test_dissipator_matches_kron_reference(d):
+    # the broadcast build takes the products and sums np.kron would
+    rng = np.random.default_rng(70 + d)
+    ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
+    eye = np.eye(d)
+    reference = np.zeros((d * d, d * d), dtype=complex)
+    for L in ops:
+        k = L.conj().T @ L
+        reference += np.kron(L, L.conj()) - 0.5 * (np.kron(k, eye) + np.kron(eye, k.T))
+    assert np.array_equal(channels._dissipator(ops, d), reference)
+
+
 # ---------------------------------------------------------------------------
 # propagation against closed-form solutions
 

@@ -233,6 +233,14 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_overflow_exits_3_before_writing(tmp_path, capsys):
+    # exp(beta * dE) at beta = 400 overflows in the closed-form check rows
+    out = tmp_path / "out"
+    assert main(["run", "fig2-sweep", "--beta", "400", "--out", str(out)]) == 3
+    assert "numerical failure: " in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_check_reports_and_exit_codes(monkeypatch, capsys):
     canned = [CriterionResult("alpha", True, "fine"),
               CriterionResult("beta", None, "skipped for the test")]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +30,7 @@ from fluctua.protocols import (
     shannon_entropy,
     tpm_joint,
 )
-from fluctua import qcore
+from fluctua import protocols, qcore
 from fluctua.qcore import (
     SpectralDecomposition,
     coherence_l1,
@@ -37,7 +38,12 @@ from fluctua.qcore import (
     gibbs_state,
     spectral_decompose,
 )
-from fluctua.sampling import SeededGenerator, random_coherence, random_density
+from fluctua.sampling import (
+    SeededGenerator,
+    haar_random_pure,
+    random_coherence,
+    random_density,
+)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
@@ -741,6 +747,96 @@ def test_batched_sample_shots_needs_one_stream_per_channel():
     with pytest.raises(ValueError, match="2 streams for a batch of 1 channels"):
         sample_shots("EPM", two_qubit_pure(), UnitaryChannel(controlled_rotation(0.4)),
                      spec, spec, 16, streams)
+
+
+def take_draw(rngs, probs, rows):
+    """Reference for the sampler's draw: int64 picks gathered with ``take``.
+
+    Each level's cumulative sums are one flat (members * rows) array, read
+    at the flat index row + rows * member of every shot.
+    """
+    below = np.cumsum(probs, axis=-1)
+    n_rows, n_levels = below.shape[-2:]
+    levels = np.ascontiguousarray(below.reshape(-1, n_levels).T[:-1])
+    flat = rows
+    if levels.shape[1] > n_rows:  # a table of rows for each batch member
+        flat = rows + n_rows * np.arange(len(rngs)).reshape(-1, 1)
+    u = np.stack([rng.random(rows.shape[-1]) for rng in rngs]).reshape(rows.shape)
+    picked = np.zeros(rows.shape, dtype=int)
+    for level in levels:
+        picked += level.take(flat) <= u
+    return picked
+
+
+def take_sample_shots(protocol, rho, channel, spec_i, spec_f, n_shots, streams):
+    """Reference for :func:`sample_shots`: :func:`take_draw` and one bincount
+    over the int64 codes of all streams, each offset into a range of its own."""
+    weights, before, after = protocols._member_populations(protocol, rho, channel,
+                                                           spec_i, spec_f)
+    batch = after.shape[:-2]
+    rngs = [stream.rng for stream in streams]
+    first = np.zeros(batch + (n_shots,), dtype=int)
+    member = first if protocol == "EPM" else take_draw(rngs, weights[None], first)
+    level = member if protocol == "TPM" else take_draw(rngs, before, member)
+    final = take_draw(rngs, after, member)
+    n_i, n_f = spec_i.energies.shape[-1], spec_f.energies.shape[-1]
+    offset = n_i * n_f * np.arange(len(rngs)).reshape(batch + (1,))
+    counts = np.bincount((offset + level * n_f + final).ravel(),
+                         minlength=len(rngs) * n_i * n_f).reshape(batch + (n_i, n_f))
+    return JointEnergyDistribution(spec_i.energies, spec_f.energies,
+                                   counts / n_shots, protocol, n_shots=n_shots)
+
+
+SAMPLER_CASES = {"d2": 2, "d3": 3, "d4": 4, "d9": 9, "degenerate-d3": 3, "pure-d4": 4}
+
+
+@pytest.mark.parametrize("size", [None, 5, 21], ids=["one-channel", "T5", "T21"])
+@pytest.mark.parametrize("case", list(SAMPLER_CASES))
+def test_sample_shots_matches_take_based_draws(case, size):
+    d = SAMPLER_CASES[case]
+    rng = np.random.default_rng([606, d, size or 1])
+    if case == "degenerate-d3":
+        spec_i = spectral_decompose(np.diag([1.0, 1.0, -1.0]).astype(complex))
+    else:
+        spec_i = spectral_decompose(random_hamiltonian(rng, d))
+    spec_f = spectral_decompose(random_hamiltonian(rng, d))
+    if case == "pure-d4":
+        rho = haar_random_pure(d, SeededGenerator(6060))
+    else:
+        rho = random_density(d, gen=SeededGenerator(6061))
+    chan = random_cptp(rng, d) if size is None else random_cptp_batch(rng, d, size)
+    master = SeededGenerator(6062)
+    for n_shots in (1, 7, 2048):
+        for tag in ("EPM", "TPM", "MLL"):
+            streams = [master.spawn(t) for t in range(size or 1)]
+            gen = streams[0] if size is None else streams
+            emp = sample_shots(tag, rho, chan, spec_i, spec_f, n_shots, gen)
+            ref = take_sample_shots(tag, rho, chan, spec_i, spec_f, n_shots,
+                                    [master.spawn(t) for t in range(size or 1)])
+            assert np.array_equal(emp.probs, ref.probs), (tag, n_shots)
+
+
+def test_sampler_rejects_more_than_255_levels():
+    probs = np.full((1, 256), 1.0 / 256)
+    with pytest.raises(ValueError, match="at most 255 levels"):
+        protocols._draw([np.random.default_rng(1)], probs, None, np.empty((1, 4)))
+    assert protocols._draw([np.random.default_rng(1)], probs[:, 1:], None,
+                           np.empty((1, 4))).dtype == np.uint8
+
+
+def test_shot_sweep_memory_is_bounded():
+    # 21 points x 2048 shots: the sampler reuses one uniform buffer per
+    # record and keeps uint8 picks, so no (21, 2048) int64 arrays pile up;
+    # an untraced first call loads the modules numpy's seeding imports lazily
+    config = TwoQubitExperimentConfig(n_shots=2048)
+    two_qubit_sweep(config, SeededGenerator(5))
+    tracemalloc.start()
+    try:
+        two_qubit_sweep(config, SeededGenerator(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_bootstrap_standard_error_scales():
