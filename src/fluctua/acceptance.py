@@ -33,7 +33,6 @@ from .models import (
     TwoQubitExperimentConfig,
     closed_form_characteristics,
     controlled_gate,
-    sweep_model_errors,
     three_level_experiment,
     three_level_hamiltonian,
     three_level_initial_state,
@@ -102,10 +101,10 @@ def sweep_checks(result, config: TwoQubitExperimentConfig) -> dict[str, Identity
 
     An exact sweep is checked against the two-point identity, the split of
     the end-point average and the closed forms.  A shot-mode sweep is
-    checked against the same targets in the model standard errors of
-    ``config``: the error formula evaluated on the exact joints the shots
-    are drawn from.  The targets are known, so the distances are not
-    measured in errors estimated from the same shots.
+    checked against the same targets in the model standard errors it
+    carries, ``result.model_errors``: the error formula evaluated on the
+    exact joints the shots are drawn from.  The targets are known, so the
+    distances are not measured in errors estimated from the same shots.
     """
     cols = result.columns
     closed = closed_form_characteristics(cols["theta"], result.beta, result.epsilon)
@@ -123,9 +122,8 @@ def sweep_checks(result, config: TwoQubitExperimentConfig) -> dict[str, Identity
             "max_closed_form_deviation": IdentityCheck(
                 closed_gap, 1e-9, "max", "max closed-form deviation of "
                 "G_EPM, G_EPM_diag and G_EPM_coh")}
-    model = sweep_model_errors(config)
     return {f"max_sigma_distance_{name[2:].lower()}": IdentityCheck(
-                _sigma_distance(cols[name], closed[name], model[name]), 5.0,
+                _sigma_distance(cols[name], closed[name], result.model_errors[name]), 5.0,
                 "max", f"{name}'s largest distance in model standard errors "
                        f"from {'1' if name == 'G_TPM' else 'its closed form'}")
             for name in ("G_TPM", "G_EPM", "G_EPM_diag", "G_EPM_coh")}

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -212,14 +213,15 @@ def _resolved_config(settings: dict, kind: str, configs) -> dict:
 
 
 def _write_outputs(out_dir: Path, preset, columns: dict, summary: dict) -> None:
+    """Write results.csv, summary.json and plot.svg.  Only the CSV header goes
+    through :mod:`csv`; each row is one ``%.12g`` format, ended by ``\r\n``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     names = list(columns)
+    row = ",".join(["%.12g"] * len(names)) + "\r\n"
     with open(out_dir / "results.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(len(columns[names[0]])):
-            writer.writerow([f"{float(columns[name][i]):.12g}"
-                             for name in names])
+        csv.writer(fh).writerow(names)
+        fh.writelines(row % tuple(cells) for cells
+                      in np.column_stack(list(columns.values())).tolist())
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -312,6 +314,7 @@ def _cmd_list_presets(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluctua",

@@ -183,8 +183,11 @@ def closed_form_characteristics(theta, beta: float,
     sweep repeats with period pi.
     """
     b = beta * epsilon
-    e1 = math.exp(b)
-    e2, e4, e6, e8 = e1 ** 2, e1 ** 4, e1 ** 6, e1 ** 8
+    try:
+        e1 = math.exp(b)
+        e2, e4, e6, e8 = e1 ** 2, e1 ** 4, e1 ** 6, e1 ** 8
+    except OverflowError:
+        raise OverflowError(f"the closed-form characteristic overflows at beta*epsilon = {b:g}") from None
     two_theta = 2.0 * np.asarray(theta, dtype=float)
     s2, c2 = np.sin(two_theta), np.cos(two_theta)
     denom = (e2 + 1.0) ** 4
@@ -208,6 +211,8 @@ class SweepResult:
     epsilon: float
     n_shots: int | None
     columns: dict[str, np.ndarray]
+    # shot mode: the standard error of each column under the model
+    model_errors: dict[str, np.ndarray] | None = None
 
     def column_names(self) -> list[str]:
         return list(self.columns)
@@ -277,10 +282,11 @@ def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None) -> SweepResult:
     In exact mode every column is computed from the operator expressions.
     With ``n_shots`` set, columns hold finite-shot estimates from the
     simulated measurement records and ``*_se`` columns append their
-    closed-form standard errors, evaluated on the sampled tables.  ``gen``
-    (a :class:`SeededGenerator`, an integer seed or None for seed 0) seeds
-    the whole run: grid point i draws its three records from child streams
-    0, 1 and 2 of its child stream i.
+    closed-form standard errors, evaluated on the sampled tables, and
+    ``model_errors`` holds :func:`sweep_model_errors`, taken from the exact
+    joints the shots are drawn from.  ``gen`` (a :class:`SeededGenerator`,
+    an integer seed or None for seed 0) seeds the whole run: grid point i
+    draws its three records from child streams 0, 1 and 2 of its child stream i.
     """
     if isinstance(gen, SeededGenerator):
         master = gen
@@ -294,6 +300,7 @@ def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None) -> SweepResult:
     spec, rho, pops, circuits = _sweep_setup(config)
     u = 1j * beta
     if config.n_shots is None:
+        model_errors = None
         epm, tpm = epm_joint(rho, circuits, spec, spec), tpm_joint(rho, circuits, spec, spec)
         g_pop, g_coh = characteristic_split(rho, circuits, spec, spec, u)
         values = {"G_TPM": characteristic_function("TPM", rho, circuits, spec, spec, u),
@@ -306,6 +313,7 @@ def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None) -> SweepResult:
                          [point.spawn(k) for point in points])
             for k, (protocol, state) in enumerate((("EPM", rho), ("TPM", rho),
                                                    ("EPM", pops))))
+        model_errors = _sweep_errors(epm.exact, tpm.exact, dia.exact, beta, config.n_shots)
         g_epm = characteristic_of_distribution(epm, u).real
         g_dia = characteristic_of_distribution(dia, u).real
         values = {"G_TPM": characteristic_of_distribution(tpm, u), "G_EPM": g_epm,
@@ -319,7 +327,7 @@ def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None) -> SweepResult:
     if config.n_shots is not None:
         se = _sweep_errors(epm, tpm, dia, beta, config.n_shots)
         columns.update((name + "_se", se[name]) for name in SWEEP_COLUMNS)
-    return SweepResult(theta0, beta, config.epsilon, config.n_shots, columns)
+    return SweepResult(theta0, beta, config.epsilon, config.n_shots, columns, model_errors)
 
 
 def sweep_model_errors(config: TwoQubitExperimentConfig) -> dict[str, np.ndarray]:

@@ -95,8 +95,7 @@ EIGEN_CUTOFF = 1e-12
 
 PROTOCOLS = ("EPM", "TPM", "MLL")
 
-# The shot sampler's picks are uint8 counts, and its cell codes
-# level * levels_f + final stay below 2**16 at this many levels a side.
+# The shot sampler's picks are uint8 counts.
 MAX_LEVELS = 255
 
 
@@ -148,9 +147,9 @@ class JointEnergyDistribution:
     and ending at ``final_energies[k]``.  Construction clamps float-noise
     negatives to zero and normalizes the total to one (an off-by-more than
     1e-9 total indicates a bug upstream and raises).  ``n_shots`` is set on
-    empirical distributions produced by :func:`sample_shots`.  A batch of
-    tables has ``probs`` (T, levels_i, levels_f), with energy axes given
-    once or per table.
+    empirical distributions produced by :func:`sample_shots`, and ``exact``
+    to the joint their shots were drawn from.  A batch of tables has
+    ``probs`` (T, levels_i, levels_f), with energy axes given once or per table.
     """
 
     initial_energies: np.ndarray
@@ -158,6 +157,7 @@ class JointEnergyDistribution:
     probs: np.ndarray
     protocol: str
     n_shots: int | None = None
+    exact: JointEnergyDistribution | None = None
 
     def __post_init__(self):
         self.initial_energies = np.asarray(self.initial_energies, dtype=float)
@@ -264,7 +264,13 @@ def protocol_joint(protocol: str, rho, channel: Channel,
                    spec_i: SpectralDecomposition,
                    spec_f: SpectralDecomposition) -> JointEnergyDistribution:
     """Joint of a scheme: sum_s w_s tr(P_l sigma_s) tr(P_k Phi[sigma_s]) over its ensemble."""
-    weights, before, after = _member_populations(protocol, rho, channel, spec_i, spec_f)
+    return _members_joint(protocol, _member_populations(protocol, rho, channel, spec_i, spec_f),
+                          spec_i, spec_f)
+
+
+def _members_joint(protocol: str, members, spec_i: SpectralDecomposition,
+                   spec_f: SpectralDecomposition) -> JointEnergyDistribution:
+    weights, before, after = members
     probs = np.einsum("s,sl,...sk->...lk", weights, before, after)
     return JointEnergyDistribution(spec_i.energies, spec_f.energies, probs, protocol)
 
@@ -617,19 +623,19 @@ def sample_shots(protocol: str, rho, channel: Channel,
     channels takes a sequence of T streams as ``gen`` and gives T tables:
     table t holds exactly what a call with channel t and stream t draws.
     The result carries ``n_shots`` so shot-noise standard errors can be
-    attached downstream.
+    attached downstream, and as ``exact`` the :func:`protocol_joint` it draws from.
 
     The call allocates one (T, n_shots) float64 uniform buffer, and every
-    draw refills it (see :func:`_draw`).  Picks are uint8, and table t is
-    the bincount of the uint16 codes ``level * levels_f + final`` of stream
-    t.  Each stream still gives one ``random(n_shots)`` per draw, in the
-    order member, level, final, so the tables are the same bit for bit as
-    from one array per draw.  A draw has at most :data:`MAX_LEVELS`
-    outcomes; more raise ``ValueError``.
+    draw refills it (see :func:`_draw`).  Picks are uint8, and the buffer
+    then holds the codes ``level * levels_f + final + t * levels_i * levels_f``
+    of stream t, all tables in one bincount.  Each stream still gives one
+    ``random(n_shots)`` per draw, in the order member, level, final, so the
+    tables are the same bit for bit as from one array per draw.  A draw
+    has at most :data:`MAX_LEVELS` outcomes; more raise ``ValueError``.
     """
     if n_shots <= 0:
         raise ValueError("n_shots must be positive")
-    weights, before, after = _member_populations(protocol, rho, channel, spec_i, spec_f)
+    weights, before, after = members = _member_populations(protocol, rho, channel, spec_i, spec_f)
     batch = after.shape[:-2]
     rngs = [_rng(g) for g in (gen if isinstance(gen, (list, tuple)) else [gen])]
     if len(rngs) != math.prod(batch):
@@ -639,11 +645,14 @@ def sample_shots(protocol: str, rho, channel: Channel,
     level = member if protocol == "TPM" else _draw(rngs, before, member, u)
     final = _draw(rngs, after, member, u)
     n_i, n_f = spec_i.energies.shape[-1], spec_f.energies.shape[-1]
-    codes = level.astype(np.uint16) * n_f + final
-    counts = np.stack([np.bincount(c, minlength=n_i * n_f) for c in codes])
+    codes = np.multiply(level, n_f, out=u.view(np.int64), dtype=np.int64)  # the uniforms are spent
+    codes += final
+    codes += n_i * n_f * np.arange(len(rngs))[:, None]
+    counts = np.bincount(codes.ravel(), minlength=len(rngs) * n_i * n_f)
     return JointEnergyDistribution(spec_i.energies, spec_f.energies,
-                                   counts.reshape(batch + (n_i, n_f)) / n_shots,
-                                   protocol, n_shots=n_shots)
+                                   counts.reshape(batch + (n_i, n_f)) / n_shots, protocol,
+                                   n_shots=n_shots,
+                                   exact=_members_joint(protocol, members, spec_i, spec_f))
 
 
 # ---------------------------------------------------------------------------

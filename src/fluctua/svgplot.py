@@ -100,11 +100,13 @@ def line_chart(x, series: dict[str, "np.ndarray"], title: str = "",
         out.append(f'<text x="16" y="{yc:.0f}" text-anchor="middle" {FONT} '
                    f'transform="rotate(-90 16 {yc:.0f})">{escape(y_label)}</text>')
 
+    x_arr = np.array(xs)
     for k, (name, values) in enumerate(series.items()):
         color = PALETTE[k % len(PALETTE)]
-        points = " ".join(f"{sx(xv):.2f},{sy(float(yv)):.2f}"
-                          for xv, yv in zip(xs, values)
-                          if math.isfinite(float(yv)))
+        y_arr = np.asarray(values, dtype=float)
+        shown = np.isfinite(y_arr)  # sx and sy map arrays as they map a number
+        points = " ".join(map("%.2f,%.2f".__mod__, zip(sx(x_arr[shown]).tolist(),
+                                                       sy(y_arr[shown]).tolist())))
         out.append(f'<polyline points="{points}" fill="none" '
                    f'stroke="{color}" stroke-width="1.6"/>')
         ly = margin_top + 14 + 16 * k

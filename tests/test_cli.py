@@ -1,23 +1,29 @@
 """End-to-end checks of the command-line interface."""
 
+import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.dom.minidom
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fluctua
+from fluctua import svgplot
 from fluctua.acceptance import CriterionResult, IdentityCheck
 from fluctua.channels import IntegrationFailure
 from fluctua.cli import main
 from fluctua.models import SWEEP_COLUMNS, THREE_LEVEL_COLUMNS, PRESETS
 from fluctua.models import closed_form_characteristics, sweep_model_errors
 from fluctua.qcore import dephase
+from fluctua.svgplot import line_chart
 
 
 def read_csv(path):
@@ -237,7 +243,9 @@ def test_overflow_exits_3_before_writing(tmp_path, capsys):
     # exp(beta * dE) at beta = 400 overflows in the closed-form check rows
     out = tmp_path / "out"
     assert main(["run", "fig2-sweep", "--beta", "400", "--out", str(out)]) == 3
-    assert "numerical failure: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure: the closed-form characteristic overflows" in err
+    assert "beta*epsilon = 400" in err
     assert not (out / "results.csv").exists()
 
 
@@ -335,6 +343,136 @@ def test_plot_contains_legend_labels(tmp_path):
     svg = (out / "plot.svg").read_text()
     for name in PRESETS["fig2-sweep"].plot_columns:
         assert name in svg
+
+
+def per_cell_csv(columns) -> bytes:
+    """The per-cell CSV writer that the bulk row format of the outputs replaced."""
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    names = list(columns)
+    writer.writerow(names)
+    for i in range(len(columns[names[0]])):
+        writer.writerow([f"{float(columns[name][i]):.12g}" for name in names])
+    return fh.getvalue().encode()
+
+
+def per_point_polyline(xs, values, sx, sy) -> str:
+    """The per-point polyline formatter that the array form replaced."""
+    return " ".join(f"{sx(xv):.2f},{sy(float(yv)):.2f}"
+                    for xv, yv in zip(xs, values)
+                    if math.isfinite(float(yv)))
+
+
+ODD_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300,
+              -1e300, 5e-324, 0.1, -2.0 / 3.0, 123456789012.5, 2.0 ** 53 + 2]
+ODD_TABLES = {
+    "mixed": {"x": np.arange(len(ODD_VALUES), dtype=float),
+              "odd": np.array(ODD_VALUES),
+              "int": np.arange(len(ODD_VALUES)) * 1_000_003 - 7,
+              "big_int": np.arange(len(ODD_VALUES)) + 2 ** 53 - 3,
+              "float32": np.float32(ODD_VALUES[:3] + [1.1] * 10),
+              "reversed": np.array(ODD_VALUES[::-1])},
+    "integer": {"n": np.arange(5), "m": np.array([0, -1, 10 ** 12, 2 ** 53 + 1, 7]),
+                "odd": np.array([-3, 4, 5, 6, 7])},
+}
+
+
+@pytest.mark.parametrize("table", list(ODD_TABLES))
+def test_csv_matches_the_per_cell_writer(table, tmp_path):
+    columns = ODD_TABLES[table]
+    preset = SimpleNamespace(name="oracle", plot_columns=("odd",))
+    fluctua.cli._write_outputs(tmp_path, preset, columns, {})
+    assert (tmp_path / "results.csv").read_bytes() == per_cell_csv(columns)
+
+
+def test_polyline_matches_the_per_point_formatter():
+    rng = np.random.default_rng(11)
+    xs = np.sort(rng.uniform(-3.0, 7.0, 300))
+    series = {"odd": np.array((ODD_VALUES * 24)[:300]),
+              "smooth": np.sin(xs) * 1e-3,
+              "wide": rng.normal(size=300) * 10.0 ** rng.integers(-300, 290, 300)}
+    series["smooth"][::9] = np.nan
+    series["wide"][5::17] = -np.inf
+    svg = line_chart(xs, series)
+    # line_chart's screen transform for a chart without a title
+    pool = [float(v) for values in series.values() for v in values if math.isfinite(v)]
+    y_lo, y_hi = min(pool), max(pool)
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    plot_w = svgplot.WIDTH - svgplot.MARGIN_LEFT - svgplot.MARGIN_RIGHT
+    plot_h = svgplot.HEIGHT - 18 - svgplot.MARGIN_BOTTOM
+
+    def sx(v):
+        return svgplot.MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
+
+    def sy(v):
+        return 18 + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
+
+    found = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert found == [per_point_polyline(xs.tolist(), values, sx, sy)
+                     for values in series.values()]
+    assert all(found)
+
+
+def _run_in(directory: Path, argv, fresh: bool):
+    """Exit code and output files of ``fluctua <argv>`` run in ``directory``,
+    by ``cli.main`` in this process or by a new interpreter."""
+    directory.mkdir(parents=True)
+    if fresh:
+        src = str(Path(fluctua.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = subprocess.run([sys.executable, "-m", "fluctua", *argv], cwd=directory,
+                              env=env, capture_output=True, timeout=120).returncode
+    else:
+        cwd = os.getcwd()
+        os.chdir(directory)
+        try:
+            code = main(argv)
+        finally:
+            os.chdir(cwd)
+    files = {path.relative_to(directory): path.read_bytes()
+             for path in sorted(directory.rglob("*")) if path.is_file()}
+    return code, files
+
+
+SHOT_RUN = ["run", "fig2-sweep", "--shots", "2048", "--seed", "5", "--out", "res"]
+
+
+@pytest.mark.parametrize("sequence", [
+    [["run", "fig2-sweep", "--beta", "nan", "--out", "res"], SHOT_RUN],
+    [[*SHOT_RUN, "--check"], SHOT_RUN],
+], ids=["config-error-then-run", "check-then-no-check"])
+def test_repeated_main_calls_match_fresh_processes(sequence, tmp_path):
+    # the parser is built once per process; nothing of one call may leak
+    # into the next
+    in_process = [_run_in(tmp_path / f"in{i}", argv, fresh=False)
+                  for i, argv in enumerate(sequence)]
+    fresh = [_run_in(tmp_path / f"fresh{i}", argv, fresh=True)
+             for i, argv in enumerate(sequence)]
+    assert in_process == fresh
+    assert [code for code, _ in fresh] == [2 if "nan" in argv else 0 for argv in sequence]
+    assert fluctua.cli.build_parser() is fluctua.cli.build_parser()
+
+
+def test_shot_check_builds_each_record_once(tmp_path, monkeypatch):
+    # the self-check reads the model errors the sweep carries: one setup and
+    # one ensemble per record serve the shots and the exact joints
+    calls = {"setup": 0, "members": 0}
+    real_setup, real_members = fluctua.models._sweep_setup, fluctua.protocols._member_populations
+
+    def setup(*args):
+        calls["setup"] += 1
+        return real_setup(*args)
+
+    def members(*args):
+        calls["members"] += 1
+        return real_members(*args)
+
+    monkeypatch.setattr("fluctua.models._sweep_setup", setup)
+    monkeypatch.setattr("fluctua.protocols._member_populations", members)
+    assert main([*SHOT_RUN[:-1], str(tmp_path / "res"), "--check"]) == 0
+    assert calls == {"setup": 1, "members": 3}
 
 
 SWEEP, SERIES = "fig2-sweep", "figS2-jarzynski-closed"

@@ -176,6 +176,14 @@ def test_closed_form_splits_add_up():
         assert abs(vals["G_EPM_diag"] + vals["G_EPM_coh"] - vals["G_EPM"]) < 1e-12
 
 
+@pytest.mark.parametrize("beta, epsilon", [(100.0, 1.0), (200.0, 2.0)])
+def test_closed_form_overflow_names_the_quantity_and_beta_epsilon(beta, epsilon):
+    # exp(8 * beta * epsilon) leaves the float range above beta * epsilon ~ 88.7
+    with pytest.raises(OverflowError, match=r"closed-form characteristic overflows "
+                       rf"at beta\*epsilon = {beta * epsilon:g}$"):
+        closed_form_characteristics(0.3, beta, epsilon)
+
+
 def test_exact_sweep_matches_closed_forms():
     cfg = TwoQubitExperimentConfig()
     _, beta = cfg.resolved()
@@ -477,6 +485,18 @@ def test_sweep_model_errors_track_sampled_errors():
         assert np.allclose(quarter[name], 0.5 * model[name], rtol=1e-12)
     with pytest.raises(InvalidConfig):
         sweep_model_errors(TwoQubitExperimentConfig())
+
+
+def test_sweep_carries_its_model_errors():
+    # each record's ensemble gives both the shots and the exact joint; the
+    # errors on those joints are sweep_model_errors bit for bit
+    cfg = TwoQubitExperimentConfig(n_shots=2048)
+    res = two_qubit_sweep(cfg, SeededGenerator(8))
+    model = sweep_model_errors(cfg)
+    assert list(res.model_errors) == list(model) == list(SWEEP_COLUMNS)
+    for name in SWEEP_COLUMNS:
+        assert res.model_errors[name].tobytes() == model[name].tobytes(), name
+    assert two_qubit_sweep(TwoQubitExperimentConfig()).model_errors is None
 
 
 # ---------------------------------------------------------------------------

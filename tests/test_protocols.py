@@ -816,6 +816,24 @@ def test_sample_shots_matches_take_based_draws(case, size):
             assert np.array_equal(emp.probs, ref.probs), (tag, n_shots)
 
 
+@pytest.mark.parametrize("size", [None, 5], ids=["one-channel", "T5"])
+def test_sampled_joint_carries_the_exact_joint_it_was_drawn_from(size):
+    # the exact joint comes from the same member populations as the draws,
+    # so it is the protocol's joint bit for bit
+    rng = np.random.default_rng([607, size or 1])
+    spec_i = spectral_decompose(random_hamiltonian(rng, 3))
+    spec_f = spectral_decompose(random_hamiltonian(rng, 3))
+    rho = random_density(3, gen=SeededGenerator(6071))
+    chan = random_cptp(rng, 3) if size is None else random_cptp_batch(rng, 3, size)
+    for tag in ("EPM", "TPM", "MLL"):
+        streams = [SeededGenerator(6072).spawn(t) for t in range(size or 1)]
+        emp = sample_shots(tag, rho, chan, spec_i, spec_f, 64,
+                           streams[0] if size is None else streams)
+        exact = protocol_joint(tag, rho, chan, spec_i, spec_f)
+        assert emp.exact.probs.tobytes() == exact.probs.tobytes(), tag
+        assert (emp.exact.protocol, emp.exact.n_shots, emp.exact.exact) == (tag, None, None)
+
+
 def test_sampler_rejects_more_than_255_levels():
     probs = np.full((1, 256), 1.0 / 256)
     with pytest.raises(ValueError, match="at most 255 levels"):
