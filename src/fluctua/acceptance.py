@@ -21,7 +21,6 @@ import numpy as np
 
 from .channels import (
     IntegrationFailure,
-    SuperoperatorChannel,
     UnitaryChannel,
     check_cptp,
     propagate,
@@ -56,7 +55,14 @@ from .protocols import (
     tpm_joint,
 )
 from .qcore import dephase, gibbs_state, hermitian_eig, spectral_decompose
-from .sampling import SeededGenerator, haar_random_pure, random_density
+from .sampling import (
+    SeededGenerator,
+    haar_random_pure,
+    random_cptp,
+    random_density,
+    random_hamiltonian,
+    random_unitary,
+)
 
 __all__ = ["CriterionResult", "IdentityCheck", "run_all", "CRITERIA",
            "series_checks", "sweep_checks"]
@@ -96,7 +102,7 @@ def _sigma_distance(estimate, target, se) -> float:
     return float(np.divide(dev, se, out=far, where=se > 0).max())
 
 
-def sweep_checks(result, config: TwoQubitExperimentConfig) -> dict[str, IdentityCheck]:
+def sweep_checks(result) -> dict[str, IdentityCheck]:
     """Identity checks of a qubit-pair sweep, keyed by their summary name.
 
     An exact sweep is checked against the two-point identity, the split of
@@ -171,27 +177,6 @@ class CriterionResult:
         return "PASS" if self.passed else "FAIL"
 
 
-def _random_unitary(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _random_cptp(rng, d, env=2):
-    g = rng.normal(size=(env * d, d)) + 1j * rng.normal(size=(env * d, d))
-    q, _ = np.linalg.qr(g)
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for e in range(env):
-        k = q[e * d:(e + 1) * d, :]
-        s += np.kron(k, k.conj())
-    return SuperoperatorChannel(s)
-
-
-def _random_hamiltonian(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return 0.5 * (g + g.conj().T)
-
-
 def _joint_tv(a, b) -> float:
     return 0.5 * float(np.sum(np.abs(a.probs - b.probs)))
 
@@ -206,7 +191,7 @@ def tpm_exponential_identity() -> CriterionResult:
     """Two-point exponential average is exactly one across the sweep."""
     cfg = TwoQubitExperimentConfig()
     res = two_qubit_sweep(cfg)
-    gap = sweep_checks(res, cfg)["max_abs_G_TPM_minus_1"]
+    gap = sweep_checks(res)["max_abs_G_TPM_minus_1"]
     return CriterionResult(
         "tpm-exponential-identity", gap.passed,
         f"max |G_TPM - 1| = {gap.value:.2e} over {res.columns['theta'].size} "
@@ -216,7 +201,7 @@ def tpm_exponential_identity() -> CriterionResult:
 def sweep_closed_forms() -> CriterionResult:
     """Simulated sweep columns agree with their closed-form expressions."""
     cfg = TwoQubitExperimentConfig()
-    worst = sweep_checks(two_qubit_sweep(cfg), cfg)["max_closed_form_deviation"]
+    worst = sweep_checks(two_qubit_sweep(cfg))["max_closed_form_deviation"]
 
     # End-to-end spot value at the first grid point for a directly given
     # inverse temperature, computed from the operator expressions.
@@ -238,10 +223,10 @@ def protocol_collapse() -> CriterionResult:
     worst = {"pure": 0.0, "diagonal": 0.0, "eigenstate": 0.0}
     for k in range(100):
         d = (2, 3, 4)[k % 3]
-        h = _random_hamiltonian(rng, d)
+        h = random_hamiltonian(d, rng)
         spec = spectral_decompose(h)
-        chan = (UnitaryChannel(_random_unitary(rng, d)) if k % 2
-                else _random_cptp(rng, d))
+        chan = (UnitaryChannel(random_unitary(d, rng)) if k % 2
+                else random_cptp(d, rng))
         evals, vecs = hermitian_eig(h)
 
         rho_p = haar_random_pure(d, SeededGenerator(1000 + k))
@@ -286,11 +271,11 @@ def moment_identities() -> CriterionResult:
     worst_mean = worst_split = worst_coh = 0.0
     for k in range(100):
         d = (2, 3, 4)[k % 3]
-        h_i = _random_hamiltonian(rng, d)
-        h_f = _random_hamiltonian(rng, d)
+        h_i = random_hamiltonian(d, rng)
+        h_f = random_hamiltonian(d, rng)
         spec_i, spec_f = spectral_decompose(h_i), spectral_decompose(h_f)
-        chan = (UnitaryChannel(_random_unitary(rng, d)) if k % 2
-                else _random_cptp(rng, d))
+        chan = (UnitaryChannel(random_unitary(d, rng)) if k % 2
+                else random_cptp(d, rng))
         rho = random_density(d, gen=SeededGenerator(3000 + k))
         _, basis = hermitian_eig(h_i)
 
@@ -325,11 +310,11 @@ def entropy_relations() -> CriterionResult:
     min_mixed_info = np.inf
     max_pure_info = 0.0
     for k in range(100):
-        h_i = _random_hamiltonian(rng, 3)
-        h_f = _random_hamiltonian(rng, 3)
+        h_i = random_hamiltonian(3, rng)
+        h_f = random_hamiltonian(3, rng)
         spec_i, spec_f = spectral_decompose(h_i), spectral_decompose(h_f)
-        chan = (UnitaryChannel(_random_unitary(rng, 3)) if k % 2
-                else _random_cptp(rng, 3))
+        chan = (UnitaryChannel(random_unitary(3, rng)) if k % 2
+                else random_cptp(3, rng))
         _, vecs = hermitian_eig(h_i)
 
         rho_d = dephase(random_density(3, gen=SeededGenerator(4000 + k)),
@@ -368,16 +353,16 @@ def tpm_recovery() -> CriterionResult:
     for k in range(50):
         if k % 2:
             d = (2, 3, 4)[k % 3]
-            h_i = _random_hamiltonian(rng, d)
+            h_i = random_hamiltonian(d, rng)
         else:
             # include degenerate initial spectra to exercise rank weighting
             d = 4
-            u = _random_unitary(rng, 4)
+            u = random_unitary(4, rng)
             h_i = u @ np.diag([1.0, 1.0, 0.0, -1.0]).astype(complex) @ u.conj().T
-        h_f = _random_hamiltonian(rng, d)
+        h_f = random_hamiltonian(d, rng)
         spec_i, spec_f = spectral_decompose(h_i), spectral_decompose(h_f)
-        chan = (UnitaryChannel(_random_unitary(rng, d)) if k % 3
-                else _random_cptp(rng, d))
+        chan = (UnitaryChannel(random_unitary(d, rng)) if k % 3
+                else random_cptp(d, rng))
         rho = random_density(d, gen=SeededGenerator(6000 + k))
 
         jt = tpm_joint(rho, chan, spec_i, spec_f)
@@ -494,7 +479,7 @@ def nonconvex_coherence() -> CriterionResult:
     for k in range(100):
         r1 = random_density(4, rank=1, gen=SeededGenerator(5000 + k))
         r2 = random_density(4, rank=1, gen=SeededGenerator(5100 + k))
-        chan = UnitaryChannel(_random_unitary(rng, 4))
+        chan = UnitaryChannel(random_unitary(4, rng))
         gap = convexity_witness(r1, r2, 0.5, chan, spec, spec)
         best = max(best, gap)
         found += int(gap > 1e-6)

@@ -1,11 +1,9 @@
 """Quantum channels and Lindblad time evolution.
 
-A channel maps density operators to density operators.  Two concrete
-kinds are provided:
-
-* :class:`UnitaryChannel` conjugates by a fixed unitary,
-* :class:`SuperoperatorChannel` applies a precomputed matrix to the
-  vectorized state.
+A channel maps density operators to density operators.  There is one
+implementation, :class:`SuperoperatorChannel`, which applies a d^2 x d^2
+matrix (or a stack of them, a batch of channels) to the vectorized state;
+:class:`UnitaryChannel` only builds one from a unitary, conjugation by U.
 
 Vectorization is row-major throughout: ``vec(rho) = rho.reshape(d*d)``
 stacks rows, so conjugation by a unitary U has superoperator
@@ -67,7 +65,6 @@ __all__ = [
     "lindblad_generator",
     "propagate",
     "propagator_series",
-    "channel_as_superoperator",
     "check_cptp",
     "CPTPReport",
     "vec",
@@ -195,26 +192,15 @@ def _matrix_stack(m, dim: int) -> np.ndarray:
 
 
 class Channel:
-    """Common channel interface: a linear, trace-preserving state map."""
+    """Base class of the channel types; it has no methods of its own.
+
+    It stays for the protocols' type hints, and so that code wrapping
+    the channel methods from outside (the benchmark's tracer) finds every
+    channel class among its subclasses.  :class:`SuperoperatorChannel`
+    is the one implementation.
+    """
 
     dim: int
-
-    def apply(self, rho) -> np.ndarray:
-        """Apply to a density operator (validated)."""
-        raise NotImplementedError
-
-    def apply_matrix(self, m) -> np.ndarray:
-        """Linear extension to arbitrary matrices (no state validation).
-
-        ``m`` is one d x d matrix or a stack ``(..., d, d)``; each matrix of
-        the stack is mapped.  A channel holding a batch of T channels
-        returns a leading T axis.
-        """
-        raise NotImplementedError
-
-    def as_superoperator(self) -> np.ndarray:
-        """The d^2 x d^2 matrix acting on row-major vectorized states."""
-        raise NotImplementedError
 
 
 def _assert_unitary(u: np.ndarray) -> None:
@@ -235,29 +221,6 @@ def unitary_superoperator(unitary) -> np.ndarray:
     d = u.shape[-1]
     return (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(
         *u.shape[:-2], d * d, d * d)
-
-
-class UnitaryChannel(Channel):
-    """rho -> U rho U^dag."""
-
-    def __init__(self, unitary):
-        u = as_complex_matrix(unitary, "unitary")
-        _assert_unitary(u)
-        self.unitary = u
-        self.dim = u.shape[0]
-
-    def apply(self, rho) -> np.ndarray:
-        r = assert_density_operator(rho)
-        if r.shape[0] != self.dim:
-            raise DimensionMismatch("state and channel dimensions differ")
-        return self.unitary @ r @ self.unitary.conj().T
-
-    def apply_matrix(self, m) -> np.ndarray:
-        a = _matrix_stack(m, self.dim)
-        return self.unitary @ a @ self.unitary.conj().T
-
-    def as_superoperator(self) -> np.ndarray:
-        return unitary_superoperator(self.unitary)
 
 
 class SuperoperatorChannel(Channel):
@@ -294,8 +257,12 @@ class SuperoperatorChannel(Channel):
         out = s @ a.reshape(*a.shape[:-2], self.dim ** 2, 1)
         return out.reshape(batch + a.shape)
 
-    def as_superoperator(self) -> np.ndarray:
-        return self.superoperator
+
+class UnitaryChannel(SuperoperatorChannel):
+    """rho -> U rho U^dag, or a batch of T channels from a (T, d, d) stack."""
+
+    def __init__(self, unitary):
+        super().__init__(unitary_superoperator(unitary))
 
 
 def identity_channel(dim: int) -> UnitaryChannel:
@@ -569,13 +536,6 @@ def propagate(schedule: HamiltonianSchedule, jump_operators, rho0,
     return final.apply(rho)
 
 
-def channel_as_superoperator(channel: Channel) -> SuperoperatorChannel:
-    """Rewrite any channel as an explicit superoperator channel."""
-    if isinstance(channel, SuperoperatorChannel):
-        return channel
-    return SuperoperatorChannel(channel.as_superoperator())
-
-
 # ---------------------------------------------------------------------------
 # CPTP diagnostics.
 
@@ -609,8 +569,8 @@ def check_cptp(channel_or_superoperator, tol: float = 1e-8) -> CPTPReport:
     Choi matrix; complete positivity up to numerical noise means it is not
     meaningfully negative.
     """
-    if isinstance(channel_or_superoperator, Channel):
-        s = channel_or_superoperator.as_superoperator()
+    if isinstance(channel_or_superoperator, SuperoperatorChannel):
+        s = channel_or_superoperator.superoperator
     else:
         s = as_complex_matrix(channel_or_superoperator, "superoperator")
     d = math.isqrt(s.shape[0])

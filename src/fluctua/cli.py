@@ -242,7 +242,7 @@ def _run_two_qubit(preset, settings: dict):
     result = two_qubit_sweep(cfg, gen=SeededGenerator(settings.setdefault("seed", 0)))
     results = {"epsilon": result.epsilon, "grid_points": len(result.columns["theta"])}
     return (result.columns, [dataclasses.replace(cfg, theta0=theta0, beta=beta)],
-            results, sweep_checks(result, cfg))
+            results, sweep_checks(result))
 
 
 def _run_three_level(preset, settings: dict):

@@ -21,8 +21,8 @@ from .channels import (
     HamiltonianSchedule,
     JumpOperatorSet,
     SuperoperatorChannel,
+    UnitaryChannel,
     propagator_series,
-    unitary_superoperator,
 )
 from .protocols import (
     JointEnergyDistribution,
@@ -268,7 +268,7 @@ def _sweep_setup(config: TwoQubitExperimentConfig):
     rho = two_qubit_initial_state(config)
     gates = np.stack([controlled_gate(-4.0 * theta, config.phi, config.lam)
                       for theta in config.theta_grid])
-    circuits = SuperoperatorChannel(unitary_superoperator(gates))
+    circuits = UnitaryChannel(gates)
     return spec, rho, dephase(rho), circuits
 
 

@@ -1,4 +1,4 @@
-"""Seeded random instances: states and coherence perturbations.
+"""Seeded random instances: states, unitaries, channels, Hamiltonians, coherences.
 
 All randomness in the package flows through :class:`SeededGenerator`, a
 thin wrapper over numpy's PCG64 bit generator.  PCG64 produces the same
@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .channels import SuperoperatorChannel
 from .qcore import hermitian_eig
 
 __all__ = [
@@ -23,6 +24,9 @@ __all__ = [
     "SeededGenerator",
     "haar_random_pure",
     "random_density",
+    "random_unitary",
+    "random_cptp",
+    "random_hamiltonian",
     "random_coherence",
 ]
 
@@ -56,16 +60,6 @@ class SeededGenerator:
         child = self.seed ^ (((index + 1) * _GOLDEN64) & _MASK64)
         return SeededGenerator(child)
 
-    # pass-throughs used all over the package
-    def normal(self, size=None):
-        return self.rng.normal(size=size)
-
-    def random(self, size=None):
-        return self.rng.random(size)
-
-    def integers(self, low, high=None, size=None):
-        return self.rng.integers(low, high=high, size=size)
-
 
 def _rng(gen) -> np.random.Generator:
     if gen is None:
@@ -77,14 +71,18 @@ def _rng(gen) -> np.random.Generator:
     return SeededGenerator(int(gen)).rng
 
 
+def _ginibre(r: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """rows x cols iid complex Gaussians: the real parts drawn, then the imaginary."""
+    return r.normal(size=(rows, cols)) + 1j * r.normal(size=(rows, cols))
+
+
 def haar_random_pure(dim: int, gen) -> np.ndarray:
     """Haar-uniform pure state as a rank-one density operator.
 
     A vector of iid complex Gaussians, normalized, is Haar distributed
     because the Gaussian measure is unitarily invariant.
     """
-    r = _rng(gen)
-    psi = r.normal(size=dim) + 1j * r.normal(size=dim)
+    psi = _ginibre(_rng(gen), dim, 1)[:, 0]
     psi /= np.linalg.norm(psi)
     return np.outer(psi, psi.conj())
 
@@ -99,10 +97,36 @@ def random_density(dim: int, rank: int | None = None, gen=None) -> np.ndarray:
         rank = dim
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
-    r = _rng(gen)
-    g = r.normal(size=(dim, rank)) + 1j * r.normal(size=(dim, rank))
+    g = _ginibre(_rng(gen), dim, rank)
     rho = g @ g.conj().T
     return rho / rho.trace()
+
+
+def random_unitary(dim: int, gen=None) -> np.ndarray:
+    """Haar-random unitary: Q of a Ginibre matrix's QR, phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(_ginibre(_rng(gen), dim, dim))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_cptp(dim: int, gen=None, env: int = 2) -> SuperoperatorChannel:
+    """Random channel from an isometry into dim x env, traced over env.
+
+    The isometry is the Q of a Ginibre (env dim) x dim matrix; its env
+    dim x dim blocks are the Kraus operators K, and the superoperator is
+    the sum of kron(K, conj(K)).
+    """
+    q, _ = np.linalg.qr(_ginibre(_rng(gen), env * dim, dim))
+    s = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for e in range(env):
+        k = q[e * dim:(e + 1) * dim, :]
+        s += np.kron(k, k.conj())
+    return SuperoperatorChannel(s)
+
+
+def random_hamiltonian(dim: int, gen=None) -> np.ndarray:
+    """Random Hermitian matrix (G + G^dag)/2 of a Ginibre matrix G."""
+    g = _ginibre(_rng(gen), dim, dim)
+    return 0.5 * (g + g.conj().T)
 
 
 def random_coherence(diag_target, gen, scale: float = 1.0) -> np.ndarray:

@@ -13,7 +13,6 @@ from fluctua.channels import (
     JumpOperatorSet,
     SuperoperatorChannel,
     UnitaryChannel,
-    channel_as_superoperator,
     check_cptp,
     choi_matrix,
     identity_channel,
@@ -25,16 +24,11 @@ from fluctua.channels import (
 )
 from fluctua.models import PRESETS, three_level_model
 from fluctua.qcore import DimensionMismatch, NonHermitianInput
+from fluctua.sampling import random_density, random_hamiltonian, random_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SM = np.array([[0, 1], [0, 0]], dtype=complex)  # lowers |1> to |0>
-
-
-def random_state(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / rho.trace()
 
 
 def operator_form_rhs(h, ops, rho):
@@ -44,12 +38,6 @@ def operator_form_rhs(h, ops, rho):
         k = L.conj().T @ L
         out = out + L @ rho @ L.conj().T - 0.5 * (k @ rho + rho @ k)
     return out
-
-
-def random_unitary(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -66,20 +54,20 @@ def test_unitary_superoperator_is_kron():
     # S = kron(U, conj(U)) must reproduce direct conjugation
     rng = np.random.default_rng(2)
     for d in (2, 3, 4):
-        u = random_unitary(rng, d)
+        u = random_unitary(d, rng)
         chan = UnitaryChannel(u)
-        s = chan.as_superoperator()
+        s = chan.superoperator
         assert np.allclose(s, np.kron(u, u.conj()))
         for _ in range(20):
-            rho = random_state(rng, d)
+            rho = random_density(d, gen=rng)
             direct = u @ rho @ u.conj().T
             assert np.max(np.abs(unvec(s @ vec(rho)) - direct)) < 1e-12
 
 
 def test_unitary_channel_preserves_spectrum():
     rng = np.random.default_rng(3)
-    rho = random_state(rng, 4)
-    u = random_unitary(rng, 4)
+    rho = random_density(4, gen=rng)
+    u = random_unitary(4, rng)
     out = UnitaryChannel(u).apply(rho)
     assert np.max(np.abs(np.sort(np.linalg.eigvalsh(out))
                          - np.sort(np.linalg.eigvalsh(rho)))) < 1e-12
@@ -107,7 +95,7 @@ def test_rhs_pure_hamiltonian_commutator():
 
 def test_rhs_traceless_and_hermiticity_preserving():
     rng = np.random.default_rng(5)
-    rho = random_state(rng, 3)
+    rho = random_density(3, gen=rng)
     ops = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
     h = rng.normal(size=(3, 3))
     h = h + h.T
@@ -176,7 +164,7 @@ def test_propagate_zero_window_is_identity():
 def test_propagate_keeps_state_valid():
     rng = np.random.default_rng(8)
     sched = HamiltonianSchedule(SX + 0.3 * SZ, t_final=3.0)
-    out = propagate(sched, [0.5 * SM], random_state(rng, 2), step=1e-3)
+    out = propagate(sched, [0.5 * SM], random_density(2, gen=rng), step=1e-3)
     assert abs(out.trace() - 1.0) < 1e-10
     assert np.min(np.linalg.eigvalsh(out)) > -1e-9
 
@@ -235,9 +223,8 @@ def test_lindblad_superoperator_matches_propagation():
                                 lambda t: [0.5 * np.cos(t)], t_final=1.5)
     ops = [0.6 * SM]
     chan = propagator_series(sched, ops, [sched.t_final], step=1e-2)[-1]
-    assert channel_as_superoperator(chan) is chan
     for _ in range(5):
-        rho = random_state(rng, 2)
+        rho = random_density(2, gen=rng)
         direct = _operator_form_rk4(sched, ops, rho, step=1e-2)
         assert np.max(np.abs(chan.apply(rho) - direct)) < 1e-13
         assert np.max(np.abs(propagate(sched, ops, rho, step=1e-2) - direct)) < 1e-13
@@ -267,7 +254,7 @@ def test_propagator_series_steps_across_block_edges():
     for times in (np.cumsum(counts) * step, INNER_TIMES):
         series = propagator_series(sched, ops, times, step=step)
         for _ in range(3):
-            rho = random_state(rng, 2)
+            rho = random_density(2, gen=rng)
             direct, t_prev = rho, sched.t_initial
             for t, snap in zip(times, series):
                 if t > t_prev:
@@ -336,7 +323,7 @@ def test_superoperator_batch_maps_through_every_member():
     batch = SuperoperatorChannel(members)
     assert batch.dim == d
     stack = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
-    rho = random_state(rng, d)
+    rho = random_density(d, gen=rng)
     mapped, applied = batch.apply_matrix(stack), batch.apply(rho)
     assert mapped.shape == (4, 5, d, d) and applied.shape == (4, d, d)
     for k, s in enumerate(members):
@@ -378,7 +365,7 @@ def test_apply_matrix_maps_each_matrix_of_a_stack(d):
     rng = np.random.default_rng(20 + d)
     g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
     stack = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
-    for chan in (UnitaryChannel(random_unitary(rng, d)), SuperoperatorChannel(g)):
+    for chan in (UnitaryChannel(random_unitary(d, rng)), SuperoperatorChannel(g)):
         one_by_one = np.array([chan.apply_matrix(m) for m in stack])
         assert np.array_equal(chan.apply_matrix(stack), one_by_one)
         with pytest.raises(DimensionMismatch):
@@ -394,7 +381,7 @@ def test_propagator_series_matches_individual_runs():
     times = [0.0, 0.5, 1.3, 2.0]
     series = propagator_series(sched, ops, times, step=1e-3)
     rng = np.random.default_rng(11)
-    rho = random_state(rng, 2)
+    rho = random_density(2, gen=rng)
     for t, snap in zip(times, series):
         one = HamiltonianSchedule(sched.base, sched.couplings, sched.envelopes,
                                   0.0, t)
@@ -420,11 +407,6 @@ def test_propagator_series_rejects_times_outside_window():
     propagator_series(sched, None, [0.8, 1.0 + 1e-13])
 
 
-def random_hermitian(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return 0.5 * (g + g.conj().T)
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_hermitian_basis_is_unitary_with_the_diagonal_first(d):
     u = channels._hermitian_basis(d)
@@ -445,8 +427,8 @@ def test_generators_are_real_in_the_hermitian_basis(d):
     rng = np.random.default_rng(60 + d)
     u = channels._hermitian_basis(d)
     ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
-    couplings = np.array([random_hermitian(rng, d) for _ in range(2)])
-    gens = [lindblad_generator(random_hermitian(rng, d), ops),
+    couplings = np.array([random_hamiltonian(d, rng) for _ in range(2)])
+    gens = [lindblad_generator(random_hamiltonian(d, rng), ops),
             *channels._hamiltonian_generator(couplings)]
     for gen in gens:
         in_basis = u.conj().T @ gen @ u
@@ -503,7 +485,7 @@ def test_choi_of_identity_channel():
 
 def test_check_cptp_unitary():
     rng = np.random.default_rng(12)
-    rep = check_cptp(UnitaryChannel(random_unitary(rng, 3)))
+    rep = check_cptp(UnitaryChannel(random_unitary(3, rng)))
     assert isinstance(rep, CPTPReport)
     assert rep.trace_preserving
     assert abs(rep.choi_min_eig) < 1e-10

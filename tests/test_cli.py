@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -292,9 +293,9 @@ def test_shot_summary_distance_is_the_self_check_z_score(tmp_path, monkeypatch):
     seen = {}
     real = fluctua.cli.sweep_checks
 
-    def spy(result, config):
-        seen.update(result=result, config=config)
-        seen["checks"] = real(result, config)
+    def spy(result):
+        seen["result"] = result
+        seen["checks"] = real(result)
         return seen["checks"]
 
     monkeypatch.setattr("fluctua.cli.sweep_checks", spy)
@@ -302,7 +303,8 @@ def test_shot_summary_distance_is_the_self_check_z_score(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "s"), "--check"])
     assert code == 0
     summary = json.loads((tmp_path / "s" / "summary.json").read_text())
-    se = sweep_model_errors(seen["config"])["G_TPM"]
+    config = dataclasses.replace(PRESETS["fig2-sweep"].two_qubit, n_shots=2048)
+    se = sweep_model_errors(config)["G_TPM"]
     dev = np.abs(seen["result"].columns["G_TPM"] - 1.0)
     assert np.all(dev[se == 0] <= 1e-12)
     z = dev[se > 0] / se[se > 0]
@@ -330,7 +332,7 @@ def test_shot_self_check_catches_incoherent_sampler(tmp_path, monkeypatch, capsy
 
 def test_failed_self_check_exits_4(tmp_path, monkeypatch, capsys):
     failing = {"synthetic": IdentityCheck(1.0, 0.0, "max", "synthetic defect")}
-    monkeypatch.setattr("fluctua.cli.sweep_checks", lambda result, config: failing)
+    monkeypatch.setattr("fluctua.cli.sweep_checks", lambda result: failing)
     code = main(["run", "fig2-sweep", "--out", str(tmp_path / "s"),
                  "--check"])
     assert code == 4

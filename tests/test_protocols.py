@@ -42,7 +42,10 @@ from fluctua.sampling import (
     SeededGenerator,
     haar_random_pure,
     random_coherence,
+    random_cptp,
     random_density,
+    random_hamiltonian,
+    random_unitary,
 )
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -50,28 +53,6 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
 # Pair of qubits with local gap epsilon = 1: energies 2, 0, 0, -2.
 H_PAIR = np.diag([2.0, 0.0, 0.0, -2.0]).astype(complex)
-
-
-def random_unitary(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_cptp(rng, d, env=2):
-    """Random channel from an isometry into d x env, traced over env."""
-    g = rng.normal(size=(env * d, d)) + 1j * rng.normal(size=(env * d, d))
-    q, _ = np.linalg.qr(g)
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for e in range(env):
-        k = q[e * d:(e + 1) * d, :]
-        s += np.kron(k, k.conj())
-    return SuperoperatorChannel(s)
-
-
-def random_hamiltonian(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return 0.5 * (g + g.conj().T)
 
 
 def tv(p, q):
@@ -134,10 +115,10 @@ def test_epm_joint_is_product_of_marginals():
     rng = np.random.default_rng(11)
     for d in (2, 3, 4):
         for _ in range(10):
-            h_i = random_hamiltonian(rng, d)
-            h_f = random_hamiltonian(rng, d)
+            h_i = random_hamiltonian(d, rng)
+            h_f = random_hamiltonian(d, rng)
             rho = random_density(d, gen=SeededGenerator(int(rng.integers(1 << 32))))
-            chan = UnitaryChannel(random_unitary(rng, d))
+            chan = UnitaryChannel(random_unitary(d, rng))
             j = epm_joint(rho, chan, spectral_decompose(h_i), spectral_decompose(h_f))
             outer = np.outer(j.initial_marginal(), j.final_marginal())
             assert np.max(np.abs(j.probs - outer)) < 1e-12
@@ -201,12 +182,12 @@ def test_tpm_joint_eigenstate_commuting_unitary():
 def test_pure_state_epm_equals_mll():
     rng = np.random.default_rng(21)
     for d in (2, 3, 4):
-        spec_i = spectral_decompose(random_hamiltonian(rng, d))
-        spec_f = spectral_decompose(random_hamiltonian(rng, d))
+        spec_i = spectral_decompose(random_hamiltonian(d, rng))
+        spec_f = spectral_decompose(random_hamiltonian(d, rng))
         for k in range(12):
             rho = random_density(d, rank=1, gen=SeededGenerator(900 + k + d))
-            chan = (UnitaryChannel(random_unitary(rng, d)) if k % 2
-                    else random_cptp(rng, d))
+            chan = (UnitaryChannel(random_unitary(d, rng)) if k % 2
+                    else random_cptp(d, rng))
             a = epm_joint(rho, chan, spec_i, spec_f)
             b = mll_joint(rho, chan, spec_i, spec_f)
             assert joint_tv(a, b) < 1e-10
@@ -224,8 +205,8 @@ def test_diagonal_state_mll_equals_tpm():
             pops = rng.random(d) + 0.05 * np.arange(1, d + 1)
             pops /= pops.sum()
             rho = np.diag(pops).astype(complex)
-            chan = (UnitaryChannel(random_unitary(rng, d)) if k % 2
-                    else random_cptp(rng, d))
+            chan = (UnitaryChannel(random_unitary(d, rng)) if k % 2
+                    else random_cptp(d, rng))
             a = mll_joint(rho, chan, spec_i, spec_f)
             b = tpm_joint(rho, chan, spec_i, spec_f)
             assert joint_tv(a, b) < 1e-10
@@ -234,14 +215,14 @@ def test_diagonal_state_mll_equals_tpm():
 def test_eigenstate_all_protocols_agree():
     rng = np.random.default_rng(23)
     for d in (2, 3, 4):
-        h = random_hamiltonian(rng, d)
+        h = random_hamiltonian(d, rng)
         spec = spectral_decompose(h)
         vals, vecs = np.linalg.eigh(h)
         for k in range(8):
             v = vecs[:, int(rng.integers(d))]
             rho = np.outer(v, v.conj())
-            chan = (UnitaryChannel(random_unitary(rng, d)) if k % 2
-                    else random_cptp(rng, d))
+            chan = (UnitaryChannel(random_unitary(d, rng)) if k % 2
+                    else random_cptp(d, rng))
             a = epm_joint(rho, chan, spec, spec)
             b = tpm_joint(rho, chan, spec, spec)
             c = mll_joint(rho, chan, spec, spec)
@@ -273,7 +254,7 @@ def test_diagonal_witness_epm_differs_from_tpm():
 
 def test_mll_degenerate_spectrum_warns():
     rng = np.random.default_rng(24)
-    u = random_unitary(rng, 3)
+    u = random_unitary(3, rng)
     rho = u @ np.diag([0.4, 0.4, 0.2]).astype(complex) @ u.conj().T
     spec = spectral_decompose(np.diag([1.0, 0.0, -1.0]).astype(complex))
     with pytest.warns(DegenerateEigenbasis):
@@ -325,10 +306,10 @@ def test_mean_matches_trace_formula():
     rng = np.random.default_rng(31)
     for _ in range(25):
         d = int(rng.integers(2, 5))
-        h_i = random_hamiltonian(rng, d)
-        h_f = random_hamiltonian(rng, d)
+        h_i = random_hamiltonian(d, rng)
+        h_f = random_hamiltonian(d, rng)
         rho = random_density(d, gen=SeededGenerator(int(rng.integers(1 << 32))))
-        chan = random_cptp(rng, d)
+        chan = random_cptp(d, rng)
         expect = float(np.trace(h_f @ chan.apply(rho)).real
                        - np.trace(h_i @ rho).real)
         spec_i, spec_f = spectral_decompose(h_i), spectral_decompose(h_f)
@@ -349,11 +330,11 @@ def test_second_moment_split_reconstructs_distribution():
     rng = np.random.default_rng(32)
     for _ in range(25):
         d = int(rng.integers(2, 5))
-        h_i = random_hamiltonian(rng, d)
-        h_f = random_hamiltonian(rng, d)
+        h_i = random_hamiltonian(d, rng)
+        h_f = random_hamiltonian(d, rng)
         rho = random_density(d, gen=SeededGenerator(int(rng.integers(1 << 32))))
-        chan = (UnitaryChannel(random_unitary(rng, d)) if rng.random() < 0.5
-                else random_cptp(rng, d))
+        chan = (UnitaryChannel(random_unitary(d, rng)) if rng.random() < 0.5
+                else random_cptp(d, rng))
         spec_i, spec_f = spectral_decompose(h_i), spectral_decompose(h_f)
         vals, vecs = np.linalg.eigh(h_i)
         split = epm_second_moment_split(rho, chan, spec_i, spec_f, basis=vecs)
@@ -367,7 +348,7 @@ def test_second_moment_split_no_coherence():
     spec = spectral_decompose(np.diag([1.5, 0.3, -0.8]).astype(complex))
     pops = np.array([0.5, 0.3, 0.2])
     rho = np.diag(pops).astype(complex)
-    chan = UnitaryChannel(random_unitary(rng, 3))
+    chan = UnitaryChannel(random_unitary(3, rng))
     split = epm_second_moment_split(rho, chan, spec, spec)
     assert abs(split.coherence_part) < 1e-10
     assert abs(split.total - split.population_part) < 1e-10
@@ -376,10 +357,10 @@ def test_second_moment_split_no_coherence():
 def test_second_moment_pure_state_equals_mll():
     rng = np.random.default_rng(34)
     for k in range(10):
-        h = random_hamiltonian(rng, 3)
+        h = random_hamiltonian(3, rng)
         spec = spectral_decompose(h)
         rho = random_density(3, rank=1, gen=SeededGenerator(70 + k))
-        chan = UnitaryChannel(random_unitary(rng, 3))
+        chan = UnitaryChannel(random_unitary(3, rng))
         vals, vecs = np.linalg.eigh(h)
         split = epm_second_moment_split(rho, chan, spec, spec, basis=vecs)
         m2_mll = moment(mll_joint(rho, chan, spec, spec), 2)
@@ -392,10 +373,10 @@ def test_second_moment_pure_state_equals_mll():
 
 def test_characteristic_function_at_zero_is_one():
     rng = np.random.default_rng(41)
-    h = random_hamiltonian(rng, 3)
+    h = random_hamiltonian(3, rng)
     spec = spectral_decompose(h)
     rho = random_density(3, gen=SeededGenerator(5))
-    chan = random_cptp(rng, 3)
+    chan = random_cptp(3, rng)
     for tag in ("EPM", "TPM", "MLL"):
         g = characteristic_function(tag, rho, chan, spec, spec, 0.0)
         assert abs(g - 1.0) < 1e-12
@@ -406,12 +387,12 @@ def test_characteristic_function_matches_distribution():
     us = list(np.linspace(-3.0, 3.0, 9)) + [0.443j, 1.1 + 0.25j]
     for k in range(6):
         d = 2 + k % 3
-        h_i = random_hamiltonian(rng, d)
-        h_f = random_hamiltonian(rng, d)
+        h_i = random_hamiltonian(d, rng)
+        h_f = random_hamiltonian(d, rng)
         spec_i, spec_f = spectral_decompose(h_i), spectral_decompose(h_f)
         rho = random_density(d, gen=SeededGenerator(400 + k))
-        chan = (UnitaryChannel(random_unitary(rng, d)) if k % 2
-                else random_cptp(rng, d))
+        chan = (UnitaryChannel(random_unitary(d, rng)) if k % 2
+                else random_cptp(d, rng))
         for tag in ("EPM", "TPM", "MLL"):
             j = protocol_joint(tag, rho, chan, spec_i, spec_f)
             for u in us:
@@ -445,7 +426,7 @@ def test_characteristic_split_no_coherence():
     rng = np.random.default_rng(44)
     spec = spectral_decompose(np.diag([1.0, 0.2, -1.3]).astype(complex))
     rho = np.diag([0.2, 0.5, 0.3]).astype(complex)
-    chan = random_cptp(rng, 3)
+    chan = random_cptp(3, rng)
     g_pop, g_coh = characteristic_split(rho, chan, spec, spec, 0.9)
     assert abs(g_coh) < 1e-12
     g = characteristic_function("EPM", rho, chan, spec, spec, 0.9)
@@ -457,7 +438,7 @@ def test_characteristic_split_eigenstate_population_equals_tpm():
     rho = np.zeros((3, 3), dtype=complex)
     rho[1, 1] = 1.0
     rng = np.random.default_rng(45)
-    chan = UnitaryChannel(random_unitary(rng, 3))
+    chan = UnitaryChannel(random_unitary(3, rng))
     for u in (0.3, 1j * 0.5):
         g_pop, g_coh = characteristic_split(rho, chan, spec, spec, u)
         g_tpm = characteristic_function("TPM", rho, chan, spec, spec, u)
@@ -497,8 +478,8 @@ def test_jarzynski_parts_sum_to_total():
         warnings.simplefilter("error")
         for k in range(10):
             rho = thermal_plus_coherence(h, beta, 600 + k, scale=0.8)
-            chan = (UnitaryChannel(random_unitary(rng, 4)) if k % 2
-                    else random_cptp(rng, 4))
+            chan = (UnitaryChannel(random_unitary(4, rng)) if k % 2
+                    else random_cptp(4, rng))
             rep = jarzynski(rho, chan, spec, spec, beta)
             assert abs(rep.total - rep.diagonal_part - rep.coherence_part) < 1e-10
             assert rep.beta == beta
@@ -510,7 +491,7 @@ def test_jarzynski_beta_zero_limit():
     h_f = np.diag([2.0, 0.5, -0.5]).astype(complex)
     rho = np.eye(3, dtype=complex) / 3.0
     rng = np.random.default_rng(52)
-    chan = UnitaryChannel(random_unitary(rng, 3))
+    chan = UnitaryChannel(random_unitary(3, rng))
     rep = jarzynski(rho, chan, spectral_decompose(h_i), spectral_decompose(h_f), 0.0)
     assert abs(rep.total - 1.0) < 1e-12
     # beta -> 0 free energy difference tends to the mean energy change
@@ -536,7 +517,7 @@ def test_jarzynski_tpm_counterpart_is_unity():
     z_f = float(np.sum(np.exp(-beta * spec_f.energies) * spec_f.ranks))
     rho = gibbs_state(h_i, beta)
     for _ in range(5):
-        chan = UnitaryChannel(random_unitary(rng, 3))
+        chan = UnitaryChannel(random_unitary(3, rng))
         g = characteristic_function("TPM", rho, chan, spec_i, spec_f, 1j * beta)
         assert abs(g * (z_i / z_f) - 1.0) < 1e-12
 
@@ -548,12 +529,12 @@ def test_jarzynski_tpm_counterpart_is_unity():
 def test_entropy_ordering_mll_below_epm():
     rng = np.random.default_rng(61)
     for k in range(20):
-        h_i = random_hamiltonian(rng, 3)
-        h_f = random_hamiltonian(rng, 3)
+        h_i = random_hamiltonian(3, rng)
+        h_f = random_hamiltonian(3, rng)
         spec_i, spec_f = spectral_decompose(h_i), spectral_decompose(h_f)
         rho = random_density(3, gen=SeededGenerator(800 + k))
-        chan = (UnitaryChannel(random_unitary(rng, 3)) if k % 2
-                else random_cptp(rng, 3))
+        chan = (UnitaryChannel(random_unitary(3, rng)) if k % 2
+                else random_cptp(3, rng))
         h_mll = shannon_entropy(mll_joint(rho, chan, spec_i, spec_f))
         h_epm = shannon_entropy(epm_joint(rho, chan, spec_i, spec_f))
         assert h_mll <= h_epm + 1e-12
@@ -566,8 +547,8 @@ def test_no_coherence_epm_is_product_of_tpm_marginals():
         pops = rng.random(3) + 0.1
         pops /= pops.sum()
         rho = np.diag(pops).astype(complex)
-        chan = (UnitaryChannel(random_unitary(rng, 3)) if k % 2
-                else random_cptp(rng, 3))
+        chan = (UnitaryChannel(random_unitary(3, rng)) if k % 2
+                else random_cptp(3, rng))
         je = epm_joint(rho, chan, spec, spec)
         jt = tpm_joint(rho, chan, spec, spec)
         outer = np.outer(jt.initial_marginal(), jt.final_marginal())
@@ -578,10 +559,10 @@ def test_no_coherence_epm_is_product_of_tpm_marginals():
 def test_mutual_information_nonnegative_zero_iff_pure():
     rng = np.random.default_rng(63)
     for k in range(15):
-        h_i = random_hamiltonian(rng, 3)
-        h_f = random_hamiltonian(rng, 3)
+        h_i = random_hamiltonian(3, rng)
+        h_f = random_hamiltonian(3, rng)
         spec_i, spec_f = spectral_decompose(h_i), spectral_decompose(h_f)
-        chan = UnitaryChannel(random_unitary(rng, 3))
+        chan = UnitaryChannel(random_unitary(3, rng))
         pure = random_density(3, rank=1, gen=SeededGenerator(910 + k))
         mixed = random_density(3, gen=SeededGenerator(950 + k))
         mi_pure = mutual_information(mll_joint(pure, chan, spec_i, spec_f),
@@ -613,10 +594,10 @@ def test_tpm_recovered_from_projector_epm_runs():
         else:
             h_i = np.diag(np.sort(rng.normal(size=d))).astype(complex)
         spec_i = spectral_decompose(h_i)
-        spec_f = spectral_decompose(random_hamiltonian(rng, d))
+        spec_f = spectral_decompose(random_hamiltonian(d, rng))
         rho = random_density(d, gen=SeededGenerator(1000 + k))
-        chan = (UnitaryChannel(random_unitary(rng, d)) if k % 2
-                else random_cptp(rng, d))
+        chan = (UnitaryChannel(random_unitary(d, rng)) if k % 2
+                else random_cptp(d, rng))
         jt = tpm_joint(rho, chan, spec_i, spec_f)
         p = initial_probabilities(rho, spec_i)
         mix = np.zeros_like(jt.probs)
@@ -665,9 +646,9 @@ def test_sample_shots_counts_are_pinned():
     # count tables captured before the three schemes shared one sampler;
     # any change to the draw order or to the streams it consumes fails here
     rng = np.random.default_rng(404)
-    spec_i = spectral_decompose(random_hamiltonian(rng, 3))
-    spec_f = spectral_decompose(random_hamiltonian(rng, 3))
-    chan = random_cptp(rng, 3)
+    spec_i = spectral_decompose(random_hamiltonian(3, rng))
+    spec_f = spectral_decompose(random_hamiltonian(3, rng))
+    chan = random_cptp(3, rng)
     rho = random_density(3, gen=SeededGenerator(4040))
     pinned = {"EPM": [[101, 43, 43], [77, 47, 35], [81, 39, 34]],
               "TPM": [[138, 39, 10], [42, 55, 62], [82, 51, 21]],
@@ -708,7 +689,7 @@ def test_sample_shots_validates_input():
 
 
 def random_cptp_batch(rng, d, size):
-    return SuperoperatorChannel(np.stack([random_cptp(rng, d).superoperator
+    return SuperoperatorChannel(np.stack([random_cptp(d, rng).superoperator
                                           for _ in range(size)]))
 
 
@@ -720,8 +701,8 @@ def test_batched_sample_shots_matches_single_calls(degenerate):
         spec_i = spectral_decompose(np.diag([1.0, 1.0, -1.0]).astype(complex))
     else:
         d = 4
-        spec_i = spectral_decompose(random_hamiltonian(rng, d))
-    spec_f = spectral_decompose(random_hamiltonian(rng, d))
+        spec_i = spectral_decompose(random_hamiltonian(d, rng))
+    spec_f = spectral_decompose(random_hamiltonian(d, rng))
     batch = random_cptp_batch(rng, d, 5)
     rho = random_density(d, gen=SeededGenerator(5050))
     master = SeededGenerator(5051)
@@ -798,13 +779,13 @@ def test_sample_shots_matches_take_based_draws(case, size):
     if case == "degenerate-d3":
         spec_i = spectral_decompose(np.diag([1.0, 1.0, -1.0]).astype(complex))
     else:
-        spec_i = spectral_decompose(random_hamiltonian(rng, d))
-    spec_f = spectral_decompose(random_hamiltonian(rng, d))
+        spec_i = spectral_decompose(random_hamiltonian(d, rng))
+    spec_f = spectral_decompose(random_hamiltonian(d, rng))
     if case == "pure-d4":
         rho = haar_random_pure(d, SeededGenerator(6060))
     else:
         rho = random_density(d, gen=SeededGenerator(6061))
-    chan = random_cptp(rng, d) if size is None else random_cptp_batch(rng, d, size)
+    chan = random_cptp(d, rng) if size is None else random_cptp_batch(rng, d, size)
     master = SeededGenerator(6062)
     for n_shots in (1, 7, 2048):
         for tag in ("EPM", "TPM", "MLL"):
@@ -821,10 +802,10 @@ def test_sampled_joint_carries_the_exact_joint_it_was_drawn_from(size):
     # the exact joint comes from the same member populations as the draws,
     # so it is the protocol's joint bit for bit
     rng = np.random.default_rng([607, size or 1])
-    spec_i = spectral_decompose(random_hamiltonian(rng, 3))
-    spec_f = spectral_decompose(random_hamiltonian(rng, 3))
+    spec_i = spectral_decompose(random_hamiltonian(3, rng))
+    spec_f = spectral_decompose(random_hamiltonian(3, rng))
     rho = random_density(3, gen=SeededGenerator(6071))
-    chan = random_cptp(rng, 3) if size is None else random_cptp_batch(rng, 3, size)
+    chan = random_cptp(3, rng) if size is None else random_cptp_batch(rng, 3, size)
     for tag in ("EPM", "TPM", "MLL"):
         streams = [SeededGenerator(6072).spawn(t) for t in range(size or 1)]
         emp = sample_shots(tag, rho, chan, spec_i, spec_f, 64,
@@ -876,7 +857,7 @@ def test_convexity_witness_zero_at_endpoints():
     spec = spectral_decompose(SZ)
     r1 = random_density(2, gen=SeededGenerator(3001))
     r2 = random_density(2, gen=SeededGenerator(3002))
-    chan = UnitaryChannel(random_unitary(rng, 2))
+    chan = UnitaryChannel(random_unitary(2, rng))
     for zeta in (0.0, 1.0):
         assert convexity_witness(r1, r2, zeta, chan, spec, spec) < 1e-12
 
@@ -889,7 +870,7 @@ def test_convexity_witness_finds_gap():
     for k in range(20):
         r1 = random_density(2, rank=1, gen=SeededGenerator(3100 + k))
         r2 = random_density(2, rank=1, gen=SeededGenerator(3200 + k))
-        chan = UnitaryChannel(random_unitary(rng, 2))
+        chan = UnitaryChannel(random_unitary(2, rng))
         gap = convexity_witness(r1, r2, 0.5, chan, spec, spec)
         assert gap >= -1e-15
         best = max(best, gap)
@@ -983,12 +964,12 @@ def assert_batch_matches(batch, singles, tol=1e-14):
 def test_protocols_broadcast_over_a_channel_batch(batched_final):
     rng = np.random.default_rng(81)
     d, n = 3, 4
-    chans = [random_cptp(rng, d) for _ in range(n)]
+    chans = [random_cptp(d, rng) for _ in range(n)]
     batch = SuperoperatorChannel(np.array([c.superoperator for c in chans]))
-    h_i = random_hamiltonian(rng, d)
+    h_i = random_hamiltonian(d, rng)
     spec_i = spectral_decompose(h_i)
     energies, basis = np.linalg.eigh(h_i)
-    specs_f = (spectral_decompose(np.array([random_hamiltonian(rng, d) for _ in range(n)]))
+    specs_f = (spectral_decompose(np.array([random_hamiltonian(d, rng) for _ in range(n)]))
                if batched_final else [spec_i] * n)
     spec_f = SpectralDecomposition.stack(specs_f) if batched_final else spec_i
     beta = 0.6

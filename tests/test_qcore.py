@@ -20,17 +20,7 @@ from fluctua.qcore import (
     matrix_phase_exp,
     spectral_decompose,
 )
-
-
-def random_hermitian(rng, d, scale=1.0):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * 0.5 * (a + a.conj().T)
-
-
-def random_state(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / rho.trace()
+from fluctua.sampling import random_density, random_hamiltonian, random_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +33,7 @@ def test_eig_matches_lapack_oracle():
     rng = np.random.default_rng(7)
     for d in range(2, 10):
         for _ in range(5):
-            a = random_hermitian(rng, d, scale=3.0)
+            a = 3.0 * random_hamiltonian(d, rng)
             vals, vecs = hermitian_eig(a)
             ref = np.linalg.eigvalsh(a)
             assert np.max(np.abs(vals - ref)) < 1e-10
@@ -54,16 +44,11 @@ def test_eig_matches_lapack_oracle():
             assert np.max(np.abs(res)) < 1e-9
 
 
-def random_unitary(rng, d):
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def test_eig_gauge_pivot_is_real_positive():
     rng = np.random.default_rng(20)
     for d in range(2, 10):
         for _ in range(25):
-            for a in (random_hermitian(rng, d), rng.normal(size=(d, d))):
+            for a in (random_hamiltonian(d, rng), rng.normal(size=(d, d))):
                 _, vecs = hermitian_eig(0.5 * (a + a.conj().T))
                 pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d)]
                 assert np.max(np.abs(pivots.imag)) < 1e-12
@@ -74,7 +59,7 @@ def test_eig_gauge_ignores_input_phases():
     # H is the same operator whatever phases V's columns carry, so the
     # returned columns must not depend on them (nor on LAPACK's convention).
     rng = np.random.default_rng(21)
-    cases = [(random_unitary(rng, d), np.sort(rng.normal(size=d)))
+    cases = [(random_unitary(d, rng), np.sort(rng.normal(size=d)))
              for d in range(2, 10) for _ in range(10)]
     # DFT eigenvectors have components of exactly equal magnitude, so the
     # pivot is decided by the tie rule rather than by roundoff.
@@ -162,7 +147,7 @@ def test_spectral_two_qubit_levels():
 def test_spectral_projector_algebra():
     rng = np.random.default_rng(3)
     for d in (2, 3, 4, 6):
-        h = random_hermitian(rng, d, scale=2.0)
+        h = 2.0 * random_hamiltonian(d, rng)
         dec = spectral_decompose(h)
         total = np.zeros((d, d), dtype=complex)
         for i, p in enumerate(dec.projectors):
@@ -179,7 +164,7 @@ def test_spectral_projector_algebra():
 
 def test_spectral_grouping_merges_near_degenerate():
     rng = np.random.default_rng(5)
-    a = random_hermitian(rng, 3)
+    a = random_hamiltonian(3, rng)
     _, v = np.linalg.eigh(a)
     h = v @ np.diag([1.0, 1.0 + 1e-12, 2.0]) @ v.conj().T
     h = 0.5 * (h + h.conj().T)
@@ -195,10 +180,10 @@ def mixed_degeneracy_stack(rng, d=4):
                 [0.3, 0.3, 0.3, 0.3])
     stack = []
     for energies in patterns:
-        _, v = np.linalg.eigh(random_hermitian(rng, d))
+        _, v = np.linalg.eigh(random_hamiltonian(d, rng))
         h = v @ np.diag(energies) @ v.conj().T
         stack.append(0.5 * (h + h.conj().T))
-    stack += [random_hermitian(rng, d) for _ in range(3)]
+    stack += [random_hamiltonian(d, rng) for _ in range(3)]
     return np.array(stack)
 
 
@@ -222,7 +207,7 @@ def test_stacked_eig_and_decomposition_equal_each_matrix():
 
 def test_stacked_decomposition_broadcasts_spectral_sums():
     rng = np.random.default_rng(9)
-    decs = spectral_decompose(np.array([random_hermitian(rng, 3) for _ in range(4)]))
+    decs = spectral_decompose(np.array([random_hamiltonian(3, rng) for _ in range(4)]))
     batch = SpectralDecomposition.stack(decs)
     assert batch.energies.shape == (4, 3) and batch.projectors.shape == (4, 3, 3, 3)
     assert batch.ranks == [dec.ranks for dec in decs]
@@ -251,7 +236,7 @@ def test_gibbs_two_qubit_frozen_values():
 
 def test_gibbs_nondiagonal_matches_transformed():
     rng = np.random.default_rng(9)
-    h = random_hermitian(rng, 4)
+    h = random_hamiltonian(4, rng)
     vals, vecs = np.linalg.eigh(h)
     w = np.exp(-0.7 * vals)
     ref = (vecs * (w / w.sum())) @ vecs.conj().T
@@ -278,8 +263,8 @@ def test_dephase_computational():
 
 def test_dephase_in_rotated_basis():
     rng = np.random.default_rng(13)
-    rho = random_state(rng, 3)
-    h = random_hermitian(rng, 3)
+    rho = random_density(3, gen=rng)
+    h = random_hamiltonian(3, rng)
     _, basis = hermitian_eig(h)
     p = dephase(rho, basis)
     # diagonal in that basis, trace preserved
@@ -315,8 +300,8 @@ def test_dephase_sectors_keeps_intra_block():
 def test_coherence_split_roundtrip():
     rng = np.random.default_rng(17)
     for d in (2, 4):
-        rho = random_state(rng, d)
-        h = random_hermitian(rng, d)
+        rho = random_density(d, gen=rng)
+        h = random_hamiltonian(d, rng)
         _, basis = hermitian_eig(h)
         for kwargs in ({}, {"basis": basis},
                        {"sectors": spectral_decompose(h)}):
@@ -336,8 +321,8 @@ def test_coherence_l1_plus_state():
 
 def test_coherence_l1_of_a_stack():
     rng = np.random.default_rng(31)
-    states = np.array([random_state(rng, 3) for _ in range(4)])
-    _, bases = hermitian_eig(np.array([random_hermitian(rng, 3) for _ in range(4)]))
+    states = np.array([random_density(3, gen=rng) for _ in range(4)])
+    _, bases = hermitian_eig(np.array([random_hamiltonian(3, rng) for _ in range(4)]))
     plain = coherence_l1(states)
     per_basis = coherence_l1(states, bases)
     one_basis = coherence_l1(states, bases[0])
@@ -353,7 +338,7 @@ def test_coherence_l1_of_a_stack():
 
 def test_matrix_phase_exp_against_eigh_oracle():
     rng = np.random.default_rng(21)
-    h = random_hermitian(rng, 4)
+    h = random_hamiltonian(4, rng)
     vals, vecs = np.linalg.eigh(h)
     for z in (0.0, -0.443, 1.2j, 0.5 - 0.25j):
         ref = (vecs * np.exp(z * vals)) @ vecs.conj().T
@@ -366,7 +351,7 @@ def test_matrix_phase_exp_zero_is_identity():
 
 def test_matrix_phase_exp_imaginary_is_unitary():
     rng = np.random.default_rng(23)
-    h = random_hermitian(rng, 5)
+    h = random_hamiltonian(5, rng)
     u = matrix_phase_exp(h, 0.9j)
     assert np.max(np.abs(u @ u.conj().T - np.eye(5))) < 1e-10
 
@@ -377,7 +362,7 @@ def test_matrix_phase_exp_imaginary_is_unitary():
 
 def test_assert_density_accepts_valid():
     rng = np.random.default_rng(29)
-    rho = random_state(rng, 3)
+    rho = random_density(3, gen=rng)
     out = assert_density_operator(rho)
     assert out.dtype == np.complex128
 
@@ -398,7 +383,7 @@ def test_assert_density_rejects_negative():
 
 
 def test_density_spectrum_returns_the_validated_decomposition():
-    rho = random_state(np.random.default_rng(30), 3)
+    rho = random_density(3, gen=np.random.default_rng(30))
     a, vals, vecs = density_spectrum(rho)
     assert np.array_equal(a, assert_density_operator(rho))
     ref_vals, ref_vecs = hermitian_eig(rho)

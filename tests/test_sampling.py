@@ -25,8 +25,8 @@ def test_spawn_is_deterministic_and_distinct():
     assert len({k.seed for k in kids}) == 4
     assert all(k.seed != gen.seed for k in kids)
     # spawning does not disturb the parent stream
-    y = SeededGenerator(99).normal()
-    assert gen.normal() == y
+    y = SeededGenerator(99).rng.normal()
+    assert gen.rng.normal() == y
 
 
 def test_spawned_streams_draw_pinned_values():
@@ -36,12 +36,13 @@ def test_spawned_streams_draw_pinned_values():
     kid = gen.spawn(3).spawn(1)
     assert "rng" not in vars(gen) and "rng" not in vars(kid)
     assert kid.seed == 4950324153757274004
-    assert kid.random(3).tolist() == [0.11891065623916741, 0.21636639928255685,
-                                      0.923836774876697]
-    assert kid.normal(2).tolist() == [-0.11702338149142243, -0.0787000718359688]
-    assert kid.integers(0, 1000, size=3).tolist() == [416, 585, 444]
-    assert gen.spawn(20).spawn(2).random(2).tolist() == [0.27001737570856,
-                                                         0.04672543423683628]
+    assert kid.rng.random(3).tolist() == [0.11891065623916741, 0.21636639928255685,
+                                          0.923836774876697]
+    assert kid.rng.normal(size=2).tolist() == [-0.11702338149142243,
+                                               -0.0787000718359688]
+    assert kid.rng.integers(0, 1000, size=3).tolist() == [416, 585, 444]
+    assert gen.spawn(20).spawn(2).rng.random(2).tolist() == [0.27001737570856,
+                                                             0.04672543423683628]
 
 
 def test_integer_seed_accepted():
