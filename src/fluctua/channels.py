@@ -24,16 +24,19 @@ runs in float64.  One RK4 step of dS/dt = L(t) S is a product S <- M S
 with a step map M built from the generators at the step's start,
 midpoint and end: three products with the stacked pieces [I; L0 + D;
 L_j] give I + (h/2)A, (h/2)B and (h/6)C, and three batched matrix
-products turn those into M.  Steps are taken a block at a time, as many
-consecutive steps as fit in :data:`BLOCK_BYTES` whichever windows they
-belong to (so memory does not grow with the run), with one array call of
-the envelopes per block.  A chunked scan turns each block's maps into its
-propagators: prefix products inside chunks of about sqrt(n) maps, run in
-lock-step, then a carry from each chunk into the next.  A real
-propagator preserves Hermiticity by construction, so no step is
-projected; a trace drift beyond 1e-6 (or any NaN) at any step aborts
-the run.  The snapshots return to the row-major vec basis in one batched
-product.
+products turn those into M.  The windows between snapshot times form one
+table (start, step size, step count and cumulative end of each), and
+every step of the run is a global index into it; a static schedule
+takes the same path with no envelopes.  Steps are taken a block at a
+time, as many consecutive indices as fit in :data:`BLOCK_BYTES`
+whichever windows they belong to (so memory does not grow with the
+run), with one array call of the envelopes per block.  A chunked scan
+turns each block's maps into its propagators: prefix products inside
+chunks of about sqrt(n) maps, run in lock-step, then a carry from each
+chunk into the next.  A real propagator preserves Hermiticity by
+construction, so no step is projected; a trace drift beyond 1e-6 (or
+any NaN) at any step aborts the run.  The snapshots return to the
+row-major vec basis in one batched product.
 """
 
 from __future__ import annotations
@@ -223,6 +226,14 @@ def unitary_superoperator(unitary) -> np.ndarray:
         *u.shape[:-2], d * d, d * d)
 
 
+def _square_side(n: int) -> int:
+    """d for a superoperator side n = d^2."""
+    d = math.isqrt(n)
+    if d * d != n:
+        raise DimensionMismatch("superoperator side is not a perfect square")
+    return d
+
+
 class SuperoperatorChannel(Channel):
     """A channel given directly by its vectorized-state matrix.
 
@@ -232,12 +243,8 @@ class SuperoperatorChannel(Channel):
     """
 
     def __init__(self, superoperator):
-        s = as_complex_matrix(superoperator, "superoperator", stack=True)
-        d = math.isqrt(s.shape[-1])
-        if d * d != s.shape[-1]:
-            raise DimensionMismatch("superoperator side is not a perfect square")
-        self.superoperator = s
-        self.dim = d
+        self.superoperator = as_complex_matrix(superoperator, "superoperator", stack=True)
+        self.dim = _square_side(self.superoperator.shape[-1])
 
     def apply(self, rho) -> np.ndarray:
         r = assert_density_operator(rho)
@@ -308,8 +315,12 @@ def lindblad_generator(hamiltonian, jump_operators) -> np.ndarray:
     ``vec(drho/dt) = lindblad_generator(H, ops) @ vec(rho)``.
     """
     h = as_complex_matrix(hamiltonian, "Hamiltonian")
-    return _hamiltonian_generator(h) + _dissipator(_as_operator_list(jump_operators),
-                                                   h.shape[0])
+    ops = _as_operator_list(jump_operators)
+    for op in ops:
+        if op.shape != h.shape:
+            raise DimensionMismatch(f"jump operator of shape {op.shape} does not "
+                                    f"match the Hamiltonian of shape {h.shape}")
+    return _hamiltonian_generator(h) + _dissipator(ops, h.shape[0])
 
 
 def _hermitian_basis(d: int) -> np.ndarray:
@@ -384,48 +395,22 @@ def _prefix_products(maps: np.ndarray, s: np.ndarray) -> None:
         maps[first:first + c] = maps[first:first + c] @ maps[first - 1]
 
 
-def _blocks(windows: list, block: int):
-    """Cut the steps of consecutive windows into blocks of ``block`` steps.
+def _drive_weights(schedule: HamiltonianSchedule, t0: np.ndarray, h: np.ndarray,
+                   k: np.ndarray, weights: np.ndarray) -> None:
+    """Fill ``weights[:, :n, 1:]`` for n steps of one block.
 
-    ``windows`` holds (start, step size, step count) per window.  Yields
-    (n, segments) per block, a segment being (start, step size, first
-    step in the window, count, offset in the block) of one window's steps.
-    """
-    segments, k = [], 0
-    for t0, h, n_steps in windows:
-        first = 0
-        while first < n_steps:
-            take = min(n_steps - first, block - k)
-            segments.append((t0, h, first, take, k))
-            first += take
-            k += take
-            if k == block:
-                yield k, segments
-                segments, k = [], 0
-    if k:
-        yield k, segments
-
-
-def _drive_weights(schedule: HamiltonianSchedule, segments: list,
-                   weights: np.ndarray, n: int) -> None:
-    """Fill ``weights[:, :n, 1:]`` for the steps of one block.
-
-    The envelopes are read in one call at the nodes of the block's
-    segments, 2 c + 1 nodes for c steps since adjacent steps of a window
-    share their end node.  Column 1 weights L0 + D and column 1 + j
+    Step i is step ``k[i]`` of a window that starts at ``t0[i]`` with step
+    size ``h[i]``; its start, midpoint and end are the nodes
+    t0 + (2 k + j) h/2 for j = 0, 1, 2, and the envelopes are read at all
+    3 n nodes in one call.  Column 1 weights L0 + D and column 1 + j
     weights L_j: h/2 at a step's start and midpoint, h/6 at its end.
     """
-    nodes = np.concatenate([
-        t0 + np.arange(2 * first, 2 * (first + take) + 1) * (0.5 * h)
-        for t0, h, first, take, _ in segments])
-    e = schedule.envelope_values(nodes)
-    counts = [seg[3] for seg in segments]
-    # step i of the j-th segment starts at node 2 i + j
-    start = 2 * np.arange(n) + np.repeat(np.arange(len(segments)), counts)
-    hs = np.array([seg[1] for seg in segments])
-    scale = np.repeat(np.array([0.5 * hs, 0.5 * hs, hs / 6.0]), counts, axis=1)
+    n = len(k)
+    nodes = t0 + (2 * k + np.arange(3)[:, None]) * (0.5 * h)
+    e = schedule.envelope_values(nodes.reshape(-1)).reshape(-1, 3, n)
+    scale = np.array([0.5 * h, 0.5 * h, h / 6.0])
     weights[:, :n, 1] = scale
-    weights[:, :n, 2:] = (e[:, start + np.arange(3)[:, None]] * scale).transpose(1, 2, 0)
+    weights[:, :n, 2:] = (e * scale).transpose(1, 2, 0)
 
 
 def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
@@ -438,24 +423,30 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     requested.  Each window between consecutive times takes
     ceil(span/step) equal steps.  The generators are taken to the real
     Hermitian basis of :func:`_hermitian_basis`, L_R = U^dag L U, once per
-    call, and everything after runs in float64.  The steps are taken a
-    block at a time: as many consecutive steps as fit in
-    :data:`BLOCK_BYTES`, whichever windows they belong to, each with its
-    own step size.  The drive is read once per block, at the nodes of the
-    windows the block covers; the block's step maps come from
-    :func:`_step_maps` (one map per window when nothing drives the
-    schedule), and :func:`_prefix_products`, with S folded into the first
-    map, turns them into the propagators S_i = M_i ... M_first S.  A
-    window's snapshot is the propagator at its last step.  Every step's
-    propagator is checked for trace drift, max |t S_i - t| with t the
-    trace row (ones on the first d coordinates); none is projected, since
-    a real propagator maps Hermitian matrices to Hermitian matrices.  The
-    snapshots return as U S_R U^dag in one batched product.  Times must
-    be non-decreasing and lie inside the schedule window.
+    call, and everything after runs in float64.  The windows form one
+    table of arrays, their ``starts``, step ``sizes``, step ``counts`` and
+    ``ends = cumsum(counts)``, and every step of the run has a global
+    index into it: step g lies in the window w with ends[w - 1] <= g <
+    ends[w], as its step g - ends[w - 1].  The steps are taken a block at
+    a time, as many consecutive indices as fit in :data:`BLOCK_BYTES`,
+    whichever windows they belong to.  The drive is read once per block
+    by :func:`_drive_weights`, the block's step maps come from
+    :func:`_step_maps` (a static schedule takes the same path with no
+    envelopes), and :func:`_prefix_products`, with S folded into the
+    first map, turns them into the propagators S_g = M_g ... M_0.  A
+    window's snapshot is the propagator after its last step, ends[w] - 1.
+    Every step's propagator is checked for trace drift, max |t S_g - t|
+    with t the trace row (ones on the first d coordinates); none is
+    projected, since a real propagator maps Hermitian matrices to
+    Hermitian matrices.  The snapshots return as U S_R U^dag in one
+    batched product.  Times must be finite, non-decreasing and inside
+    the schedule window.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     ts = [float(t) for t in times]
+    if not all(math.isfinite(t) for t in [schedule.t_initial, *ts]):
+        raise ValueError("snapshot times and the schedule start must be finite")
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValueError("snapshot times must be non-decreasing")
     if ts and ts[0] < schedule.t_initial - 1e-12:
@@ -470,16 +461,15 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     coupled = (u_dag @ _hamiltonian_generator(schedule.couplings) @ u).real
     pieces = np.concatenate([np.eye(side)[None], static[None], coupled]).reshape(
         -1, side * side)
-    driven = len(schedule.couplings) > 0
 
-    windows, t0 = [], schedule.t_initial
-    for t1 in ts:
-        n_steps = max(1, math.ceil((t1 - t0) / step - 1e-12)) if t1 > t0 else 0
-        windows.append((t0, (t1 - t0) / max(n_steps, 1), n_steps))
-        t0 = t1
+    starts = np.array([schedule.t_initial, *ts])[:-1]
+    counts = np.array([max(1, math.ceil((t1 - t0) / step - 1e-12)) if t1 > t0 else 0
+                       for t0, t1 in zip(starts, ts)], dtype=int)
+    sizes = (np.array(ts) - starts) / np.maximum(counts, 1)
     # a window's snapshot is the propagator after step ends[w] - 1
-    ends = np.cumsum([n_steps for *_, n_steps in windows], dtype=int)
-    block = max(1, min(BLOCK_BYTES // (8 * side * side), int(ends[-1]) if ts else 0))
+    ends = np.cumsum(counts)
+    total = int(counts.sum())
+    block = max(1, min(BLOCK_BYTES // (8 * side * side), total))
     snapshots = np.empty((len(ts), side, side))
     snapshots[ends == 0] = np.eye(side)
     work = np.empty((3, block, side * side))
@@ -490,19 +480,13 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     trace[:d] = 1.0
 
     s = np.eye(side)
-    g = 0
-    for n, segments in _blocks(windows, block):
-        if driven:
-            _drive_weights(schedule, segments, weights, n)
-            steps = _step_maps(pieces, weights, work, n)
-        else:
-            # every step of a window has the same map, built once per window
-            steps = work[0, :n].reshape(n, side, side)
-            for _, h, first, take, offset in segments:
-                if first == 0:
-                    one = np.array([[[1.0, 0.5 * h]], [[0.0, 0.5 * h]], [[0.0, h / 6.0]]])
-                    window_map = _step_maps(pieces, one, np.empty((3, 1, side * side)), 1)
-                steps[offset:offset + take] = window_map
+    for g in range(0, total, block):
+        idx = np.arange(g, min(g + block, total))
+        n = len(idx)
+        w = np.searchsorted(ends, idx, side="right")
+        k = idx - (ends[w] - counts[w])
+        _drive_weights(schedule, starts[w], sizes[w], k, weights)
+        steps = _step_maps(pieces, weights, work, n)
         # a run that blows up overflows in the rest of its block; the drift
         # check below reports the first step that went bad
         with np.errstate(over="ignore", invalid="ignore"):
@@ -511,17 +495,15 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
         if not drift.max() <= TRACE_DRIFT_ABORT:
             drift = drift.max(axis=1)
             i = int(np.argmax(~(drift <= TRACE_DRIFT_ABORT)))
-            t0, h, first, _, offset = next(seg for seg in reversed(segments)
-                                           if seg[4] <= i)
+            h = sizes[w[i]]
             raise IntegrationFailure(f"trace drift {drift[i]:.3e} at t = "
-                                     f"{t0 + (first + i - offset) * h + h:.6g} "
+                                     f"{starts[w[i]] + (k[i] + 1) * h:.6g} "
                                      f"(step {h:.3g})")
         s = steps[-1].copy()
         if np.isnan(s).any():
             raise IntegrationFailure("NaN in integrated propagator")
         lo, hi = np.searchsorted(ends, [g, g + n], side="right")
         snapshots[lo:hi] = steps[ends[lo:hi] - 1 - g]
-        g += n
     snapshots = u @ snapshots @ u_dag
     return [SuperoperatorChannel(m) for m in snapshots]
 
@@ -555,9 +537,7 @@ def choi_matrix(superoperator: np.ndarray) -> np.ndarray:
     scaled by 1/d so a trace-preserving map gives trace one.
     """
     s = as_complex_matrix(superoperator, "superoperator")
-    d = math.isqrt(s.shape[0])
-    if d * d != s.shape[0]:
-        raise DimensionMismatch("superoperator side is not a perfect square")
+    d = _square_side(s.shape[0])
     c = s.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
     return c / d
 
@@ -569,11 +549,11 @@ def check_cptp(channel_or_superoperator, tol: float = 1e-8) -> CPTPReport:
     Choi matrix; complete positivity up to numerical noise means it is not
     meaningfully negative.
     """
-    if isinstance(channel_or_superoperator, SuperoperatorChannel):
-        s = channel_or_superoperator.superoperator
-    else:
-        s = as_complex_matrix(channel_or_superoperator, "superoperator")
-    d = math.isqrt(s.shape[0])
+    s = channel_or_superoperator
+    if isinstance(s, SuperoperatorChannel):
+        s = s.superoperator
+    s = as_complex_matrix(s, "superoperator")
+    d = _square_side(s.shape[0])
     traces = np.einsum("mmjk->jk", s.reshape(d, d, d, d))
     defect = float(np.max(np.abs(traces - np.eye(d))))
     c = choi_matrix(s)

@@ -298,6 +298,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.step is not None and not 0.0 < args.step < math.inf:
+        raise ConfigError(f"--step must be positive and finite, got {args.step}")
     results = run_all(occupation=args.occupation, integrator_step=args.step)
     for r in results:
         print(f"{r.status:<4} {r.name:<28} {r.detail}")

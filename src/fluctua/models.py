@@ -577,6 +577,8 @@ def three_level_experiment(config: ThreeLevelConfig,
     times = np.asarray([float(t) for t in t_samples])
     if times.size == 0:
         raise InvalidConfig("need at least one sample time")
+    if not np.isfinite(times).all():
+        raise InvalidConfig("sample times must be finite")
     if times[0] < 0.0 or times[-1] > config.t_max + 1e-12:
         raise InvalidConfig("sample times must lie in [0, t_max]")
 

@@ -279,6 +279,13 @@ def test_check_forwards_flags(monkeypatch):
     assert seen == {"occupation": "as_printed", "integrator_step": 0.5}
 
 
+@pytest.mark.parametrize("step", ["nan", "inf", "0", "-0.5"])
+def test_check_rejects_a_step_that_is_not_positive_and_finite(step, monkeypatch, capsys):
+    monkeypatch.setattr("fluctua.cli.run_all", lambda **kw: pytest.fail("battery ran"))
+    assert main(["check", "--step", step]) == 2
+    assert "--step must be positive and finite" in capsys.readouterr().err
+
+
 def test_shot_self_check_passes_at_seed_seven(tmp_path):
     code = main(["run", "fig2-sweep", "--shots", "2048", "--seed", "7",
                  "--out", str(tmp_path / "s"), "--check"])

@@ -772,6 +772,10 @@ def test_experiment_rejects_bad_sample_times():
         three_level_experiment(cfg, t_samples=[])
     with pytest.raises(InvalidConfig):
         three_level_experiment(cfg, t_samples=[0.0, 2.0])
+    # a NaN passes every ordering comparison; it is named, not left to
+    # surface as a numerical error further on
+    with pytest.raises(InvalidConfig, match="finite"):
+        three_level_experiment(cfg, t_samples=[0.0, float("nan")])
 
 
 def series_by_time(config, state, t_samples):
