@@ -113,13 +113,14 @@ class TwoQubitExperimentConfig:
 
     def resolved(self) -> tuple[float, float]:
         """(theta0, beta) with the missing member derived."""
-        if self.epsilon <= 0.0:
+        t0, b = self.theta0, self.beta
+        numbers = (self.epsilon, self.phi, self.lam, *self.theta_grid, t0, b)
+        if not all(math.isfinite(v) for v in numbers if v is not None):
+            raise InvalidConfig("epsilon, theta0, beta, theta_grid, phi and lam must be finite")
+        if not self.epsilon > 0.0:
             raise InvalidConfig("epsilon must be positive")
         if len(self.theta_grid) == 0:
             raise InvalidConfig("theta_grid needs at least one value")
-        t0, b = self.theta0, self.beta
-        if any(v is not None and not math.isfinite(v) for v in (t0, b)):
-            raise InvalidConfig("theta0 and beta must be finite")
         if t0 is None and b is None:
             t0 = DEFAULT_THETA0
         if t0 is not None:
@@ -377,11 +378,15 @@ class ThreeLevelConfig:
     measurement_convention: str = "full"
 
     def __post_init__(self):
-        if self.omega1 <= 0.0 or self.omega3 <= self.omega1:
+        # every comparison below is written so that a NaN fails it
+        for name, value in vars(self).items():
+            if isinstance(value, float | int) and not math.isfinite(value):
+                raise InvalidConfig(f"{name} must be finite, got {value!r}")
+        if not 0.0 < self.omega1 < self.omega3:
             raise InvalidConfig("energies must satisfy 0 < omega1 < omega3")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise InvalidConfig("gamma must be nonnegative")
-        if self.t_max <= 0.0 or self.step <= 0.0:
+        if not (self.t_max > 0.0 and self.step > 0.0):
             raise InvalidConfig("t_max and step must be positive")
         if self.drive_form not in ("complement", "double_frequency"):
             raise InvalidConfig(f"unknown drive_form {self.drive_form!r}")
@@ -393,7 +398,7 @@ class ThreeLevelConfig:
                 f"unknown measurement_convention {self.measurement_convention!r}")
         if self.gamma > 0.0 and self.occupation_convention == "bose":
             for r, (b, w) in enumerate(self.bath_pairs(), start=1):
-                if b * w <= 0.0:
+                if not b * w > 0.0:
                     raise InvalidConfig(
                         f"bath {r} needs beta*omega > 0 under the bose convention")
 

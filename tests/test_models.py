@@ -305,7 +305,10 @@ def test_sweep_validates_each_state_once_per_call(monkeypatch):
 
 
 @pytest.mark.parametrize("field, value", [("beta", math.nan), ("beta", math.inf),
-                                          ("beta", -math.inf), ("theta0", math.nan)])
+                                          ("beta", -math.inf), ("theta0", math.nan),
+                                          ("epsilon", math.nan), ("epsilon", math.inf),
+                                          ("phi", math.nan), ("lam", math.inf),
+                                          ("theta_grid", (0.0, math.nan))])
 def test_non_finite_angle_or_beta_is_rejected(field, value):
     with pytest.raises(InvalidConfig, match="finite"):
         TwoQubitExperimentConfig(**{field: value}).resolved()
@@ -619,6 +622,16 @@ def test_three_level_config_validation():
         ThreeLevelConfig(beta2=-1.0)  # bose occupation needs beta*omega > 0
     # The alternative convention tolerates nonpositive beta.
     ThreeLevelConfig(beta2=-1.0, occupation_convention="as_printed")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_max", math.nan), ("gamma", math.nan), ("omega1", math.nan),
+    ("omega3", math.inf), ("beta1", math.nan), ("drive_amplitude", math.nan),
+    ("step", math.inf)])
+def test_non_finite_three_level_field_is_rejected(field, value):
+    # a NaN gamma used to pass as a closed system, since gamma > 0 is false
+    with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
+        ThreeLevelConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------
