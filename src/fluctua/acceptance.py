@@ -406,7 +406,10 @@ def integrator_integrity(step: float = 1e-3,
         drift = abs(np.trace(chan.apply(rho0)).real - 1.0)
 
         # Convergence is measured over the full configured window so that
-        # accumulated phase error at a too-coarse step shows up.
+        # accumulated phase error at a too-coarse step shows up.  The drive
+        # is periodic, so the window past the first period is covered by
+        # powers of the one-period propagator, which carry its step error
+        # along: the error still accumulates over the whole window.
         ref = propagate(schedule, jumps, rho0, step=halving_base / 4.0)
         err1 = float(np.abs(propagate(schedule, jumps, rho0, step=halving_base)
                             - ref).max())

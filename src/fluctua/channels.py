@@ -37,6 +37,14 @@ chunk into the next.  A real propagator preserves Hermiticity by
 construction, so no step is projected; a trace drift beyond 1e-6 (or
 any NaN) at any step aborts the run.  The snapshots return to the
 row-major vec basis in one batched product.
+
+A schedule may declare that its drive is periodic with period P (the
+schedule checks the claim on a few times when it is built).  Then only
+the first period is integrated: a time t = t0 + kP + tau with tau in
+(0, P] is folded onto t0 + tau, the folded times and t0 + P go through
+the block loop in one pass, and S(t) = S(t0 + tau) M^k with M = S(t0 + P)
+the propagator over one period.  Each power M^k is formed once, and the
+composed snapshots are checked for trace drift again.
 """
 
 from __future__ import annotations
@@ -107,7 +115,13 @@ class HamiltonianSchedule:
     integrator reads a whole block of times in one call; a static
     Hamiltonian has no couplings (J = 0).
     ``t_initial``/``t_final`` delimit the window the schedule is meant to
-    be integrated over.
+    be integrated over.  ``period``, when given, states that the envelopes
+    repeat with that period, so :func:`propagator_series` integrates one
+    period and composes the rest from its propagator.  It is a fact about
+    the drive, not a tuning option: the envelopes are probed at a few
+    times t in the first period and at t + period, and a difference above
+    1e-12 (relative to the largest envelope value, if that exceeds 1)
+    raises at construction.
     """
 
     base: np.ndarray
@@ -115,6 +129,7 @@ class HamiltonianSchedule:
     envelopes: Callable[[np.ndarray], np.ndarray] = lambda t: np.zeros((0, t.size))
     t_initial: float = 0.0
     t_final: float = 0.0
+    period: float | None = None
 
     def __post_init__(self):
         self.base = as_complex_matrix(self.base, "base Hamiltonian")
@@ -131,6 +146,21 @@ class HamiltonianSchedule:
         # times make a (T, J) transposed output differ from (J, T)
         self.envelope_values(np.linspace(self.t_initial, self.t_final,
                                          len(self.couplings) + 1))
+        if self.period is not None:
+            self._check_period()
+
+    def _check_period(self) -> None:
+        if not 0.0 < self.period < math.inf:
+            raise ValueError(f"period must be positive and finite, got {self.period}")
+        # fractions of the period with no simple ratio between them, so a
+        # declared period that is a fraction of the true one is caught
+        probe = self.t_initial + self.period * np.array([0.0, 0.137, 0.291,
+                                                         0.463, 0.618, 0.859])
+        first = self.envelope_values(probe)
+        gap = np.abs(self.envelope_values(probe + self.period) - first).max(initial=0.0)
+        if gap > 1e-12 * max(1.0, np.abs(first).max(initial=0.0)):
+            raise ValueError(f"envelopes are not periodic with period {self.period:g}: "
+                             f"they differ by {gap:.3g} one period apart")
 
     @property
     def dim(self) -> int:
@@ -413,6 +443,30 @@ def _drive_weights(schedule: HamiltonianSchedule, t0: np.ndarray, h: np.ndarray,
     weights[:, :n, 2:] = (e * scale).transpose(1, 2, 0)
 
 
+def _compose_periods(snapshots: np.ndarray, folds: np.ndarray, period_map: np.ndarray,
+                     trace: np.ndarray, times: list[float]) -> None:
+    """snapshots[i] <- snapshots[i] M^folds[i] in place, M = ``period_map``.
+
+    M is the propagator over one period; M^1 ... M^k for the largest k are
+    formed once, one product each, and applied to the folded snapshots in
+    one batched product.  A trace drift beyond
+    :data:`TRACE_DRIFT_ABORT` (or a NaN) in a composed snapshot aborts.
+    """
+    d = math.isqrt(len(trace))
+    powers = np.empty((folds.max() + 1,) + snapshots.shape[1:])
+    powers[0] = np.eye(len(trace))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, len(powers)):
+            np.matmul(powers[j - 1], period_map, out=powers[j])
+        later = folds > 0
+        snapshots[later] = snapshots[later] @ powers[folds[later]]
+        drift = np.abs(trace[:d] @ snapshots[:, :d] - trace).max(axis=1)
+    if not drift.max() <= TRACE_DRIFT_ABORT:
+        i = int(np.argmax(~(drift <= TRACE_DRIFT_ABORT)))
+        raise IntegrationFailure(f"trace drift {drift[i]:.3e} at t = {times[i]:.6g} "
+                                 f"after composing {folds[i]} periods")
+
+
 def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
                       step: float = 1e-3) -> list[SuperoperatorChannel]:
     """Propagators from the schedule start to each requested time.
@@ -438,9 +492,18 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     Every step's propagator is checked for trace drift, max |t S_g - t|
     with t the trace row (ones on the first d coordinates); none is
     projected, since a real propagator maps Hermitian matrices to
-    Hermitian matrices.  The snapshots return as U S_R U^dag in one
-    batched product.  Times must be finite, non-decreasing and inside
-    the schedule window.
+    Hermitian matrices.
+
+    With a ``period`` P on the schedule, a time t past the first period
+    is folded: k = ceil((t - t0)/P) - 1 and t - kP in (t0, t0 + P].  The
+    window table is then built over the sorted distinct folded times and
+    t0 + P, so the loop above integrates [t0, t0 + P] once, and each
+    snapshot is composed as S(t) = S(t - kP) M^k with M = S(t0 + P), in
+    one batched product over powers M^k each formed once.  The composed
+    snapshots are checked for trace drift once more.  With no period, or
+    no time past t0 + P, every k is 0 and nothing is composed.  The
+    snapshots return as U S_R U^dag in one batched product.  Times must
+    be finite, non-decreasing and inside the schedule window.
     """
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -462,15 +525,27 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     pieces = np.concatenate([np.eye(side)[None], static[None], coupled]).reshape(
         -1, side * side)
 
-    starts = np.array([schedule.t_initial, *ts])[:-1]
+    t_first, period = schedule.t_initial, schedule.period
+    folded, folds = np.array(ts), np.zeros(len(ts), dtype=int)
+    if period is not None:
+        folds = np.maximum(np.ceil((folded - t_first) / period).astype(int) - 1, 0)
+        folded = np.clip(folded - folds * period, t_first, t_first + period)
+    # the integrated times: distinct, sorted, and the period end if any folds
+    # (sorted in Python: under numpy 2.4 the first np.unique call pages in
+    # about 0.6 MB of code, which shows in a short run's peak RSS)
+    grid = set(folded.tolist())
+    if folds.any():
+        grid.add(t_first + period)
+    grid = np.array(sorted(grid), dtype=float)
+    starts = np.append(t_first, grid[:-1])
     counts = np.array([max(1, math.ceil((t1 - t0) / step - 1e-12)) if t1 > t0 else 0
-                       for t0, t1 in zip(starts, ts)], dtype=int)
-    sizes = (np.array(ts) - starts) / np.maximum(counts, 1)
+                       for t0, t1 in zip(starts, grid)], dtype=int)
+    sizes = (grid - starts) / np.maximum(counts, 1)
     # a window's snapshot is the propagator after step ends[w] - 1
     ends = np.cumsum(counts)
     total = int(counts.sum())
     block = max(1, min(BLOCK_BYTES // (8 * side * side), total))
-    snapshots = np.empty((len(ts), side, side))
+    snapshots = np.empty((len(grid), side, side))
     snapshots[ends == 0] = np.eye(side)
     work = np.empty((3, block, side * side))
     # weights of the pieces for Y1, B' and C': the identity only in Y1
@@ -504,6 +579,10 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
             raise IntegrationFailure("NaN in integrated propagator")
         lo, hi = np.searchsorted(ends, [g, g + n], side="right")
         snapshots[lo:hi] = steps[ends[lo:hi] - 1 - g]
+    period_map = snapshots[-1] if folds.any() else None
+    snapshots = snapshots[np.searchsorted(grid, folded)]
+    if period_map is not None:
+        _compose_periods(snapshots, folds, period_map, trace, ts)
     snapshots = u @ snapshots @ u_dag
     return [SuperoperatorChannel(m) for m in snapshots]
 

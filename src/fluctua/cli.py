@@ -278,13 +278,15 @@ def _cmd_run(args) -> int:
     run = _run_two_qubit if preset.kind == "two_qubit" else _run_three_level
     columns, configs, results, checks = run(preset, settings)
     # every checked value is reported under results, its bound under
-    # tolerances, by the same name
+    # tolerances and the side it must stay on ("max" or "min") under
+    # tolerance_directions, by the same name
     _write_outputs(out_dir, preset, columns, {
         "experiment": preset.name, "kind": preset.kind,
         "description": preset.description,
         "config": _resolved_config(settings, preset.kind, configs),
         "results": {**results, **{k: c.value for k, c in checks.items()}},
         "tolerances": {k: c.bound for k, c in checks.items()},
+        "tolerance_directions": {k: c.direction for k, c in checks.items()},
         "columns": list(columns), "rows": len(columns[next(iter(columns))])})
     print(f"wrote {out_dir}/results.csv, summary.json, plot.svg")
     if args.check:

@@ -426,7 +426,11 @@ def thermal_occupation(beta: float, omega: float, convention: str = "bose") -> f
 
 
 def _drive_envelopes(t: np.ndarray, amp: float, form: str) -> np.ndarray:
-    """Envelopes (g, f) of the g-B and A-B couplings at an array of times."""
+    """Envelopes (g, f) of the g-B and A-B couplings at an array of times.
+
+    Both forms are built from sin^2 t and sin^2 2t, so they repeat with
+    period pi, which :func:`three_level_model` declares on the schedule.
+    """
     g = amp * np.sin(t) ** 2
     f = amp - g if form == "complement" else amp * (1.0 - np.sin(2.0 * t) ** 2)
     return np.stack([g, f])
@@ -447,7 +451,7 @@ def three_level_model(config: ThreeLevelConfig) -> tuple[HamiltonianSchedule, Ju
         schedule = HamiltonianSchedule(
             h, (couple_gb, couple_ab),
             functools.partial(_drive_envelopes, amp=amp, form=config.drive_form),
-            0.0, config.t_max)
+            0.0, config.t_max, period=math.pi)
 
     operators, labels = [], []
     if config.gamma > 0.0:

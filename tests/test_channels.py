@@ -285,6 +285,103 @@ def test_envelopes_are_evaluated_once_per_block():
                for t in calls)
 
 
+def _periodic_qubit(t_final, envelopes=None, period=math.pi, t_initial=0.0):
+    """A driven, damped qubit whose envelope sin^2 t repeats with period pi."""
+    if envelopes is None:
+        def envelopes(t):
+            return [0.5 * np.sin(t) ** 2]
+    return HamiltonianSchedule(SX + 0.2 * SZ, [SX], envelopes, t_initial, t_final,
+                               period=period)
+
+
+def _max_gap(series, reference):
+    return max(np.abs(a.superoperator - b.superoperator).max()
+               for a, b in zip(series, reference, strict=True))
+
+
+PERIODIC_OPS = [0.6 * SM, 0.2 * SM.T]
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, math.pi, 2.0 * math.pi, 3.0 * math.pi],  # exact multiples of the period
+    [0.0, 1.0, 1.0, math.pi, 4.0, 4.0, 7.5, 7.5, 3.0 * math.pi],  # repeats, t_max
+    [0.3, 2.0 * math.pi + 0.3, 3.0 * math.pi],  # one folded time, two windows
+], ids=["multiples", "repeats", "same-fold"])
+def test_folded_series_matches_the_full_window(times):
+    sched = _periodic_qubit(3.0 * math.pi)
+    folded = propagator_series(sched, PERIODIC_OPS, times, step=1e-3)
+    full = propagator_series(_periodic_qubit(3.0 * math.pi, period=None),
+                             PERIODIC_OPS, times, step=1e-3)
+    assert _max_gap(folded, full) < 5e-12
+    # the same from a start that is not a zero of the drive
+    late = [t + 0.4 for t in times]
+    folded = propagator_series(_periodic_qubit(late[-1], t_initial=0.4),
+                               PERIODIC_OPS, late, step=1e-3)
+    full = propagator_series(_periodic_qubit(late[-1], period=None, t_initial=0.4),
+                             PERIODIC_OPS, late, step=1e-3)
+    assert _max_gap(folded, full) < 5e-12
+    # a time one period on is the propagator over that period applied once more
+    by_time = {t: c.superoperator for t, c in zip(times, folded)}
+    if 2.0 * math.pi in by_time:
+        one = by_time[math.pi]
+        assert np.abs(by_time[2.0 * math.pi] - one @ one).max() < 1e-13
+
+
+@pytest.mark.parametrize("t_max", [2.5, math.pi], ids=["short", "one-period"])
+def test_no_fold_within_the_first_period(t_max):
+    # with no time past t_initial + period the window table is the same as
+    # with no period, so the propagators are the same bit for bit
+    times = [0.0, 0.7, 0.7, 1.9, t_max]
+    series = propagator_series(_periodic_qubit(t_max), PERIODIC_OPS, times, step=1e-3)
+    full = propagator_series(_periodic_qubit(t_max, period=None), PERIODIC_OPS,
+                             times, step=1e-3)
+    assert _max_gap(series, full) == 0.0
+
+
+def test_folded_series_reads_the_drive_over_one_period_only():
+    read = []
+
+    def envelopes(t):
+        read.append(t.max())
+        return [0.5 * np.sin(t) ** 2]
+
+    step = 1e-3
+    times = np.linspace(0.0, 3.0 * math.pi, 31)
+    for period, last in ((math.pi, math.pi), (None, 3.0 * math.pi)):
+        sched = _periodic_qubit(3.0 * math.pi, envelopes, period)
+        read.clear()  # drop the probes made at construction
+        propagator_series(sched, PERIODIC_OPS, times, step=step)
+        assert last - step < max(read) <= last + step
+
+
+def test_schedule_rejects_a_wrong_period():
+    with pytest.raises(ValueError, match="not periodic"):
+        _periodic_qubit(10.0, period=math.pi / 3.0)
+    with pytest.raises(ValueError, match="not periodic"):
+        _periodic_qubit(10.0, period=0.5 * math.pi)
+    for bad in (0.0, -math.pi, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            _periodic_qubit(10.0, period=bad)
+    # a static schedule repeats with any period
+    assert HamiltonianSchedule(SZ, t_final=5.0, period=1.0).period == 1.0
+
+
+def test_composed_snapshots_are_checked_for_trace_drift():
+    # a period map that loses trace passes no step check of its own; the
+    # composed snapshots are checked once more
+    side = 4
+    snapshots = np.broadcast_to(np.eye(side), (3, side, side)).copy()
+    trace = np.zeros(side)
+    trace[:2] = 1.0
+    leaky = np.eye(side)
+    leaky[0, 0] = 1.0 - 1e-5
+    channels._compose_periods(snapshots, np.array([0, 0, 0]), leaky, trace,
+                              [0.0, 1.0, 2.0])
+    with pytest.raises(IntegrationFailure, match=r"at t = 4 after composing 2 periods"):
+        channels._compose_periods(snapshots, np.array([0, 0, 2]), leaky, trace,
+                                  [0.0, 1.0, 4.0])
+
+
 def test_static_schedule_matches_zero_drive():
     # a schedule without a drive takes the same step maps as the same
     # schedule driven by an envelope that stays zero, bit for bit

@@ -581,8 +581,6 @@ def test_config_echo_holds_the_resolved_value_of_each_applicable_key(tmp_path):
 
 
 _SHORT = "t_max=2.0\nstep=0.005\n"
-# the only check whose tested value must stay above its bound
-_FLOORS = {"peak_coherence_fraction"}
 
 
 @pytest.mark.parametrize("argv, config_text, code", [
@@ -602,9 +600,12 @@ def test_check_verdict_is_the_summary_comparison(argv, config_text, code, tmp_pa
     assert main(args) == code
     summary = json.loads((tmp_path / "s" / "summary.json").read_text())
     results, tolerances = summary["results"], summary["tolerances"]
+    directions = summary["tolerance_directions"]
     assert tolerances and set(tolerances) <= set(results)
-    held = [results[k] >= bound if k in _FLOORS else results[k] <= bound
+    assert set(directions) == set(tolerances)
+    held = [results[k] <= bound if directions[k] == "max" else results[k] >= bound
             for k, bound in tolerances.items()]
     assert code == (0 if all(held) else 4)
+    assert set(directions.values()) <= {"max", "min"}
     if argv[0] == "figS3-second-moment":
-        assert "peak_coherence_fraction" in tolerances
+        assert directions["peak_coherence_fraction"] == "min"

@@ -594,6 +594,34 @@ def test_no_drive_when_amplitude_zero():
     sched, _ = three_level_model(ThreeLevelConfig(drive_amplitude=0.0))
     assert len(sched.couplings) == 0
     assert np.array_equal(sched.at(1.3), sched.base)
+    assert sched.period is None
+
+
+@pytest.mark.parametrize("form", ["complement", "double_frequency"])
+def test_both_drive_forms_declare_period_pi(form):
+    sched, _ = three_level_model(ThreeLevelConfig(drive_form=form))
+    assert sched.period == math.pi
+    # a third of the period is not one: the schedule refuses it when built
+    with pytest.raises(ValueError, match="not periodic"):
+        dataclasses.replace(sched, period=math.pi / 3.0)
+    # a multiple of the period is one
+    assert dataclasses.replace(sched, period=2.0 * math.pi).period == 2.0 * math.pi
+
+
+@pytest.mark.parametrize("preset", ["figS2b-jarzynski-open", "figS4-entropy",
+                                    "figS2-jarzynski-closed"])
+def test_folded_series_matches_the_full_window(preset):
+    # one period integrated and composed, against all of [0, t_max] stepped
+    cfg = PRESETS[preset].three_level
+    schedule, jumps = three_level_model(cfg)
+    times = np.linspace(0.0, cfg.t_max, 101)
+    assert cfg.t_max > 3.0 * math.pi
+    folded = propagator_series(schedule, jumps, times, step=cfg.step)
+    full = propagator_series(dataclasses.replace(schedule, period=None), jumps,
+                             times, step=cfg.step)
+    gap = max(np.abs(a.superoperator - b.superoperator).max()
+              for a, b in zip(folded, full))
+    assert gap < 5e-12
 
 
 def test_equal_temperature_baths_relax_to_gibbs():
