@@ -56,7 +56,7 @@ from .protocols import (
     shannon_entropy,
     tpm_joint,
 )
-from .qcore import dephase, gibbs_state, hermitian_eig, spectral_decompose
+from .qcore import density_spectrum, dephase, gibbs_state, spectral_decompose
 from .sampling import (
     SeededGenerator,
     haar_random_pure,
@@ -248,21 +248,20 @@ def protocol_collapse() -> Outcome:
         spec = spectral_decompose(h)
         chan = (UnitaryChannel(random_unitary(d, rng)) if k % 2
                 else random_cptp(d, rng))
-        evals, vecs = hermitian_eig(h)
 
-        rho_p = haar_random_pure(d, SeededGenerator(1000 + k))
+        rho_p = density_spectrum(haar_random_pure(d, SeededGenerator(1000 + k)))
         worst["pure"] = max(worst["pure"], _tv(
             epm_joint(rho_p, chan, spec, spec),
             mll_joint(rho_p, chan, spec, spec)))
 
-        rho_d = dephase(random_density(d, gen=SeededGenerator(2000 + k)),
-                        basis=vecs)
+        rho_d = density_spectrum(dephase(random_density(d, gen=SeededGenerator(2000 + k)),
+                                         basis=spec.basis))
         worst["diagonal"] = max(worst["diagonal"], _tv(
             mll_joint(rho_d, chan, spec, spec),
             tpm_joint(rho_d, chan, spec, spec)))
 
-        v = vecs[:, k % d]
-        rho_e = np.outer(v, v.conj())
+        v = spec.basis[:, k % d]
+        rho_e = density_spectrum(np.outer(v, v.conj()))
         je = epm_joint(rho_e, chan, spec, spec)
         jt = tpm_joint(rho_e, chan, spec, spec)
         jm = mll_joint(rho_e, chan, spec, spec)
@@ -294,11 +293,11 @@ def moment_identities() -> Outcome:
         spec_i, spec_f = spectral_decompose(h_i), spectral_decompose(h_f)
         chan = (UnitaryChannel(random_unitary(d, rng)) if k % 2
                 else random_cptp(d, rng))
-        rho = random_density(d, gen=SeededGenerator(3000 + k))
-        _, basis = hermitian_eig(h_i)
+        rho = density_spectrum(random_density(d, gen=SeededGenerator(3000 + k)))
+        basis = spec_i.basis
 
-        expected = (np.trace(h_f @ chan.apply(rho)).real
-                    - np.trace(h_i @ rho).real)
+        expected = (np.trace(h_f @ chan.apply(rho.matrix)).real
+                    - np.trace(h_i @ rho.matrix).real)
         je = epm_joint(rho, chan, spec_i, spec_f)
         jm = mll_joint(rho, chan, spec_i, spec_f)
         worst_mean = max(worst_mean, abs(moment(je, 1) - expected),
@@ -307,7 +306,7 @@ def moment_identities() -> Outcome:
         split = epm_second_moment_split(rho, chan, spec_i, spec_f, basis=basis)
         worst_split = max(worst_split, abs(split.total - moment(je, 2)))
 
-        rho0 = dephase(rho, basis=basis)
+        rho0 = density_spectrum(dephase(rho, basis=basis))
         split0 = epm_second_moment_split(rho0, chan, spec_i, spec_f, basis=basis)
         _, g_coh = characteristic_split(rho0, chan, spec_i, spec_f, 1j * 0.7,
                                         basis=basis)
@@ -331,24 +330,23 @@ def entropy_relations() -> Outcome:
         spec_i, spec_f = spectral_decompose(h_i), spectral_decompose(h_f)
         chan = (UnitaryChannel(random_unitary(3, rng)) if k % 2
                 else random_cptp(3, rng))
-        _, vecs = hermitian_eig(h_i)
 
-        rho_d = dephase(random_density(3, gen=SeededGenerator(4000 + k)),
-                        basis=vecs)
+        rho_d = density_spectrum(dephase(random_density(3, gen=SeededGenerator(4000 + k)),
+                                         basis=spec_i.basis))
         je = epm_joint(rho_d, chan, spec_i, spec_f)
         jt = tpm_joint(rho_d, chan, spec_i, spec_f)
         prod = np.outer(jt.initial_marginal(), jt.final_marginal())
         worst_prod = max(worst_prod, float(np.abs(je.probs - prod).max()))
         worst_order = max(worst_order, shannon_entropy(jt) - shannon_entropy(je))
 
-        rho = random_density(3, gen=SeededGenerator(4200 + k))
+        rho = density_spectrum(random_density(3, gen=SeededGenerator(4200 + k)))
         je2 = epm_joint(rho, chan, spec_i, spec_f)
         jm2 = mll_joint(rho, chan, spec_i, spec_f)
         worst_order = max(worst_order,
                           shannon_entropy(jm2) - shannon_entropy(je2))
         min_mixed_info = min(min_mixed_info, mutual_information(jm2, je2))
 
-        rho_p = haar_random_pure(3, SeededGenerator(4400 + k))
+        rho_p = density_spectrum(haar_random_pure(3, SeededGenerator(4400 + k)))
         jep = epm_joint(rho_p, chan, spec_i, spec_f)
         jmp = mll_joint(rho_p, chan, spec_i, spec_f)
         max_pure_info = max(max_pure_info, abs(mutual_information(jmp, jep)))
@@ -377,7 +375,7 @@ def tpm_recovery() -> Outcome:
         spec_i, spec_f = spectral_decompose(h_i), spectral_decompose(h_f)
         chan = (UnitaryChannel(random_unitary(d, rng)) if k % 3
                 else random_cptp(d, rng))
-        rho = random_density(d, gen=SeededGenerator(6000 + k))
+        rho = density_spectrum(random_density(d, gen=SeededGenerator(6000 + k)))
 
         jt = tpm_joint(rho, chan, spec_i, spec_f)
         p = initial_probabilities(rho, spec_i)
@@ -435,9 +433,9 @@ def gibbs_relaxation(occupation: str = "bose") -> Outcome:
                            drive_amplitude=0.0, t_max=200.0 / gamma, step=0.1)
     schedule, jumps = three_level_model(cfg)
     chan = propagator_series(schedule, jumps, [schedule.t_final], step=0.1)[-1]
-    rho_i = random_density(3, gen=SeededGenerator(41))
+    rho_i = density_spectrum(random_density(3, gen=SeededGenerator(41)))
     target = gibbs_state(three_level_hamiltonian(cfg), beta)
-    dist = float(np.abs(chan.apply(rho_i) - target).max())
+    dist = float(np.abs(chan.apply(rho_i.matrix) - target).max())
 
     spec = spectral_decompose(three_level_hamiltonian(cfg))
     deltas = [delta_distribution(j(rho_i, chan, spec, spec))

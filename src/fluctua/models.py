@@ -42,8 +42,8 @@ from .protocols import (
 from .qcore import (
     SpectralDecomposition,
     coherence_l1,
+    density_spectrum,
     dephase,
-    hermitian_eig,
     spectral_decompose,
 )
 from .sampling import SeededGenerator, random_coherence
@@ -63,7 +63,6 @@ __all__ = [
     "two_qubit_hamiltonian",
     "two_qubit_initial_state",
     "two_qubit_sweep",
-    "sweep_model_errors",
     "closed_form_characteristics",
     "three_level_hamiltonian",
     "thermal_occupation",
@@ -260,32 +259,19 @@ def _sweep_errors(epm: JointEnergyDistribution, tpm: JointEnergyDistribution,
     return out
 
 
-def _sweep_setup(config: TwoQubitExperimentConfig):
-    """(pair spectrum, initial state, its dephased populations, circuits of the grid).
-
-    The circuits form one batch channel, a (T, 16, 16) superoperator stack.
-    """
-    spec = spectral_decompose(two_qubit_hamiltonian(config.epsilon))
-    rho = two_qubit_initial_state(config)
-    gates = np.stack([controlled_gate(-4.0 * theta, config.phi, config.lam)
-                      for theta in config.theta_grid])
-    circuits = UnitaryChannel(gates)
-    return spec, rho, dephase(rho), circuits
-
-
 def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None) -> SweepResult:
     """Characteristic functions and moments across the rotation sweep.
 
     The sweep abscissa theta enters the circuit as controlled_gate(-4*theta,
     phi, lam); with that parameterization the swept quantities take the
     closed forms of :func:`closed_form_characteristics` and the sweep is
-    pi-periodic.  The whole grid is evaluated as one batch of circuits.
-    In exact mode every column is computed from the operator expressions.
-    With ``n_shots`` set, columns hold finite-shot estimates from the
-    simulated measurement records and ``*_se`` columns append their
-    closed-form standard errors, evaluated on the sampled tables, and
-    ``model_errors`` holds :func:`sweep_model_errors`, taken from the exact
-    joints the shots are drawn from.  ``gen`` (a :class:`SeededGenerator`,
+    pi-periodic.  The whole grid is evaluated as one batch of circuits, and
+    the initial state is validated once.  In exact mode every column is
+    computed from the operator expressions.  With ``n_shots`` set, columns
+    hold finite-shot estimates from the simulated measurement records and
+    ``*_se`` columns append their closed-form standard errors, evaluated on
+    the sampled tables, and ``model_errors`` the same closed form on the
+    exact joints the shots are drawn from.  ``gen`` (a :class:`SeededGenerator`,
     an integer seed or None for seed 0) seeds the whole run: grid point i
     draws its three records from child streams 0, 1 and 2 of its child stream i.
     """
@@ -298,7 +284,10 @@ def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None) -> SweepResult:
                         "pass a SeededGenerator, an int seed or None, not "
                         f"{type(gen).__name__}")
     theta0, beta = config.resolved()
-    spec, rho, pops, circuits = _sweep_setup(config)
+    spec = spectral_decompose(two_qubit_hamiltonian(config.epsilon))
+    rho = density_spectrum(two_qubit_initial_state(config))
+    circuits = UnitaryChannel(np.stack([controlled_gate(-4.0 * theta, config.phi, config.lam)
+                                        for theta in config.theta_grid]))
     u = 1j * beta
     if config.n_shots is None:
         model_errors = None
@@ -309,6 +298,7 @@ def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None) -> SweepResult:
                   "G_EPM_diag": g_pop, "G_EPM_coh": g_coh}
     else:
         points = [master.spawn(idx) for idx in range(len(config.theta_grid))]
+        pops = density_spectrum(dephase(rho.matrix))
         epm, tpm, dia = (
             sample_shots(protocol, state, circuits, spec, spec, config.n_shots,
                          [point.spawn(k) for point in points])
@@ -329,22 +319,6 @@ def two_qubit_sweep(config: TwoQubitExperimentConfig, gen=None) -> SweepResult:
         se = _sweep_errors(epm, tpm, dia, beta, config.n_shots)
         columns.update((name + "_se", se[name]) for name in SWEEP_COLUMNS)
     return SweepResult(theta0, beta, config.epsilon, config.n_shots, columns, model_errors)
-
-
-def sweep_model_errors(config: TwoQubitExperimentConfig) -> dict[str, np.ndarray]:
-    """Standard errors of the shot-mode sweep columns under the model.
-
-    The same closed form as the ``*_se`` columns of :func:`two_qubit_sweep`,
-    evaluated on the exact joints the shots are drawn from instead of on
-    the sampled tables, at ``config.n_shots`` shots per record.
-    """
-    if config.n_shots is None:
-        raise InvalidConfig("model standard errors need n_shots")
-    _, beta = config.resolved()
-    spec, rho, pops, circuits = _sweep_setup(config)
-    return _sweep_errors(epm_joint(rho, circuits, spec, spec),
-                         tpm_joint(rho, circuits, spec, spec),
-                         epm_joint(pops, circuits, spec, spec), beta, config.n_shots)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +468,9 @@ def _measurement_hamiltonian(config: ThreeLevelConfig,
     return schedule.at(t)
 
 
-def three_level_initial_state(config: ThreeLevelConfig,
-                              state: InitialStateSpec) -> np.ndarray:
-    """Build the configured initial state (thermal populations + coherence)."""
-    schedule, _ = three_level_model(config)
-    h0 = _measurement_hamiltonian(config, schedule, 0.0)
-    evals, vecs = hermitian_eig(h0)
+def _initial_state(spec_i: SpectralDecomposition, state: InitialStateSpec) -> np.ndarray:
+    """Thermal populations plus coherence in the eigenbasis of the initial Hamiltonian."""
+    evals = np.repeat(spec_i.energies, spec_i.ranks)
     w = np.exp(-state.beta_ref * (evals - evals.min()))
     w /= w.sum()
     if state.coherence_seed is None or state.coherence_scale == 0.0:
@@ -507,7 +478,16 @@ def three_level_initial_state(config: ThreeLevelConfig,
     else:
         chi = random_coherence(w, SeededGenerator(state.coherence_seed),
                                scale=state.coherence_scale)
+    vecs = spec_i.basis
     return vecs @ (np.diag(w.astype(np.complex128)) + chi) @ vecs.conj().T
+
+
+def three_level_initial_state(config: ThreeLevelConfig,
+                              state: InitialStateSpec) -> np.ndarray:
+    """Build the configured initial state (thermal populations + coherence)."""
+    schedule, _ = three_level_model(config)
+    return _initial_state(spectral_decompose(_measurement_hamiltonian(config, schedule, 0.0)),
+                          state)
 
 
 THREE_LEVEL_COLUMNS = (
@@ -541,14 +521,13 @@ def _level_groups(specs):
             for idx in groups.values()]
 
 
-def _series_columns(rho_i: np.ndarray, channel: SuperoperatorChannel,
-                    spec_i: SpectralDecomposition, spec_f: SpectralDecomposition,
-                    basis_i: np.ndarray, beta_ref: float) -> dict[str, np.ndarray]:
+def _series_columns(rho_i, channel: SuperoperatorChannel, spec_i: SpectralDecomposition,
+                    spec_f: SpectralDecomposition, beta_ref: float) -> dict[str, np.ndarray]:
     """The protocol columns of a batch of sample times sharing a level count."""
-    rep = jarzynski(rho_i, channel, spec_i, spec_f, beta_ref, basis=basis_i)
+    rep = jarzynski(rho_i, channel, spec_i, spec_f, beta_ref, basis=spec_i.basis)
     g_tpm = characteristic_function("TPM", rho_i, channel, spec_i, spec_f,
                                     1j * beta_ref)
-    split = epm_second_moment_split(rho_i, channel, spec_i, spec_f, basis=basis_i)
+    split = epm_second_moment_split(rho_i, channel, spec_i, spec_f, basis=spec_i.basis)
     de, dt, dm = (delta_distribution(joint(rho_i, channel, spec_i, spec_f))
                   for joint in (epm_joint, tpm_joint, mll_joint))
     fraction = np.divide(split.coherence_part, split.total,
@@ -579,7 +558,8 @@ def three_level_experiment(config: ThreeLevelConfig,
     sample times at once (once per level count of the final measurement
     Hamiltonian).  The measurement Hamiltonian at each end follows
     ``config.measurement_convention``: "full" uses the instantaneous
-    driven Hamiltonian, "bare" the static part only.
+    driven Hamiltonian, "bare" the static part only.  The initial state
+    is validated once, before the integrator runs.
     """
     if t_samples is None:
         t_samples = np.linspace(0.0, config.t_max, 101)
@@ -592,40 +572,35 @@ def three_level_experiment(config: ThreeLevelConfig,
         raise InvalidConfig("sample times must lie in [0, t_max]")
 
     schedule, jumps = three_level_model(config)
-    h0 = _measurement_hamiltonian(config, schedule, 0.0)
-    spec_i = spectral_decompose(h0)
-    _, basis_i = hermitian_eig(h0)
+    spec_i = spectral_decompose(_measurement_hamiltonian(config, schedule, 0.0))
 
     if state is None:
         state = InitialStateSpec()
     if isinstance(state, InitialStateSpec):
-        rho_i = three_level_initial_state(config, state)
-        spec_echo = state
-        beta_ref = state.beta_ref
+        rho_i, spec_echo, beta_ref = _initial_state(spec_i, state), state, state.beta_ref
     else:
-        rho_i = np.asarray(state, dtype=np.complex128)
-        spec_echo = None
-        beta_ref = InitialStateSpec().beta_ref
+        rho_i, spec_echo, beta_ref = state, None, InitialStateSpec().beta_ref
+    rho_i = density_spectrum(rho_i)
 
     superops = np.stack([c.superoperator for c in
                          propagator_series(schedule, jumps, times, step=config.step)])
     if config.measurement_convention == "bare":
-        groups, basis_f = [(np.arange(times.size), spec_i)], basis_i
+        groups, basis_f = [(np.arange(times.size), spec_i)], spec_i.basis
     else:
-        h_t = schedule.at(times)
-        groups = _level_groups(spectral_decompose(h_t))
-        _, basis_f = hermitian_eig(h_t)
+        specs_f = spectral_decompose(schedule.at(times))
+        groups = _level_groups(specs_f)
+        basis_f = np.stack([spec.basis for spec in specs_f])
 
     columns = {name: np.empty(times.size) for name in THREE_LEVEL_COLUMNS}
     columns["t"] = times.copy()
     for idx, spec_f in groups:
-        part = _series_columns(rho_i, SuperoperatorChannel(superops[idx]), spec_i,
-                               spec_f, basis_i, beta_ref)
+        part = _series_columns(rho_i, SuperoperatorChannel(superops[idx]), spec_i, spec_f,
+                               beta_ref)
         for name, values in part.items():
             columns[name][idx] = values
     evolved = SuperoperatorChannel(superops).apply(rho_i)
     columns["coherence_l1"] = coherence_l1(evolved, basis=basis_f)
-    return ThreeLevelSeries(times, columns, config, spec_echo, beta_ref, rho_i)
+    return ThreeLevelSeries(times, columns, config, spec_echo, beta_ref, rho_i.matrix)
 
 
 # ---------------------------------------------------------------------------

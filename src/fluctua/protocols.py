@@ -39,6 +39,10 @@ built once, every member is mapped through the whole stack in one
 product, and each result gains a leading T axis: scalars become (T,)
 arrays, joint tables (T, levels_i, levels_f).  The unbatched call is the
 same code without that axis.
+
+Every entry point that takes one initial state validates a matrix on
+entry and raises ``ValueError`` on a non-state; a
+:class:`~fluctua.qcore.DensityState` is taken as already validated.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import numpy as np
 
 from .channels import Channel
 from .qcore import (
+    DensityState,
     SpectralDecomposition,
     as_complex_matrix,
     coherence_split,
@@ -208,9 +213,14 @@ def _populations(states, decomposition: SpectralDecomposition) -> np.ndarray:
     return _clamp(np.einsum("...lij,...sji->...sl", decomposition.projectors, states).real)
 
 
+def _state(rho) -> DensityState:
+    """The protocols' one state intake: a :class:`DensityState` as it is, a matrix validated."""
+    return rho if isinstance(rho, DensityState) else density_spectrum(rho)
+
+
 def initial_probabilities(rho, decomposition: SpectralDecomposition) -> np.ndarray:
     """Level populations Tr(rho P_l) of a state, clamped to [0, 1]."""
-    return _populations(as_complex_matrix(rho, "state")[None], decomposition)[0]
+    return _populations(_state(rho).matrix[None], decomposition)[0]
 
 
 def _eigen_mixture(vals: np.ndarray, vecs: np.ndarray):
@@ -235,8 +245,7 @@ def _eigen_mixture(vals: np.ndarray, vecs: np.ndarray):
 def _ensemble(protocol: str, state, spec_i: SpectralDecomposition):
     """The weighted states ``(weights, states)`` a scheme sends through the channel.
 
-    ``state`` is a validated ``(rho, eigenvalues, eigenvectors)`` from
-    :func:`~fluctua.qcore.density_spectrum`.  EPM sends the state itself,
+    ``state`` is a :class:`~fluctua.qcore.DensityState`.  EPM sends the state itself,
     TPM each rank-normalized eigenprojector weighted by its level
     population, MLL each eigenstate of the state weighted by its
     eigenvalue.  ``states`` is stacked ``(members, d, d)``.
@@ -255,7 +264,7 @@ def _ensemble(protocol: str, state, spec_i: SpectralDecomposition):
 def _member_populations(protocol: str, rho, channel: Channel,
                         spec_i: SpectralDecomposition, spec_f: SpectralDecomposition):
     """Ensemble weights with each member's initial- and final-level populations."""
-    weights, states = _ensemble(protocol, density_spectrum(rho), spec_i)
+    weights, states = _ensemble(protocol, _state(rho), spec_i)
     return (weights, _populations(states, spec_i),
             _populations(channel.apply_matrix(states), spec_f))
 
@@ -389,7 +398,7 @@ def characteristic_function(protocol: str, rho, channel: Channel,
     to complex u (u = i beta gives the exponential averages of the
     fluctuation relations).
     """
-    weights, states = _ensemble(protocol, density_spectrum(rho), spec_i)
+    weights, states = _ensemble(protocol, _state(rho), spec_i)
     return _characteristic(weights, states, channel, spec_i, spec_f, u)
 
 
@@ -412,7 +421,7 @@ def characteristic_split(rho, channel: Channel, spec_i: SpectralDecomposition,
     dephasing basis diagonalizes the initial Hamiltonian (the intended
     use), g_pop + g_coh equals the EPM characteristic function.
     """
-    split = coherence_split(rho, basis=basis)
+    split = coherence_split(_state(rho), basis=basis)
     exp_i = matrix_phase_exp(None, -1j * u, decomposition=spec_i)
     exp_f = matrix_phase_exp(None, 1j * u, decomposition=spec_f)
     front = _trace(exp_i @ split.populations)
@@ -442,7 +451,7 @@ def epm_second_moment_split(rho, channel: Channel, spec_i: SpectralDecomposition
     the dephased state; the coherence part is
     tr(H_f^2 Phi[chi]) - 2 tr(Phi[chi] H_f) tr(P H_i).
     """
-    split = coherence_split(rho, basis=basis)
+    split = coherence_split(_state(rho), basis=basis)
     h_i = spec_i.reconstruct()
     h_f = spec_f.reconstruct()
     h_i2 = spectral_sum(spec_i.energies ** 2, spec_i)
@@ -497,8 +506,8 @@ def jarzynski(rho, channel: Channel, spec_i: SpectralDecomposition,
     state exp(-beta H_i)/Z_i; a :class:`NonThermalDiagonal` warning is
     issued (and the parts no longer sum to the total) when it is not.
     """
-    state = density_spectrum(rho)
-    r = state[0]
+    state = _state(rho)
+    r = state.matrix
     d = r.shape[0]
     z_i, w_i = _partition_terms(spec_i, beta)
     z_f, w_f = _partition_terms(spec_f, beta)
@@ -678,7 +687,7 @@ def convexity_witness(rho1, rho2, zeta: float, channel: Channel,
         pops = epm_joint(dephase(rho, basis), channel, spec_i, spec_f).probs
         return full - pops
 
-    mix = zeta * np.asarray(rho1, dtype=complex) + (1 - zeta) * np.asarray(rho2, dtype=complex)
+    mix = zeta * as_complex_matrix(rho1) + (1 - zeta) * as_complex_matrix(rho2)
     gap_cells = coherent_cells(mix) - (zeta * coherent_cells(rho1)
                                        + (1 - zeta) * coherent_cells(rho2))
     # aggregate cells by energy change before taking the total variation

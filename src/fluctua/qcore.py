@@ -3,7 +3,10 @@
 Everything in this package works on plain numpy arrays of complex128.
 A Hamiltonian is a Hermitian matrix, a state is a density operator
 (Hermitian, unit trace, positive semidefinite), and an energy basis is
-the column set returned by the eigensolver below.
+the column set returned by the eigensolver below.  Each operator is
+decomposed once: a :class:`SpectralDecomposition` keeps its eigenvectors
+as ``basis``, and a :class:`DensityState` is a validated state with its
+spectrum.
 
 The eigensolver is LAPACK's (``numpy.linalg.eigh``) followed by a
 canonical gauge: each eigenvector column is multiplied by the phase that
@@ -24,7 +27,8 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +37,7 @@ __all__ = [
     "NonHermitianInput",
     "NonOrthonormalBasis",
     "SpectralDecomposition",
+    "DensityState",
     "CoherenceSplit",
     "as_complex_matrix",
     "is_hermitian",
@@ -66,8 +71,9 @@ def as_complex_matrix(m, name: str = "matrix", *, stack: bool = False) -> np.nda
     """Coerce to a non-empty square complex128 array, copying only if needed.
 
     With ``stack`` a (T, d, d) stack of square matrices is accepted as well.
+    A :class:`DensityState` gives its matrix.
     """
-    a = np.asarray(m, dtype=np.complex128)
+    a = np.asarray(m.matrix if isinstance(m, DensityState) else m, dtype=np.complex128)
     if (a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-1] != a.shape[-2]
             or a.size == 0):
         raise DimensionMismatch(f"{name} must be square and non-empty, got shape {a.shape}")
@@ -88,16 +94,25 @@ def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
     return bool((np.abs(m - _dagger(m)).max(axis=(-2, -1)) <= tol * scale).all())
 
 
+class DensityState(NamedTuple):
+    """A density operator validated by :func:`density_spectrum`, with its spectrum."""
+
+    matrix: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
 def density_spectrum(rho, *, herm_tol: float = 1e-10, trace_tol: float = 1e-8,
-                     psd_tol: float = 1e-9):
+                     psd_tol: float = 1e-9) -> DensityState:
     """Validate a density operator; return it with its eigendecomposition.
 
-    Returns ``(rho, eigenvalues, eigenvectors)``, the state as complex128
-    and its :func:`hermitian_eig`, so a caller that needs the spectrum does
-    not decompose the state a second time.  Checks Hermiticity, unit trace
-    and positive semidefiniteness (the smallest eigenvalue may be slightly
-    negative, down to -psd_tol, to admit states assembled from
-    floating-point arithmetic).
+    Returns a :class:`DensityState`, the state as complex128 and its
+    :func:`hermitian_eig`, so a caller that needs the spectrum does not
+    decompose the state a second time and a protocol that receives it does
+    not validate it again.  Checks Hermiticity, unit trace and positive
+    semidefiniteness (the smallest eigenvalue may be slightly negative,
+    down to -psd_tol, to admit states assembled from floating-point
+    arithmetic).
     """
     a = as_complex_matrix(rho, "density operator")
     if not is_hermitian(a, herm_tol):
@@ -108,7 +123,7 @@ def density_spectrum(rho, *, herm_tol: float = 1e-10, trace_tol: float = 1e-8,
     evals, evecs = hermitian_eig(a)
     if evals[0] < -psd_tol:
         raise ValueError(f"density operator has negative eigenvalue {evals[0]:.3e}")
-    return a, evals, evecs
+    return DensityState(a, evals, evecs)
 
 
 def assert_density_operator(rho, *, herm_tol: float = 1e-10,
@@ -116,10 +131,13 @@ def assert_density_operator(rho, *, herm_tol: float = 1e-10,
                             psd_tol: float = 1e-9) -> np.ndarray:
     """Validate a density operator and return it as complex128.
 
-    The checks are those of :func:`density_spectrum`.
+    The checks are those of :func:`density_spectrum`; a
+    :class:`DensityState` passes as it is.
     """
+    if isinstance(rho, DensityState):
+        return rho.matrix
     return density_spectrum(rho, herm_tol=herm_tol, trace_tol=trace_tol,
-                            psd_tol=psd_tol)[0]
+                            psd_tol=psd_tol).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +183,18 @@ class SpectralDecomposition:
     eigenspace; ``projectors`` is one stacked ``(levels, d, d)`` array, so
     a spectral sum sum_k f(E_k) P_k is one contraction over its first axis.
     Levels are ascending and the projectors resolve the identity.
+    ``basis`` holds the gauge-fixed eigenvectors the levels were grouped
+    from, ``ranks[k]`` consecutive columns per level.
 
     A batch of T Hamiltonians with the same number of levels is one
     decomposition with a leading axis: ``energies`` (T, levels),
-    ``projectors`` (T, levels, d, d) and one ``grouping_tol`` per member
-    (see :meth:`stack`).
+    ``projectors`` (T, levels, d, d), ``basis`` (T, d, d) and one
+    ``grouping_tol`` per member (see :meth:`stack`).
     """
 
     energies: np.ndarray
     projectors: np.ndarray
+    basis: np.ndarray
     grouping_tol: float = 0.0
 
     @classmethod
@@ -181,6 +202,7 @@ class SpectralDecomposition:
         """One batched decomposition of members with equal level counts."""
         return cls(np.stack([m.energies for m in members]),
                    np.stack([m.projectors for m in members]),
+                   np.stack([m.basis for m in members]),
                    np.array([m.grouping_tol for m in members]))
 
     @property
@@ -233,7 +255,7 @@ def spectral_decompose(hamiltonian, grouping_tol: float | None = None):
                                for lo, hi in zip(bounds, bounds[1:])], axis=1)
         energies = np.add.reduceat(vals[rows], bounds[:-1], axis=-1) / np.diff(bounds)
         for k, member in enumerate(members):
-            out[member] = SpectralDecomposition(energies[k], projectors[k],
+            out[member] = SpectralDecomposition(energies[k], projectors[k], vecs[member],
                                                 float(tols[member]))
     return out if stacked else out[0]
 
@@ -299,13 +321,11 @@ class CoherenceSplit:
     """A state written as populations plus coherences, rho = P + chi.
 
     ``populations`` is the dephased part and ``coherences`` the traceless
-    remainder.  ``basis`` records the basis the split was taken in
-    (``None`` for the computational basis or for a per-sector split).
+    remainder.
     """
 
     populations: np.ndarray
     coherences: np.ndarray
-    basis: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -321,11 +341,8 @@ def coherence_split(rho, basis=None,
     off-diagonal entry in ``basis``.
     """
     a = as_complex_matrix(rho, "state")
-    if sectors is not None:
-        pops = dephase_sectors(a, sectors)
-        return CoherenceSplit(pops, a - pops, None)
-    pops = dephase(a, basis)
-    return CoherenceSplit(pops, a - pops, None if basis is None else np.asarray(basis, dtype=np.complex128))
+    pops = dephase(a, basis) if sectors is None else dephase_sectors(a, sectors)
+    return CoherenceSplit(pops, a - pops)
 
 
 def coherence_l1(rho, basis=None) -> float:

@@ -22,7 +22,7 @@ from fluctua.acceptance import CriterionResult, IdentityCheck
 from fluctua.channels import IntegrationFailure
 from fluctua.cli import main
 from fluctua.models import SWEEP_COLUMNS, THREE_LEVEL_COLUMNS, PRESETS
-from fluctua.models import closed_form_characteristics, sweep_model_errors
+from fluctua.models import closed_form_characteristics, two_qubit_sweep
 from fluctua.qcore import dephase
 from fluctua.svgplot import line_chart
 
@@ -311,7 +311,7 @@ def test_shot_summary_distance_is_the_self_check_z_score(tmp_path, monkeypatch):
     assert code == 0
     summary = json.loads((tmp_path / "s" / "summary.json").read_text())
     config = dataclasses.replace(PRESETS["fig2-sweep"].two_qubit, n_shots=2048)
-    se = sweep_model_errors(config)["G_TPM"]
+    se = two_qubit_sweep(config, 5).model_errors["G_TPM"]
     dev = np.abs(seen["result"].columns["G_TPM"] - 1.0)
     assert np.all(dev[se == 0] <= 1e-12)
     z = dev[se > 0] / se[se > 0]
@@ -465,10 +465,10 @@ def test_repeated_main_calls_match_fresh_processes(sequence, tmp_path):
 
 
 def test_shot_check_builds_each_record_once(tmp_path, monkeypatch):
-    # the self-check reads the model errors the sweep carries: one setup and
-    # one ensemble per record serve the shots and the exact joints
+    # the self-check reads the model errors the sweep carries: one pair
+    # spectrum and one ensemble per record serve the shots and the exact joints
     calls = {"setup": 0, "members": 0}
-    real_setup, real_members = fluctua.models._sweep_setup, fluctua.protocols._member_populations
+    real_setup, real_members = fluctua.models.spectral_decompose, fluctua.protocols._member_populations
 
     def setup(*args):
         calls["setup"] += 1
@@ -478,7 +478,7 @@ def test_shot_check_builds_each_record_once(tmp_path, monkeypatch):
         calls["members"] += 1
         return real_members(*args)
 
-    monkeypatch.setattr("fluctua.models._sweep_setup", setup)
+    monkeypatch.setattr("fluctua.models.spectral_decompose", setup)
     monkeypatch.setattr("fluctua.protocols._member_populations", members)
     assert main([*SHOT_RUN[:-1], str(tmp_path / "res"), "--check"]) == 0
     assert calls == {"setup": 1, "members": 3}

@@ -23,7 +23,6 @@ from fluctua.models import (
     _sweep_errors,
     closed_form_characteristics,
     controlled_gate,
-    sweep_model_errors,
     thermal_occupation,
     three_level_experiment,
     three_level_hamiltonian,
@@ -293,15 +292,17 @@ def test_shot_sweep_matches_per_point_draws(n_shots, seed):
 
 
 def test_sweep_validates_each_state_once_per_call(monkeypatch):
+    # the exact sweep validates its state; the shot sweep also its dephased
+    # populations, which the end-point records of G_EPM_diag are drawn from
     calls = count_qcore_calls(monkeypatch, "density_spectrum")
-    for n_shots in (None, 256):
+    for n_shots, states in ((None, 1), (256, 2)):
         counts = []
         for size in (2, 21):
             calls.clear()
             two_qubit_sweep(TwoQubitExperimentConfig(
                 n_shots=n_shots, theta_grid=DEFAULT_THETA_GRID[:size]))
             counts.append(len(calls))
-        assert counts[0] == counts[1] > 0, n_shots
+        assert counts == [states, states], n_shots
 
 
 @pytest.mark.parametrize("field, value", [("beta", math.nan), ("beta", math.inf),
@@ -477,28 +478,38 @@ def test_shot_sweep_error_columns_are_pinned():
 
 def test_sweep_model_errors_track_sampled_errors():
     cfg = TwoQubitExperimentConfig(n_shots=2048, theta_grid=(0.3, 1.1, 2.2))
-    model = sweep_model_errors(cfg)
-    assert list(model) == list(SWEEP_COLUMNS)
     res = two_qubit_sweep(cfg, SeededGenerator(8))
+    model = res.model_errors
+    assert list(model) == list(SWEEP_COLUMNS)
     for name in SWEEP_COLUMNS:
         assert np.allclose(res.columns[name + "_se"], model[name], rtol=0.1), name
-    quarter = sweep_model_errors(TwoQubitExperimentConfig(
-        n_shots=4 * 2048, theta_grid=cfg.theta_grid))
+    quarter = two_qubit_sweep(dataclasses.replace(cfg, n_shots=4 * 2048),
+                              SeededGenerator(8)).model_errors
     for name in SWEEP_COLUMNS:
         assert np.allclose(quarter[name], 0.5 * model[name], rtol=1e-12)
-    with pytest.raises(InvalidConfig):
-        sweep_model_errors(TwoQubitExperimentConfig())
 
 
 def test_sweep_carries_its_model_errors():
     # each record's ensemble gives both the shots and the exact joint; the
-    # errors on those joints are sweep_model_errors bit for bit
+    # model errors are the closed form on those joints bit for bit, the
+    # joints built here one grid point at a time
     cfg = TwoQubitExperimentConfig(n_shots=2048)
     res = two_qubit_sweep(cfg, SeededGenerator(8))
-    model = sweep_model_errors(cfg)
-    assert list(res.model_errors) == list(model) == list(SWEEP_COLUMNS)
-    for name in SWEEP_COLUMNS:
-        assert res.model_errors[name].tobytes() == model[name].tobytes(), name
+    assert list(res.model_errors) == list(SWEEP_COLUMNS)
+    _, beta = cfg.resolved()
+    spec = spectral_decompose(two_qubit_hamiltonian(cfg.epsilon))
+    rho = two_qubit_initial_state(cfg)
+    master = SeededGenerator(8)
+    for idx, theta in enumerate(cfg.theta_grid):
+        chan = UnitaryChannel(controlled_gate(-4.0 * theta, cfg.phi, cfg.lam))
+        point = master.spawn(idx)
+        epm, tpm, dia = (sample_shots(tag, state, chan, spec, spec, cfg.n_shots,
+                                      point.spawn(k)).exact
+                         for k, (tag, state) in enumerate((("EPM", rho), ("TPM", rho),
+                                                            ("EPM", dephase(rho)))))
+        model = _sweep_errors(epm, tpm, dia, beta, cfg.n_shots)
+        for name in SWEEP_COLUMNS:
+            assert res.model_errors[name][idx].tobytes() == model[name].tobytes(), (name, idx)
     assert two_qubit_sweep(TwoQubitExperimentConfig()).model_errors is None
 
 
@@ -922,6 +933,19 @@ def test_eig_calls_do_not_grow_with_sample_times(monkeypatch):
                                t_samples=np.linspace(0.0, 0.5, n))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_eig_calls_do_not_grow_with_level_groups(monkeypatch):
+    # each measurement Hamiltonian is decomposed once and the initial state
+    # validated once, however many level groups the final measurement forms
+    calls = count_qcore_calls(monkeypatch, "hermitian_eig")
+    times = [0.0, 0.5, 1.0, math.pi, 3.5]
+    counts = []
+    for config in (ThreeLevelConfig(t_max=3.5), DEGENERATE_DRIVE):
+        calls.clear()
+        three_level_experiment(config, InitialStateSpec(coherence_seed=3), t_samples=times)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 6
 
 
 def test_experiment_rejects_explicit_non_state():

@@ -873,6 +873,8 @@ def test_convexity_witness_finds_gap():
         chan = UnitaryChannel(random_unitary(2, rng))
         gap = convexity_witness(r1, r2, 0.5, chan, spec, spec)
         assert gap >= -1e-15
+        states = qcore.density_spectrum(r1), qcore.density_spectrum(r2)
+        assert convexity_witness(*states, 0.5, chan, spec, spec) == gap
         best = max(best, gap)
     assert best > 1e-6
 
@@ -930,6 +932,44 @@ def test_non_states_are_rejected():
         characteristic_function("MLL", bad, chan, spec, spec, 0.3)
     with pytest.raises(ValueError):
         sample_shots("MLL", bad, chan, spec, spec, 16, SeededGenerator(1))
+
+
+# Every protocol entry point that takes one initial state, reduced to its numbers.
+SINGLE_STATE_ENTRY_POINTS = {
+    "protocol_joint": lambda rho, chan, spec: protocol_joint("MLL", rho, chan, spec, spec).probs,
+    "epm_joint": lambda rho, chan, spec: epm_joint(rho, chan, spec, spec).probs,
+    "tpm_joint": lambda rho, chan, spec: tpm_joint(rho, chan, spec, spec).probs,
+    "mll_joint": lambda rho, chan, spec: mll_joint(rho, chan, spec, spec).probs,
+    "characteristic_function":
+        lambda rho, chan, spec: characteristic_function("EPM", rho, chan, spec, spec, 0.3),
+    "characteristic_split":
+        lambda rho, chan, spec: characteristic_split(rho, chan, spec, spec, 0.3),
+    "epm_second_moment_split": lambda rho, chan, spec: tuple(
+        vars(epm_second_moment_split(rho, chan, spec, spec)).values()),
+    "jarzynski": lambda rho, chan, spec: tuple(
+        vars(jarzynski(rho, chan, spec, spec, 0.5)).values()),
+    "sample_shots": lambda rho, chan, spec: sample_shots(
+        "MLL", rho, chan, spec, spec, 16, SeededGenerator(1)).probs,
+    "initial_probabilities": lambda rho, chan, spec: initial_probabilities(rho, spec),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_STATE_ENTRY_POINTS))
+def test_single_state_entry_points_validate_the_state(name, monkeypatch):
+    call = SINGLE_STATE_ENTRY_POINTS[name]
+    spec, chan = spectral_decompose(SZ), UnitaryChannel(HADAMARD)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        call(np.diag([1.5, -0.5]), chan, spec)
+    with pytest.raises(ValueError, match="trace"):
+        call(np.diag([0.5, 0.3]), chan, spec)
+    rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    state = qcore.density_spectrum(rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonThermalDiagonal)
+        expected = call(rho, chan, spec)
+        # a validated state is taken as it is, with no second validation
+        monkeypatch.setattr(protocols, "density_spectrum", None)
+        assert np.array_equal(call(state, chan, spec), expected)
 
 
 def test_mll_reuses_the_validation_eigendecomposition(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from fluctua.qcore import (
     CoherenceSplit,
+    DensityState,
     DimensionMismatch,
     NonHermitianInput,
     NonOrthonormalBasis,
@@ -198,6 +199,8 @@ def test_stacked_eig_and_decomposition_equal_each_matrix():
         ref = spectral_decompose(h)
         assert np.array_equal(dec.energies, ref.energies)
         assert np.array_equal(dec.projectors, ref.projectors)
+        # the basis is the member's own gauge-fixed eigenvectors
+        assert np.array_equal(dec.basis, ref_vecs) and np.array_equal(ref.basis, ref_vecs)
         assert dec.grouping_tol == ref.grouping_tol
     # an explicit tolerance applies to every member alike
     for h, dec in zip(stack, spectral_decompose(stack, grouping_tol=1e-3)):
@@ -211,7 +214,9 @@ def test_stacked_decomposition_broadcasts_spectral_sums():
     batch = SpectralDecomposition.stack(decs)
     assert batch.energies.shape == (4, 3) and batch.projectors.shape == (4, 3, 3, 3)
     assert batch.ranks == [dec.ranks for dec in decs]
+    assert batch.basis.shape == (4, 3, 3)
     for k, dec in enumerate(decs):
+        assert np.array_equal(batch.basis[k], dec.basis)
         assert np.array_equal(batch.reconstruct()[k], dec.reconstruct())
         assert np.array_equal(matrix_phase_exp(None, 0.7j, batch)[k],
                               matrix_phase_exp(None, 0.7j, dec))
@@ -384,7 +389,13 @@ def test_assert_density_rejects_negative():
 
 def test_density_spectrum_returns_the_validated_decomposition():
     rho = random_density(3, gen=np.random.default_rng(30))
-    a, vals, vecs = density_spectrum(rho)
+    state = density_spectrum(rho)
+    assert isinstance(state, DensityState)
+    assert state._fields == ("matrix", "eigenvalues", "eigenvectors")
+    a, vals, vecs = state
     assert np.array_equal(a, assert_density_operator(rho))
     ref_vals, ref_vecs = hermitian_eig(rho)
     assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+    # a validated state is taken as it is wherever a state is
+    assert assert_density_operator(state) is state.matrix
+    assert np.array_equal(dephase(state), dephase(rho))
