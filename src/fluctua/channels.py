@@ -11,32 +11,41 @@ stacks rows, so conjugation by a unitary U has superoperator
 
 A (possibly driven) Lindblad master equation is solved by
 :func:`propagator_series`, which integrates the d^2 x d^2 propagator
-with a fixed-step classic Runge-Kutta rule and returns superoperator
-channels; :func:`propagate` applies its last snapshot to one state.
-The integrator is deliberately fixed-step (no adaptivity) so runs are
-bitwise reproducible; the step is an upper bound and each window is
-subdivided uniformly.  The drive is affine, H(t) = H0 + sum_j e_j(t) V_j,
-so L(t) = L0 + D + sum_j e_j(t) L_j from pieces built once per run.
-Every Lindblad generator maps Hermitian matrices to Hermitian matrices,
-so in an orthonormal basis of Hermitian matrices it is a real matrix:
-the pieces are rewritten in that basis once, and the whole integration
-runs in float64.  One RK4 step of dS/dt = L(t) S is a product S <- M S
-with a step map M built from the generators at the step's start,
-midpoint and end: three products with the stacked pieces [I; L0 + D;
-L_j] give I + (h/2)A, (h/2)B and (h/6)C, and three batched matrix
-products turn those into M.  The windows between snapshot times form one
-table (start, step size, step count and cumulative end of each), and
-every step of the run is a global index into it; a static schedule
-takes the same path with no envelopes.  Steps are taken a block at a
-time, as many consecutive indices as fit in :data:`BLOCK_BYTES`
-whichever windows they belong to (so memory does not grow with the
-run), with one array call of the envelopes per block.  A chunked scan
+with fixed steps of the sixth-order Magnus expansion and returns
+superoperator channels; :func:`propagate` applies its last snapshot to
+one state.  The integrator is deliberately fixed-step (no adaptivity) so
+runs are bitwise reproducible; the step is an upper bound and each
+window is subdivided uniformly.  The drive is affine, H(t) = H0 +
+sum_j e_j(t) V_j, so L(t) = L0 + D + sum_j e_j(t) L_j from pieces built
+once per run.  Every Lindblad generator maps Hermitian matrices to
+Hermitian matrices, so in an orthonormal basis of Hermitian matrices it
+is a real matrix: the pieces are rewritten in that basis once, and the
+whole integration runs in float64.  One step of size h of dS/dt = L(t) S
+is S <- exp(Omega) S.  Omega is the three-node Gauss form of the
+sixth-order Magnus expansion (Blanes, Casas, Oteo and Ros, Phys. Rep.
+470 (2009) 151; Iserles and Norsett, Phil. Trans. R. Soc. A 357 (1999)
+983): one product with the stacked pieces [L0 + D; L_j] gives three
+combinations of the generators at the Gauss nodes, and three
+commutators give Omega, which is h L exactly for a static generator.
+The exponential is a degree-12 Taylor polynomial in Paterson-Stockmeyer
+form with scaling and squaring, accurate to the unit roundoff.  The
+global error is O(h^6): a step of 0.02 is off by below 1e-12 on the
+three-level presets.  The trace row t has t L = 0 for every generator,
+so t Omega = 0 and exp(Omega) keeps the trace up to roundoff; without
+dissipation Omega is antisymmetric and exp(Omega) orthogonal.  The
+windows between snapshot times form one table (start, step size, step
+count and cumulative end of each), and every step of the run is a global
+index into it; a static schedule takes the same path with no envelopes.
+Steps are taken a block at a time, as many consecutive indices as fit in
+:data:`BLOCK_BYTES` whichever windows they belong to (so memory does not
+grow with the run), with one array call of the envelopes per block; the
+step maps are built in buffers allocated once per call.  A chunked scan
 turns each block's maps into its propagators: prefix products inside
 chunks of about sqrt(n) maps, run in lock-step, then a carry from each
 chunk into the next.  A real propagator preserves Hermiticity by
-construction, so no step is projected; a trace drift beyond 1e-6 (or
-any NaN) at any step aborts the run.  The snapshots return to the
-row-major vec basis in one batched product.
+construction, so no step is projected; a trace drift beyond 1e-6 (or any
+NaN, as from a non-finite drive) at any step aborts the run.  The
+snapshots return to the row-major vec basis in one batched product.
 
 A schedule may declare that its drive is periodic with period P (the
 schedule checks the claim on a few times when it is built).  Then only
@@ -58,9 +67,9 @@ import numpy as np
 from .qcore import (
     DimensionMismatch,
     NonHermitianInput,
+    _gauged_eigh,
     as_complex_matrix,
     assert_density_operator,
-    hermitian_eig,
     is_hermitian,
 )
 
@@ -83,13 +92,32 @@ __all__ = [
 ]
 
 TRACE_DRIFT_ABORT = 1e-6
-# Bytes of one block's (n, d^2, d^2) float64 stack of RK4 step maps: 202 steps
-# at d = 3, 1024 at d = 2.  A block works in about five such stacks.
+# Bytes of one block's (n, d^2, d^2) float64 stack of step maps: 202 steps at
+# d = 3, 1024 at d = 2.  A block works in six such stacks.
 BLOCK_BYTES = 128 * 1024
+# Three-node Gauss points of [0, 1], where the sixth-order Magnus step reads
+# the generator.
+_GAUSS_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
+# The largest 1-norm of a step's exponent that its degree-12 Taylor polynomial
+# takes unscaled: theta^13/13! = 2^-53, so the first omitted term is at most
+# the unit roundoff.
+_TAYLOR_THETA = (2.0 ** -53 * math.factorial(13)) ** (1.0 / 13.0)
+# Paterson-Stockmeyer form of that polynomial with P = [X, X^2, X^3, X^4]:
+# B0 + X^4 (B1 + X^4 B2), where B_r is _PS_ROWS[r] times P plus
+# _PS_DIAGONAL[r] times the identity.
+_PS_ROWS = np.array([[1.0, 1.0 / 2.0, 1.0 / 6.0, 0.0],
+                     [1.0 / math.factorial(k) for k in (5, 6, 7)] + [0.0],
+                     [1.0 / math.factorial(k) for k in (9, 10, 11, 12)]])
+_PS_DIAGONAL = (1.0, 1.0 / math.factorial(4), 1.0 / math.factorial(8))
 
 
 class IntegrationFailure(RuntimeError):
-    """The RK4 run produced NaNs or lost the trace."""
+    """A propagator lost the trace beyond 1e-6, or turned NaN, at some step.
+
+    Raised by :func:`propagator_series` (and so :func:`propagate`) with
+    the time and the step size where it happened; a non-finite drive
+    value reaches the same check.
+    """
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -371,34 +399,103 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return u.reshape(d * d, d * d)
 
 
-def _step_maps(pieces: np.ndarray, weights: np.ndarray, work: np.ndarray,
-               n: int) -> np.ndarray:
-    """RK4 step maps of n steps, as an (n, d^2, d^2) view of ``work[0, :n]``.
+def _node_weights(schedule: HamiltonianSchedule, t0: np.ndarray, h: np.ndarray,
+                  k: np.ndarray, weights: np.ndarray) -> None:
+    """Fill ``weights[:, :n]`` for n steps of one block.
 
-    ``pieces`` is the (K, d^4) stack of the flattened I, L0 + D and L_j,
-    and ``work`` a (3, m, d^4) buffer with m >= n.  The rows of
-    ``weights[:, :n] @ pieces`` are, for each step of size h with
-    generators A, B, C at its start, midpoint and end, Y1 = I + (h/2) A,
-    B' = (h/2) B and C' = (h/6) C.  The step S <- S + h/6 (k1 + 2 k2 +
-    2 k3 + k4) of dS/dt = L S is then S <- M S with Y2 = I + B' Y1,
-    Y3 = I + 2 B' Y2 and M = (Y1 + 2 Y2 + Y3)/3 + C' Y3 - I/3, which is
-    I + h/6 (A + 2 B Y1 + 2 B Y2 + C Y3) regrouped.
+    Step i is step ``k[i]`` of a window that starts at ``t0[i]`` with step
+    size ``h[i]``; its Gauss nodes are t0 + (k + c_j) h, and the envelopes
+    are read at all 3 n nodes in one call.  Column 0 weights L0 + D and
+    column j weights L_j.  The rows give, for generators A1, A2, A3 at
+    the nodes, alpha1 = h A2, alpha2 = (sqrt(15) h/3)(A3 - A1) and
+    alpha3 = (10 h/3)(A3 - 2 A2 + A1); L0 + D enters alpha1 only, so its
+    weight in the other two rows stays the zero it was allocated with.
     """
-    side = math.isqrt(pieces.shape[1])
-    np.matmul(weights[:, :n], pieces, out=work[:, :n])
-    y1, b, c = work[:, :n].reshape(3, n, side, side)
-    y2 = b @ y1
-    _diagonal(y2)[:] += 1.0
-    y3 = b @ y2
-    y3 *= 2.0
-    _diagonal(y3)[:] += 1.0
-    y1 += y2
-    y1 += y2
-    y1 += y3
-    y1 *= 1.0 / 3.0
-    y1 += np.matmul(c, y3, out=y2)
-    _diagonal(y1)[:] -= 1.0 / 3.0
-    return y1
+    n = len(k)
+    nodes = t0 + (k + _GAUSS_NODES[:, None]) * h
+    e = schedule.envelope_values(nodes.reshape(-1)).reshape(-1, 3, n)
+    e1, e2, e3 = e.transpose(1, 2, 0)
+    weights[0, :n, 0] = h
+    weights[0, :n, 1:] = h[:, None] * e2
+    weights[1, :n, 1:] = (math.sqrt(15.0) / 3.0 * h)[:, None] * (e3 - e1)
+    weights[2, :n, 1:] = (10.0 / 3.0 * h)[:, None] * (e3 - 2.0 * e2 + e1)
+
+
+def _commutator(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                scratch: np.ndarray) -> None:
+    """out <- a b - b a for stacks, with ``scratch`` as the second product."""
+    np.matmul(a, b, out=out)
+    out -= np.matmul(b, a, out=scratch)
+
+
+def _magnus_maps(pieces: np.ndarray, weights: np.ndarray, work: np.ndarray,
+                 n: int) -> np.ndarray:
+    """Step maps exp(Omega) of n steps, as an (n, d^2, d^2) view into ``work``.
+
+    ``pieces`` is the (K, d^4) stack of the flattened L0 + D and L_j, and
+    ``work`` a (6, m, d^2, d^2) buffer with m >= n.  The rows of
+    ``weights[:, :n] @ pieces`` are alpha1, alpha2 and alpha3 (see
+    :func:`_node_weights`).  With C1 = [alpha1, alpha2] and
+    C2 = -[alpha1, 2 alpha3 + C1]/60, the sixth-order Magnus exponent is
+    Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240.
+    A static generator makes alpha2 and alpha3 zero, so Omega = h A.
+    """
+    a1, a2, a3, c1, y, z = work[:, :n]
+    np.matmul(weights[:, :n], pieces, out=work[:3, :n].reshape(3, n, -1))
+    _commutator(a1, a2, c1, y)
+    np.multiply(a3, 2.0, out=y)
+    y += c1
+    # alpha2 + C2 = alpha2 - (alpha1 y - y alpha1)/60 with y = 2 alpha3 + C1
+    np.matmul(a1, y, out=z)
+    z *= 1.0 / 60.0
+    a2 -= z
+    np.matmul(y, a1, out=z)
+    z *= 1.0 / 60.0
+    a2 += z
+    c1 -= a3
+    c1 -= np.multiply(a1, 20.0, out=y)
+    _commutator(c1, a2, y, z)
+    a3 *= 1.0 / 12.0
+    a1 += a3
+    y *= 1.0 / 240.0
+    a1 += y
+    return _taylor_exp(work, n)
+
+
+def _taylor_exp(work: np.ndarray, n: int) -> np.ndarray:
+    """exp of each matrix of ``work[0, :n]``, as a view into ``work[4, :n]``.
+
+    Each matrix is scaled by 2^-s so that its 1-norm is at most
+    :data:`_TAYLOR_THETA`, the degree-12 Taylor polynomial is taken in
+    Paterson-Stockmeyer form (five batched products), and the result is
+    squared s times.  A matrix with a non-finite norm is not scaled, so
+    its NaNs reach the caller's drift check.  ``work[1:4, :n]`` take the
+    powers and ``work[5, :n]`` is scratch.
+    """
+    x, x2, x3, x4, b, c = work[:, :n]
+    norm = np.abs(x, out=x2).sum(axis=-2).max(axis=-1)
+    big = (norm > _TAYLOR_THETA) & (norm < math.inf)  # NaN compares false
+    squarings = np.zeros(n, dtype=int)
+    if big.any():
+        squarings[big] = np.ceil(np.log2(norm[big] / _TAYLOR_THETA))
+        x *= np.ldexp(1.0, -squarings)[:, None, None]
+    np.matmul(x, x, out=x2)
+    np.matmul(x2, x, out=x3)
+    np.matmul(x2, x2, out=x4)
+    powers = work[:4, :n].reshape(4, -1)
+    # b <- B2, c <- B1 + x^4 B2, b <- x^4 (B1 + x^4 B2), c <- B0, b <- b + c
+    np.matmul(_PS_ROWS[2], powers, out=b.reshape(-1))
+    _diagonal(b)[:] += _PS_DIAGONAL[2]
+    np.matmul(x4, b, out=c)
+    c += np.matmul(_PS_ROWS[1], powers, out=b.reshape(-1)).reshape(b.shape)
+    _diagonal(c)[:] += _PS_DIAGONAL[1]
+    np.matmul(x4, c, out=b)
+    b += np.matmul(_PS_ROWS[0], powers, out=c.reshape(-1)).reshape(c.shape)
+    _diagonal(b)[:] += _PS_DIAGONAL[0]
+    for j in range(squarings.max()):
+        again = b[squarings > j]
+        b[squarings > j] = again @ again
+    return b
 
 
 def _diagonal(stack: np.ndarray) -> np.ndarray:
@@ -423,24 +520,6 @@ def _prefix_products(maps: np.ndarray, s: np.ndarray) -> None:
         here[:] = here @ maps[j - 1::c][:len(here)]
     for first in range(c, n, c):
         maps[first:first + c] = maps[first:first + c] @ maps[first - 1]
-
-
-def _drive_weights(schedule: HamiltonianSchedule, t0: np.ndarray, h: np.ndarray,
-                   k: np.ndarray, weights: np.ndarray) -> None:
-    """Fill ``weights[:, :n, 1:]`` for n steps of one block.
-
-    Step i is step ``k[i]`` of a window that starts at ``t0[i]`` with step
-    size ``h[i]``; its start, midpoint and end are the nodes
-    t0 + (2 k + j) h/2 for j = 0, 1, 2, and the envelopes are read at all
-    3 n nodes in one call.  Column 1 weights L0 + D and column 1 + j
-    weights L_j: h/2 at a step's start and midpoint, h/6 at its end.
-    """
-    n = len(k)
-    nodes = t0 + (2 * k + np.arange(3)[:, None]) * (0.5 * h)
-    e = schedule.envelope_values(nodes.reshape(-1)).reshape(-1, 3, n)
-    scale = np.array([0.5 * h, 0.5 * h, h / 6.0])
-    weights[:, :n, 1] = scale
-    weights[:, :n, 2:] = (e * scale).transpose(1, 2, 0)
 
 
 def _compose_periods(snapshots: np.ndarray, folds: np.ndarray, period_map: np.ndarray,
@@ -468,31 +547,34 @@ def _compose_periods(snapshots: np.ndarray, folds: np.ndarray, period_map: np.nd
 
 
 def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
-                      step: float = 1e-3) -> list[SuperoperatorChannel]:
+                      step: float = 0.02) -> list[SuperoperatorChannel]:
     """Propagators from the schedule start to each requested time.
 
-    RK4 steps the propagator itself, dS/dt = L(t) S from S = identity,
+    The propagator itself, dS/dt = L(t) S from S = identity, is stepped
     once and incrementally, so the cost is one pass over
     [t_initial, max(times)] regardless of how many snapshot times are
     requested.  Each window between consecutive times takes
-    ceil(span/step) equal steps.  The generators are taken to the real
-    Hermitian basis of :func:`_hermitian_basis`, L_R = U^dag L U, once per
-    call, and everything after runs in float64.  The windows form one
+    ceil(span/step) equal steps, and each step of size h is the map
+    exp(Omega) of the sixth-order Magnus expansion with the generator read
+    at the three Gauss nodes of the step (:func:`_magnus_maps`); its
+    error per unit time is O(h^6).  The generators are taken to the real
+    Hermitian basis of :func:`_hermitian_basis`, L_R = U^dag L U, once
+    per call, and everything after runs in float64.  The windows form one
     table of arrays, their ``starts``, step ``sizes``, step ``counts`` and
     ``ends = cumsum(counts)``, and every step of the run has a global
     index into it: step g lies in the window w with ends[w - 1] <= g <
     ends[w], as its step g - ends[w - 1].  The steps are taken a block at
     a time, as many consecutive indices as fit in :data:`BLOCK_BYTES`,
     whichever windows they belong to.  The drive is read once per block
-    by :func:`_drive_weights`, the block's step maps come from
-    :func:`_step_maps` (a static schedule takes the same path with no
-    envelopes), and :func:`_prefix_products`, with S folded into the
-    first map, turns them into the propagators S_g = M_g ... M_0.  A
-    window's snapshot is the propagator after its last step, ends[w] - 1.
-    Every step's propagator is checked for trace drift, max |t S_g - t|
-    with t the trace row (ones on the first d coordinates); none is
-    projected, since a real propagator maps Hermitian matrices to
-    Hermitian matrices.
+    by :func:`_node_weights`, the block's step maps come from
+    :func:`_magnus_maps` (a static schedule takes the same path with no
+    envelopes, and its exponent is exactly h L), and
+    :func:`_prefix_products`, with S folded into the first map, turns them
+    into the propagators S_g = M_g ... M_0.  A window's snapshot is the
+    propagator after its last step, ends[w] - 1.  Every step's propagator
+    is checked for trace drift, max |t S_g - t| with t the trace row (ones
+    on the first d coordinates); none is projected, since a real
+    propagator maps Hermitian matrices to Hermitian matrices.
 
     With a ``period`` P on the schedule, a time t past the first period
     is folded: k = ceil((t - t0)/P) - 1 and t - kP in (t0, t0 + P].  The
@@ -522,8 +604,7 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     u_dag = u.conj().T
     static = (u_dag @ lindblad_generator(schedule.base, jump_operators) @ u).real
     coupled = (u_dag @ _hamiltonian_generator(schedule.couplings) @ u).real
-    pieces = np.concatenate([np.eye(side)[None], static[None], coupled]).reshape(
-        -1, side * side)
+    pieces = np.concatenate([static[None], coupled]).reshape(-1, side * side)
 
     t_first, period = schedule.t_initial, schedule.period
     folded, folds = np.array(ts), np.zeros(len(ts), dtype=int)
@@ -547,10 +628,8 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     block = max(1, min(BLOCK_BYTES // (8 * side * side), total))
     snapshots = np.empty((len(grid), side, side))
     snapshots[ends == 0] = np.eye(side)
-    work = np.empty((3, block, side * side))
-    # weights of the pieces for Y1, B' and C': the identity only in Y1
+    work = np.empty((6, block, side, side))
     weights = np.zeros((3, block, len(pieces)))
-    weights[0, :, 0] = 1.0
     trace = np.zeros(side)
     trace[:d] = 1.0
 
@@ -560,11 +639,12 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
         n = len(idx)
         w = np.searchsorted(ends, idx, side="right")
         k = idx - (ends[w] - counts[w])
-        _drive_weights(schedule, starts[w], sizes[w], k, weights)
-        steps = _step_maps(pieces, weights, work, n)
-        # a run that blows up overflows in the rest of its block; the drift
-        # check below reports the first step that went bad
+        # a non-finite drive, or a run that blows up, overflows in the rest
+        # of its block; the drift check below reports the first step that
+        # went bad
         with np.errstate(over="ignore", invalid="ignore"):
+            _node_weights(schedule, starts[w], sizes[w], k, weights)
+            steps = _magnus_maps(pieces, weights, work, n)
             _prefix_products(steps, s)
             drift = np.abs(trace[:d] @ steps[:, :d] - trace)
         if not drift.max() <= TRACE_DRIFT_ABORT:
@@ -588,8 +668,12 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
 
 
 def propagate(schedule: HamiltonianSchedule, jump_operators, rho0,
-              step: float = 1e-3) -> np.ndarray:
-    """Evolve a density operator over the schedule window with fixed-step RK4."""
+              step: float = 0.02) -> np.ndarray:
+    """Evolve a density operator over the schedule window.
+
+    The state is mapped by the last snapshot of :func:`propagator_series`,
+    so the step rule and its checks are those of that function.
+    """
     rho = assert_density_operator(rho0)
     if rho.shape[0] != schedule.dim:
         raise DimensionMismatch("state and schedule dimensions differ")
@@ -638,7 +722,7 @@ def check_cptp(channel_or_superoperator, tol: float = 1e-8) -> CPTPReport:
     c = choi_matrix(s)
     if not is_hermitian(c, 1e-8):
         raise NonHermitianInput("Choi matrix is not Hermitian; map does not preserve Hermiticity")
-    evals, _ = hermitian_eig(0.5 * (c + c.conj().T))
+    evals, _ = _gauged_eigh(c)
     return CPTPReport(trace_preserving=defect <= tol,
                       choi_min_eig=float(evals[0]),
                       max_trace_defect=defect)

@@ -358,8 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="occupation convention for the relaxation "
                               "criterion (as_printed skips it)")
     check_p.add_argument("--step", type=float,
-                         help="override the integrator step used by the "
-                              "integrator criterion")
+                         help="override the Magnus integrator step, and the "
+                              "base of its halving measurement, in the "
+                              "integrator criterion (default 0.02 and 0.05); "
+                              "0.5 is coarse enough to fail it")
     check_p.set_defaults(func=_cmd_check)
 
     list_p = sub.add_parser("list-presets", help="show available presets")

@@ -347,7 +347,7 @@ class ThreeLevelConfig:
     drive_amplitude: float = 1.5
     drive_form: str = "complement"
     t_max: float = 10.0
-    step: float = 1e-3
+    step: float = 0.02
     occupation_convention: str = "bose"
     measurement_convention: str = "full"
 

@@ -107,12 +107,13 @@ def density_spectrum(rho, *, herm_tol: float = 1e-10, trace_tol: float = 1e-8,
     """Validate a density operator; return it with its eigendecomposition.
 
     Returns a :class:`DensityState`, the state as complex128 and its
-    :func:`hermitian_eig`, so a caller that needs the spectrum does not
-    decompose the state a second time and a protocol that receives it does
-    not validate it again.  Checks Hermiticity, unit trace and positive
-    semidefiniteness (the smallest eigenvalue may be slightly negative,
-    down to -psd_tol, to admit states assembled from floating-point
-    arithmetic).
+    eigendecomposition as :func:`hermitian_eig` gives it (checked to
+    ``herm_tol`` rather than that function's 1e-10), so a caller that
+    needs the spectrum does not decompose the state a second time and a
+    protocol that receives it does not validate it again.  Checks
+    Hermiticity, unit trace and positive semidefiniteness (the smallest
+    eigenvalue may be slightly negative, down to -psd_tol, to admit
+    states assembled from floating-point arithmetic).
     """
     a = as_complex_matrix(rho, "density operator")
     if not is_hermitian(a, herm_tol):
@@ -120,7 +121,7 @@ def density_spectrum(rho, *, herm_tol: float = 1e-10, trace_tol: float = 1e-8,
     tr = a.trace()
     if abs(tr - 1.0) > trace_tol:
         raise ValueError(f"density operator trace {tr:.12g} differs from 1")
-    evals, evecs = hermitian_eig(a)
+    evals, evecs = _gauged_eigh(a)
     if evals[0] < -psd_tol:
         raise ValueError(f"density operator has negative eigenvalue {evals[0]:.3e}")
     return DensityState(a, evals, evecs)
@@ -163,6 +164,14 @@ def hermitian_eig(matrix):
     a = as_complex_matrix(matrix, "eig input", stack=True)
     if not is_hermitian(a):
         raise NonHermitianInput("hermitian_eig requires a Hermitian matrix")
+    return _gauged_eigh(a)
+
+
+def _gauged_eigh(a: np.ndarray):
+    """:func:`hermitian_eig` of a complex128 matrix or stack its caller checked.
+
+    Each caller checks Hermiticity once, to its own tolerance.
+    """
     # Work on the exactly Hermitian average so roundoff in the input does
     # not leak into complex eigenvalues.
     vals, vecs = np.linalg.eigh(0.5 * (a + _dagger(a)))

@@ -23,7 +23,7 @@ from fluctua.channels import (
     vec,
 )
 from fluctua.models import PRESETS, three_level_model
-from fluctua.qcore import DimensionMismatch, NonHermitianInput
+from fluctua.qcore import DimensionMismatch, NonHermitianInput, hermitian_eig
 from fluctua.sampling import random_density, random_hamiltonian, random_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -169,31 +169,52 @@ def test_propagate_keeps_state_valid():
     assert np.min(np.linalg.eigvalsh(out)) > -1e-9
 
 
+def _drive_lost_after(t_lost, value=np.nan):
+    """A qubit schedule whose drive reads ``value`` past ``t_lost``."""
+    return HamiltonianSchedule(np.zeros((2, 2)), [SX],
+                               lambda t: [np.where(t > t_lost, value, 0.5)],
+                               t_final=50.0)
+
+
 def test_propagate_detects_blowup():
-    # overdamped jump with a huge step makes RK4 unstable
-    sched = HamiltonianSchedule(np.zeros((2, 2)), t_final=50.0)
+    # a drive that turns NaN from t = 1.3 on poisons the step over [1.2, 1.4]
+    # (its last two Gauss nodes lie past 1.3), and the abort names that step
+    sched = _drive_lost_after(1.3)
     with pytest.raises(IntegrationFailure, match=r"at t = 1\.4 \(step 0\.2\)"):
         propagate(sched, [math.sqrt(50.0) * SM], np.diag([0.0, 1.0]), step=0.2)
 
 
 def test_propagate_detects_blowup_in_a_later_window_of_a_block():
-    # one stable 0.04 step, then a window of 0.2 steps that blows up; both
-    # windows share one block, and the failure names the later window's step
-    sched = HamiltonianSchedule(np.zeros((2, 2)), t_final=50.0)
+    # one 0.04 step, then a window of 0.2 steps whose seventh step, over
+    # [1.24, 1.44], reads the drive past 1.3; both windows share one block,
+    # and the failure names the later window's step
+    sched = _drive_lost_after(1.3)
     with pytest.raises(IntegrationFailure, match=r"at t = 1\.44 \(step 0\.2\)"):
         propagator_series(sched, [math.sqrt(50.0) * SM], [0.04, 2.04], step=0.2)
 
 
-def test_rk4_order_halving_factor():
-    # global error should drop ~16x per halving; 12 is the acceptance floor
+@pytest.mark.parametrize("value", [np.inf, -np.inf, 1e300])
+def test_a_non_finite_step_exponent_reaches_the_drift_check(value):
+    # an exponent whose norm is infinite (or overflows) is not scaled by a
+    # power of two it has no finite logarithm for; its NaNs abort the run
+    sched = _drive_lost_after(1.3, value)
+    with pytest.raises(IntegrationFailure, match=r"at t = 1\.4 \(step 0\.2\)"):
+        propagate(sched, [math.sqrt(50.0) * SM], np.diag([0.0, 1.0]), step=0.2)
+
+
+def test_magnus_sixth_order_halving_factor():
+    # the global error of a sixth-order step drops ~64x per halving; 48
+    # leaves room below the measured 64.8.  At these steps e2 is about 4e-11,
+    # far above roundoff (at 0.02/0.01 it would be 1.6e-13)
     sched = HamiltonianSchedule(SX + 0.7 * SZ, [SX],
                                 lambda t: [np.sin(3 * t)], t_final=2.0)
     ops = [0.4 * SM]
     rho0 = np.diag([0.2, 0.8]).astype(complex)
-    sols = {h: propagate(sched, ops, rho0, step=h) for h in (0.04, 0.02, 0.01)}
-    e1 = np.max(np.abs(sols[0.04] - sols[0.01]))
-    e2 = np.max(np.abs(sols[0.02] - sols[0.01]))
-    assert e1 / e2 > 12.0
+    sols = {h: propagate(sched, ops, rho0, step=h) for h in (0.1, 0.05, 0.025)}
+    e1 = np.max(np.abs(sols[0.1] - sols[0.025]))
+    e2 = np.max(np.abs(sols[0.05] - sols[0.025]))
+    assert e2 > 1e-12
+    assert e1 / e2 > 48.0
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +222,10 @@ def test_rk4_order_halving_factor():
 
 
 def _operator_form_rk4(sched, ops, rho, step):
-    """Reference RK4 on the density matrix itself, with the operator-form rhs."""
+    """Reference RK4 on the density matrix itself, with the operator-form rhs.
+
+    ``rho`` may be a (k, d, d) stack of states, stepped together.
+    """
     def rhs(t, r):
         return operator_form_rhs(sched.at(t), ops, r)
 
@@ -217,17 +241,23 @@ def _operator_form_rk4(sched, ops, rho, step):
 
 
 def test_lindblad_superoperator_matches_propagation():
-    # stepping the propagator is the same RK4 as stepping each state
+    # the superoperator applied to a state, applied to the state as a plain
+    # matrix, and propagate all give the same state
     rng = np.random.default_rng(9)
     sched = HamiltonianSchedule(SX + 0.2 * SZ, [SX],
                                 lambda t: [0.5 * np.cos(t)], t_final=1.5)
     ops = [0.6 * SM]
     chan = propagator_series(sched, ops, [sched.t_final], step=1e-2)[-1]
-    for _ in range(5):
-        rho = random_density(2, gen=rng)
-        direct = _operator_form_rk4(sched, ops, rho, step=1e-2)
-        assert np.max(np.abs(chan.apply(rho) - direct)) < 1e-13
-        assert np.max(np.abs(propagate(sched, ops, rho, step=1e-2) - direct)) < 1e-13
+    states = np.array([random_density(2, gen=rng) for _ in range(5)])
+    for rho in states:
+        out = chan.apply(rho)
+        assert np.max(np.abs(chan.apply_matrix(rho) - out)) < 1e-13
+        assert np.max(np.abs(propagate(sched, ops, rho, step=1e-2) - out)) < 1e-13
+    # and the state solves the master equation: against RK4 on the operator
+    # form at a 5e-4 step the gap measured 3.3e-14, which is RK4's own error
+    # (5.3e-13 at 1e-3, 4.0e-15 at 2.5e-4)
+    direct = _operator_form_rk4(sched, ops, states, step=5e-4)
+    assert np.max(np.abs(chan.apply_matrix(states) - direct)) < 1e-13
 
 
 # steps in one block at d = 2: the byte bound over one 4 x 4 float64 step map
@@ -242,27 +272,39 @@ INNER_TIMES = [0.0, 3 / 64, 3 / 64, 0.3, 0.3 + 1 / 64, 1.0]
 
 
 def test_propagator_series_steps_across_block_edges():
-    # each snapshot must be the same RK4 as stepping a state window by window
+    # each snapshot must be the product of the window propagators, each
+    # from a propagator_series call over that window alone
     counts = EDGE_COUNTS
     assert all(n % QUBIT_BLOCK for n in counts) and max(counts) > 3 * QUBIT_BLOCK
-    step = 1.0 / 64.0  # a binary fraction, so every node time is exact
+    step = 1.0 / 64.0  # a binary fraction: each window is a whole number of exact steps
     sched = HamiltonianSchedule(SX + 0.2 * SZ, [SX, SZ],
                                 lambda t: [0.5 * np.cos(3 * t), 0.3 * np.sin(t)],
                                 t_final=sum(counts) * step)
     ops = [0.6 * SM, 0.2 * SM.T]
-    rng = np.random.default_rng(13)
     for times in (np.cumsum(counts) * step, INNER_TIMES):
         series = propagator_series(sched, ops, times, step=step)
-        for _ in range(3):
-            rho = random_density(2, gen=rng)
-            direct, t_prev = rho, sched.t_initial
-            for t, snap in zip(times, series):
-                if t > t_prev:
-                    window = HamiltonianSchedule(sched.base, sched.couplings,
-                                                 sched.envelopes, t_prev, t)
-                    direct = _operator_form_rk4(window, ops, direct, step)
-                assert np.max(np.abs(snap.apply(rho) - direct)) < 1e-13
-                t_prev = t
+        product, t_prev = np.eye(4), sched.t_initial
+        for t, snap in zip(times, series):
+            if t > t_prev:
+                window = HamiltonianSchedule(sched.base, sched.couplings,
+                                             sched.envelopes, t_prev, t)
+                product = (propagator_series(window, ops, [t], step=step)[-1]
+                           .superoperator @ product)
+            assert np.max(np.abs(snap.superoperator - product)) < 1e-13
+            t_prev = t
+    # the unequal windows solve the master equation: against RK4 on the
+    # operator form at a step of 1/2048 the gap measured 2.1e-14 (1.8e-13 at
+    # 1/1024, where RK4's own error is 16x larger)
+    rng = np.random.default_rng(13)
+    states = np.array([random_density(2, gen=rng) for _ in range(3)])
+    direct, t_prev = states, sched.t_initial
+    for t, snap in zip(INNER_TIMES, series):
+        if t > t_prev:
+            window = HamiltonianSchedule(sched.base, sched.couplings,
+                                         sched.envelopes, t_prev, t)
+            direct = _operator_form_rk4(window, ops, direct, step / 32.0)
+        assert np.max(np.abs(snap.apply_matrix(states) - direct)) < 1e-13
+        t_prev = t
 
 
 def test_envelopes_are_evaluated_once_per_block():
@@ -552,7 +594,11 @@ def _transpose_permutation(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_propagator_series_matches_exact_exponential(d):
-    # static generator: the propagator is exp(L t), here by eigendecomposition
+    # static generator: the propagator is exp(L t), here by eigendecomposition.
+    # The Magnus exponent of a static generator is h L exactly, so every step
+    # is exact up to roundoff: at most 2.5e-14 measured.  A 1.0 step takes
+    # one step per window, with the exponential scaled and squared up to 6
+    # times (the 1-norm of L is 6.6 to 17.7)
     rng = np.random.default_rng(20 + d)
     h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = 0.5 * (h + h.conj().T)
@@ -562,18 +608,18 @@ def test_propagator_series_matches_exact_exponential(d):
     w, v = np.linalg.eig(lindblad_generator(h, ops))
     v_inv = np.linalg.inv(v)
     times = [0.0, 0.3, 1.1, 2.0]
-    # at d = 4 the RK4 error of a 2e-3 step is 1.3e-10, above the bound below
-    series = propagator_series(sched, ops, times, step=1e-3)
     p = _transpose_permutation(d)
-    for t, snap in zip(times, series):
-        s = snap.superoperator
-        assert np.max(np.abs(s - (v * np.exp(w * t)) @ v_inv)) < 1e-10
-        # Hermiticity preserving, S(X^dag) = S(X)^dag for every X: a real
-        # propagator in the Hermitian basis makes this hold exactly, not to
-        # roundoff
-        assert np.array_equal(s, p @ s.conj() @ p)
-        traces = np.einsum("mmjk->jk", s.reshape(d, d, d, d))
-        assert np.max(np.abs(traces - np.eye(d))) < 1e-12
+    for step in (1e-3, 1.0):
+        series = propagator_series(sched, ops, times, step=step)
+        for t, snap in zip(times, series):
+            s = snap.superoperator
+            assert np.max(np.abs(s - (v * np.exp(w * t)) @ v_inv)) < 1e-12
+            # Hermiticity preserving, S(X^dag) = S(X)^dag for every X: a
+            # real propagator in the Hermitian basis makes this hold
+            # exactly, not to roundoff
+            assert np.array_equal(s, p @ s.conj() @ p)
+            traces = np.einsum("mmjk->jk", s.reshape(d, d, d, d))
+            assert np.max(np.abs(traces - np.eye(d))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -671,3 +717,14 @@ def test_superoperator_channel_rejects_bad_shape():
 def test_apply_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         UnitaryChannel(np.eye(2)).apply(np.eye(3) / 3)
+
+
+def test_check_cptp_takes_the_eigenvalues_of_the_hermitian_choi_average():
+    # one Hermiticity check, at 1e-8, and the gauged eigensolver of the
+    # average; a Choi defect of 1e-9 is above hermitian_eig's own 1e-10
+    sched = HamiltonianSchedule(SX + 0.2 * SZ, t_final=2.0)
+    s = propagator_series(sched, [0.7 * SM], [sched.t_final])[-1].superoperator.copy()
+    s[0, 3] += 1e-9
+    c = choi_matrix(s)
+    ref_vals, _ = hermitian_eig(0.5 * (c + c.conj().T))
+    assert check_cptp(s).choi_min_eig == ref_vals[0]

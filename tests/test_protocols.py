@@ -973,8 +973,10 @@ def test_single_state_entry_points_validate_the_state(name, monkeypatch):
 
 
 def test_mll_reuses_the_validation_eigendecomposition(monkeypatch):
-    original, calls = qcore.hermitian_eig, []
-    monkeypatch.setattr(qcore, "hermitian_eig",
+    # every eigendecomposition, through hermitian_eig or a state's
+    # validation, runs the one gauged solver
+    original, calls = qcore._gauged_eigh, []
+    monkeypatch.setattr(qcore, "_gauged_eigh",
                         lambda matrix: calls.append(1) or original(matrix))
     spec = spectral_decompose(H_PAIR)
     calls.clear()

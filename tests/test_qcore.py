@@ -399,3 +399,16 @@ def test_density_spectrum_returns_the_validated_decomposition():
     # a validated state is taken as it is wherever a state is
     assert assert_density_operator(state) is state.matrix
     assert np.array_equal(dephase(state), dephase(rho))
+
+
+def test_density_spectrum_honours_a_looser_hermiticity_tolerance():
+    # the state's own check is the only one: hermitian_eig's 1e-10 check
+    # must not reject a defect that herm_tol admits
+    rho = np.array([[0.5, 0.1 + 1e-8], [0.1, 0.5]])
+    with pytest.raises(NonHermitianInput, match="density operator"):
+        density_spectrum(rho)
+    a, vals, vecs = density_spectrum(rho, herm_tol=1e-6)
+    # the eigenpairs are those of the Hermitian average, as hermitian_eig
+    # gives them for it, bit for bit
+    ref_vals, ref_vecs = hermitian_eig(0.5 * (a + a.conj().T))
+    assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
