@@ -11,11 +11,11 @@ stacks rows, so conjugation by a unitary U has superoperator
 
 A (possibly driven) Lindblad master equation is solved by
 :func:`propagator_series`, which integrates the d^2 x d^2 propagator
-with fixed steps of the sixth-order Magnus expansion and returns
-superoperator channels; :func:`propagate` applies its last snapshot to
-one state.  The integrator is deliberately fixed-step (no adaptivity) so
-runs are bitwise reproducible; the step is an upper bound and each
-window is subdivided uniformly.  The drive is affine, H(t) = H0 +
+with fixed steps of the sixth-order Magnus expansion and returns its
+snapshots as one batched :class:`SuperoperatorChannel`; :func:`propagate`
+applies the last member to one state.  The integrator is deliberately
+fixed-step (no adaptivity) so runs are bitwise reproducible; the step is
+an upper bound and each window is subdivided uniformly.  The drive is affine, H(t) = H0 +
 sum_j e_j(t) V_j, so L(t) = L0 + D + sum_j e_j(t) L_j from pieces built
 once per run.  Every Lindblad generator maps Hermitian matrices to
 Hermitian matrices, so in an orthonormal basis of Hermitian matrices it
@@ -297,7 +297,8 @@ class SuperoperatorChannel(Channel):
 
     A (T, d^2, d^2) stack of superoperators is a batch of T channels:
     ``apply`` and ``apply_matrix`` map their input through every member
-    in one product and return a leading T axis.
+    in one product and return a leading T axis.  Indexing a batch with
+    an int gives that member channel, with an index array the sub-batch.
     """
 
     def __init__(self, superoperator):
@@ -321,6 +322,11 @@ class SuperoperatorChannel(Channel):
         # each matrix as a vec column, so one matrix takes the same product as apply
         out = s @ a.reshape(*a.shape[:-2], self.dim ** 2, 1)
         return out.reshape(batch + a.shape)
+
+    def __getitem__(self, index) -> "SuperoperatorChannel":
+        if self.superoperator.ndim == 2:
+            raise TypeError("an unbatched channel has no members to index")
+        return SuperoperatorChannel(self.superoperator[index])
 
 
 class UnitaryChannel(SuperoperatorChannel):
@@ -547,8 +553,12 @@ def _compose_periods(snapshots: np.ndarray, folds: np.ndarray, period_map: np.nd
 
 
 def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
-                      step: float = 0.02) -> list[SuperoperatorChannel]:
+                      step: float = 0.02) -> SuperoperatorChannel:
     """Propagators from the schedule start to each requested time.
+
+    Returns one batched :class:`SuperoperatorChannel` whose member k, a
+    (d^2, d^2) superoperator, maps the state at the schedule start to
+    the state at ``times[k]``.
 
     The propagator itself, dS/dt = L(t) S from S = identity, is stepped
     once and incrementally, so the cost is one pass over
@@ -585,18 +595,21 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     snapshots are checked for trace drift once more.  With no period, or
     no time past t0 + P, every k is 0 and nothing is composed.  The
     snapshots return as U S_R U^dag in one batched product.  Times must
-    be finite, non-decreasing and inside the schedule window.
+    be at least one, finite, non-decreasing and inside the schedule
+    window.
     """
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     ts = [float(t) for t in times]
+    if not ts:
+        raise ValueError("propagator_series needs at least one snapshot time")
     if not all(math.isfinite(t) for t in [schedule.t_initial, *ts]):
         raise ValueError("snapshot times and the schedule start must be finite")
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValueError("snapshot times must be non-decreasing")
-    if ts and ts[0] < schedule.t_initial - 1e-12:
+    if ts[0] < schedule.t_initial - 1e-12:
         raise ValueError("snapshot before the schedule start")
-    if ts and ts[-1] > schedule.t_final + 1e-12:
+    if ts[-1] > schedule.t_final + 1e-12:
         raise ValueError("snapshot after the schedule end")
     d = schedule.dim
     side = d * d
@@ -663,16 +676,16 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     snapshots = snapshots[np.searchsorted(grid, folded)]
     if period_map is not None:
         _compose_periods(snapshots, folds, period_map, trace, ts)
-    snapshots = u @ snapshots @ u_dag
-    return [SuperoperatorChannel(m) for m in snapshots]
+    return SuperoperatorChannel(u @ snapshots @ u_dag)
 
 
 def propagate(schedule: HamiltonianSchedule, jump_operators, rho0,
               step: float = 0.02) -> np.ndarray:
     """Evolve a density operator over the schedule window.
 
-    The state is mapped by the last snapshot of :func:`propagator_series`,
-    so the step rule and its checks are those of that function.
+    The state is mapped by the one-member batch :func:`propagator_series`
+    returns for ``t_final``, so the step rule and its checks are those of
+    that function.
     """
     rho = assert_density_operator(rho0)
     if rho.shape[0] != schedule.dim:
@@ -710,12 +723,16 @@ def check_cptp(channel_or_superoperator, tol: float = 1e-8) -> CPTPReport:
 
     ``choi_min_eig`` is the smallest eigenvalue of the trace-normalized
     Choi matrix; complete positivity up to numerical noise means it is not
-    meaningfully negative.
+    meaningfully negative.  It checks one channel: a batch has to be
+    indexed first.
     """
     s = channel_or_superoperator
     if isinstance(s, SuperoperatorChannel):
         s = s.superoperator
-    s = as_complex_matrix(s, "superoperator")
+    s = as_complex_matrix(s, "superoperator", stack=True)
+    if s.ndim == 3:
+        raise DimensionMismatch(f"check_cptp takes one channel, not a batch of "
+                                f"{len(s)}; index the batch first")
     d = _square_side(s.shape[0])
     traces = np.einsum("mmjk->jk", s.reshape(d, d, d, d))
     defect = float(np.max(np.abs(traces - np.eye(d))))

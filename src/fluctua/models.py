@@ -512,18 +512,9 @@ class ThreeLevelSeries:
         return list(self.columns)
 
 
-def _level_groups(specs):
-    """Sample indices grouped by level count, each group with its batched decomposition."""
-    groups: dict[int, list[int]] = {}
-    for k, spec in enumerate(specs):
-        groups.setdefault(spec.energies.size, []).append(k)
-    return [(np.array(idx), SpectralDecomposition.stack([specs[k] for k in idx]))
-            for idx in groups.values()]
-
-
 def _series_columns(rho_i, channel: SuperoperatorChannel, spec_i: SpectralDecomposition,
                     spec_f: SpectralDecomposition, beta_ref: float) -> dict[str, np.ndarray]:
-    """The protocol columns of a batch of sample times sharing a level count."""
+    """The protocol columns of a batch of sample times sharing a level pattern."""
     rep = jarzynski(rho_i, channel, spec_i, spec_f, beta_ref, basis=spec_i.basis)
     g_tpm = characteristic_function("TPM", rho_i, channel, spec_i, spec_f,
                                     1j * beta_ref)
@@ -553,13 +544,15 @@ def three_level_experiment(config: ThreeLevelConfig,
     """Evolve the three-level system and evaluate all protocol quantities.
 
     The channels from 0 to every sample time come from one integrator
-    pass, and the exponential averages, second-moment split, and
-    entropies of the three measurement schemes are evaluated over all
-    sample times at once (once per level count of the final measurement
-    Hamiltonian).  The measurement Hamiltonian at each end follows
-    ``config.measurement_convention``: "full" uses the instantaneous
-    driven Hamiltonian, "bare" the static part only.  The initial state
-    is validated once, before the integrator runs.
+    pass as one batch.  The exponential averages, second-moment split,
+    entropies of the three measurement schemes and final coherence are
+    evaluated over all sample times of a level pattern of the final
+    measurement Hamiltonian at once, one group of the stacked
+    :func:`~fluctua.qcore.spectral_decompose` at a time.  The measurement
+    Hamiltonian at each end follows ``config.measurement_convention``:
+    "full" uses the instantaneous driven Hamiltonian, "bare" the static
+    part only, which makes one group.  The initial state is validated
+    once, before the integrator runs.
     """
     if t_samples is None:
         t_samples = np.linspace(0.0, config.t_max, 101)
@@ -582,24 +575,18 @@ def three_level_experiment(config: ThreeLevelConfig,
         rho_i, spec_echo, beta_ref = state, None, InitialStateSpec().beta_ref
     rho_i = density_spectrum(rho_i)
 
-    superops = np.stack([c.superoperator for c in
-                         propagator_series(schedule, jumps, times, step=config.step)])
-    if config.measurement_convention == "bare":
-        groups, basis_f = [(np.arange(times.size), spec_i)], spec_i.basis
-    else:
-        specs_f = spectral_decompose(schedule.at(times))
-        groups = _level_groups(specs_f)
-        basis_f = np.stack([spec.basis for spec in specs_f])
+    series = propagator_series(schedule, jumps, times, step=config.step)
+    groups = ([(np.arange(times.size), spec_i)] if config.measurement_convention == "bare"
+              else spectral_decompose(schedule.at(times)))
 
     columns = {name: np.empty(times.size) for name in THREE_LEVEL_COLUMNS}
     columns["t"] = times.copy()
     for idx, spec_f in groups:
-        part = _series_columns(rho_i, SuperoperatorChannel(superops[idx]), spec_i, spec_f,
-                               beta_ref)
+        channel = series[idx]
+        part = _series_columns(rho_i, channel, spec_i, spec_f, beta_ref)
+        part["coherence_l1"] = coherence_l1(channel.apply(rho_i), basis=spec_f.basis)
         for name, values in part.items():
             columns[name][idx] = values
-    evolved = SuperoperatorChannel(superops).apply(rho_i)
-    columns["coherence_l1"] = coherence_l1(evolved, basis=basis_f)
     return ThreeLevelSeries(times, columns, config, spec_echo, beta_ref, rho_i.matrix)
 
 

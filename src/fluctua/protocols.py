@@ -33,12 +33,12 @@ which is how the exponential fluctuation relations are evaluated.
 
 Every quantity also broadcasts over a batch of T channels: a
 :class:`~fluctua.channels.SuperoperatorChannel` holding a (T, d^2, d^2)
-stack, optionally with a final decomposition batched the same way (see
-:meth:`~fluctua.qcore.SpectralDecomposition.stack`).  The ensemble is
-built once, every member is mapped through the whole stack in one
-product, and each result gains a leading T axis: scalars become (T,)
-arrays, joint tables (T, levels_i, levels_f).  The unbatched call is the
-same code without that axis.
+stack, optionally with a final decomposition batched the same way (a
+group that a stacked :func:`~fluctua.qcore.spectral_decompose` returns).
+The ensemble is built once, every member is mapped through the whole
+stack in one product, and each result gains a leading T axis: scalars
+become (T,) arrays, joint tables (T, levels_i, levels_f).  The unbatched
+call is the same code without that axis.
 
 Every entry point that takes one initial state validates a matrix on
 entry and raises ``ValueError`` on a non-state; a

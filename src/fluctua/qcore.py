@@ -195,24 +195,15 @@ class SpectralDecomposition:
     ``basis`` holds the gauge-fixed eigenvectors the levels were grouped
     from, ``ranks[k]`` consecutive columns per level.
 
-    A batch of T Hamiltonians with the same number of levels is one
+    A batch of T Hamiltonians with the same level pattern is one
     decomposition with a leading axis: ``energies`` (T, levels),
-    ``projectors`` (T, levels, d, d), ``basis`` (T, d, d) and one
-    ``grouping_tol`` per member (see :meth:`stack`).
+    ``projectors`` (T, levels, d, d) and ``basis`` (T, d, d), as a
+    stacked :func:`spectral_decompose` returns it.
     """
 
     energies: np.ndarray
     projectors: np.ndarray
     basis: np.ndarray
-    grouping_tol: float = 0.0
-
-    @classmethod
-    def stack(cls, members) -> "SpectralDecomposition":
-        """One batched decomposition of members with equal level counts."""
-        return cls(np.stack([m.energies for m in members]),
-                   np.stack([m.projectors for m in members]),
-                   np.stack([m.basis for m in members]),
-                   np.array([m.grouping_tol for m in members]))
 
     @property
     def dim(self) -> int:
@@ -239,23 +230,25 @@ def spectral_decompose(hamiltonian, grouping_tol: float | None = None):
     are merged into a single level whose projector spans the combined
     eigenvectors; the reported level value is the group mean.
 
-    A (T, d, d) stack gives a list of T decompositions, each equal to that
-    of its matrix alone.  The stack takes one :func:`hermitian_eig` call,
-    and the levels of all members sharing a degeneracy pattern are grouped
-    together.
+    A (T, d, d) stack takes one :func:`hermitian_eig` call and gives a
+    list of ``(members, decomposition)`` pairs, one per level pattern
+    (which adjacent eigenvalues merge), in order of each pattern's first
+    member: ``members`` is the array of stack indices with that pattern,
+    together a partition of ``range(T)``, and ``decomposition`` is their
+    batch.  Each member equals the decomposition of its matrix alone.
     """
     vals, vecs = hermitian_eig(hamiltonian)
     stacked = vals.ndim == 2
     if not stacked:
         vals, vecs = vals[None], vecs[None]
-    tols = (1e-8 * np.abs(vals).max(axis=-1) if grouping_tol is None
-            else np.full(len(vals), float(grouping_tol)))
+    tols = (1e-8 * np.abs(vals).max(axis=-1, keepdims=True) if grouping_tol is None
+            else float(grouping_tol))
     # a level ends after eigenvalue j unless eigenvalue j + 1 lies within tol
-    ends = ~(np.diff(vals, axis=-1) <= tols[:, None])
+    ends = ~(np.diff(vals, axis=-1) <= tols)
     patterns: dict[bytes, list[int]] = {}
     for member, row in enumerate(ends):
         patterns.setdefault(row.tobytes(), []).append(member)
-    out = [None] * len(vals)
+    groups = []
     for members in patterns.values():
         rows = slice(None) if len(members) == len(vals) else members
         v = vecs[rows]
@@ -263,10 +256,8 @@ def spectral_decompose(hamiltonian, grouping_tol: float | None = None):
         projectors = np.stack([v[..., lo:hi] @ _dagger(v[..., lo:hi])
                                for lo, hi in zip(bounds, bounds[1:])], axis=1)
         energies = np.add.reduceat(vals[rows], bounds[:-1], axis=-1) / np.diff(bounds)
-        for k, member in enumerate(members):
-            out[member] = SpectralDecomposition(energies[k], projectors[k], vecs[member],
-                                                float(tols[member]))
-    return out if stacked else out[0]
+        groups.append((np.array(members), SpectralDecomposition(energies, projectors, v)))
+    return groups if stacked else SpectralDecomposition(energies[0], projectors[0], v[0])
 
 
 def gibbs_state(hamiltonian, beta: float,

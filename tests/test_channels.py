@@ -524,6 +524,28 @@ def test_propagator_series_matches_individual_runs():
     assert np.max(np.abs(series[0].superoperator - np.eye(4))) < 1e-12
 
 
+def test_propagator_series_returns_one_batched_channel():
+    sched = HamiltonianSchedule(SX + 0.1 * SZ, t_final=2.0)
+    times = [0.0, 0.5, 1.3, 2.0]
+    series = propagator_series(sched, [0.3 * SM], times, step=1e-2)
+    assert isinstance(series, SuperoperatorChannel)
+    assert series.superoperator.shape == (4, 4, 4) and series.dim == 2
+    # an int gives a member, an index array a sub-batch, each sharing the numbers
+    assert series[-1].superoperator.shape == (4, 4)
+    assert np.array_equal(series[2].superoperator, series.superoperator[2])
+    sub = series[np.array([1, 3])]
+    assert np.array_equal(sub.superoperator, series.superoperator[[1, 3]])
+    assert len(list(zip(times, series))) == 4
+    with pytest.raises(TypeError, match="unbatched"):
+        series[0][0]
+
+
+def test_propagator_series_rejects_empty_times():
+    sched = HamiltonianSchedule(SX, t_final=1.0)
+    with pytest.raises(ValueError, match="at least one snapshot time"):
+        propagator_series(sched, None, [])
+
+
 def test_propagator_series_rejects_decreasing_times():
     sched = HamiltonianSchedule(SX, t_final=1.0)
     with pytest.raises(ValueError):
@@ -655,12 +677,13 @@ def test_check_cptp_flags_transpose_map():
     assert rep.choi_min_eig < -0.4  # exactly -1/2 for a qubit
 
 
-@pytest.mark.parametrize("channel", [
-    UnitaryChannel(np.stack([np.eye(2), SX])),
-    np.eye(3),
-], ids=["batched-channel", "side-not-a-square"])
-def test_check_cptp_rejects_malformed_superoperators(channel):
-    with pytest.raises(DimensionMismatch):
+@pytest.mark.parametrize("channel, match", [
+    (UnitaryChannel(np.stack([np.eye(2), SX])), "not a batch of 2; index the batch"),
+    (SuperoperatorChannel(np.eye(4)[None]), "not a batch of 1; index the batch"),
+    (np.eye(3), "not a perfect square"),
+], ids=["batched-channel", "batch-of-one", "side-not-a-square"])
+def test_check_cptp_rejects_malformed_superoperators(channel, match):
+    with pytest.raises(DimensionMismatch, match=match):
         check_cptp(channel)
 
 

@@ -32,7 +32,6 @@ from fluctua.protocols import (
 )
 from fluctua import protocols, qcore
 from fluctua.qcore import (
-    SpectralDecomposition,
     coherence_l1,
     dephase,
     gibbs_state,
@@ -1011,9 +1010,12 @@ def test_protocols_broadcast_over_a_channel_batch(batched_final):
     h_i = random_hamiltonian(d, rng)
     spec_i = spectral_decompose(h_i)
     energies, basis = np.linalg.eigh(h_i)
-    specs_f = (spectral_decompose(np.array([random_hamiltonian(d, rng) for _ in range(n)]))
-               if batched_final else [spec_i] * n)
-    spec_f = SpectralDecomposition.stack(specs_f) if batched_final else spec_i
+    if batched_final:
+        h_f = np.array([random_hamiltonian(d, rng) for _ in range(n)])
+        [(_, spec_f)] = spectral_decompose(h_f)
+        specs_f = [spectral_decompose(h) for h in h_f]
+    else:
+        spec_f, specs_f = spec_i, [spec_i] * n
     beta = 0.6
     pops = np.exp(-beta * energies)
     pops /= pops.sum()

@@ -9,7 +9,6 @@ from fluctua.qcore import (
     DimensionMismatch,
     NonHermitianInput,
     NonOrthonormalBasis,
-    SpectralDecomposition,
     assert_density_operator,
     coherence_l1,
     coherence_split,
@@ -188,30 +187,43 @@ def mixed_degeneracy_stack(rng, d=4):
     return np.array(stack)
 
 
+def assert_groups_equal_each_matrix(stack, groups, grouping_tol=None):
+    """The groups partition the stack, each member bitwise its matrix's own decomposition."""
+    members = np.concatenate([idx for idx, _ in groups])
+    assert np.array_equal(np.sort(members), np.arange(len(stack)))
+    for idx, batch in groups:
+        assert batch.energies.shape[0] == batch.projectors.shape[0] == len(idx)
+        for k, m in enumerate(idx):
+            ref = spectral_decompose(stack[m], grouping_tol)
+            assert np.array_equal(batch.energies[k], ref.energies)
+            assert np.array_equal(batch.projectors[k], ref.projectors)
+            assert np.array_equal(batch.basis[k], ref.basis)
+
+
 def test_stacked_eig_and_decomposition_equal_each_matrix():
     stack = mixed_degeneracy_stack(np.random.default_rng(8))
     vals, vecs = hermitian_eig(stack)
-    decs = spectral_decompose(stack)
-    assert len({dec.energies.size for dec in decs}) == 4  # level counts 1, 2, 3, 4
-    for h, v, w, dec in zip(stack, vals, vecs, decs):
+    for h, v, w in zip(stack, vals, vecs):
         ref_vals, ref_vecs = hermitian_eig(h)
         assert np.array_equal(v, ref_vals) and np.array_equal(w, ref_vecs)
-        ref = spectral_decompose(h)
-        assert np.array_equal(dec.energies, ref.energies)
-        assert np.array_equal(dec.projectors, ref.projectors)
-        # the basis is the member's own gauge-fixed eigenvectors
-        assert np.array_equal(dec.basis, ref_vecs) and np.array_equal(ref.basis, ref_vecs)
-        assert dec.grouping_tol == ref.grouping_tol
+        # the basis is the matrix's own gauge-fixed eigenvectors
+        assert np.array_equal(spectral_decompose(h).basis, ref_vecs)
+    groups = spectral_decompose(stack)
+    # one group per level pattern, in order of first member: level counts
+    # 1, 2, 3 and 4, with two patterns of two levels (2 + 2 and 1 + 3)
+    assert [idx.tolist() for idx, _ in groups] == [[0], [1], [2, 5, 6, 7], [3], [4]]
+    assert [batch.energies.shape[1] for _, batch in groups] == [3, 2, 4, 2, 1]
+    assert_groups_equal_each_matrix(stack, groups)
     # an explicit tolerance applies to every member alike
-    for h, dec in zip(stack, spectral_decompose(stack, grouping_tol=1e-3)):
-        ref = spectral_decompose(h, grouping_tol=1e-3)
-        assert np.array_equal(dec.projectors, ref.projectors)
+    assert_groups_equal_each_matrix(stack, spectral_decompose(stack, grouping_tol=1e-3), 1e-3)
 
 
 def test_stacked_decomposition_broadcasts_spectral_sums():
     rng = np.random.default_rng(9)
-    decs = spectral_decompose(np.array([random_hamiltonian(3, rng) for _ in range(4)]))
-    batch = SpectralDecomposition.stack(decs)
+    stack = np.array([random_hamiltonian(3, rng) for _ in range(4)])
+    [(members, batch)] = spectral_decompose(stack)
+    assert np.array_equal(members, np.arange(4))
+    decs = [spectral_decompose(h) for h in stack]
     assert batch.energies.shape == (4, 3) and batch.projectors.shape == (4, 3, 3, 3)
     assert batch.ranks == [dec.ranks for dec in decs]
     assert batch.basis.shape == (4, 3, 3)
