@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    DEFAULT_STEP,
     IntegrationFailure,
     UnitaryChannel,
     check_cptp,
@@ -388,7 +389,7 @@ def tpm_recovery() -> Outcome:
         IdentityCheck(worst, 1e-12, "max", "max cell gap")]
 
 
-def integrator_integrity(step: float = 0.02,
+def integrator_integrity(step: float = DEFAULT_STEP,
                          halving_base: float = 0.05) -> Outcome:
     """Trace preservation, complete positivity, and step convergence.
 

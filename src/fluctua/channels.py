@@ -92,6 +92,8 @@ __all__ = [
 ]
 
 TRACE_DRIFT_ABORT = 1e-6
+# The default upper bound on the integrator step.
+DEFAULT_STEP = 0.02
 # Bytes of one block's (n, d^2, d^2) float64 stack of step maps: 202 steps at
 # d = 3, 1024 at d = 2.  A block works in six such stacks.
 BLOCK_BYTES = 128 * 1024
@@ -553,7 +555,7 @@ def _compose_periods(snapshots: np.ndarray, folds: np.ndarray, period_map: np.nd
 
 
 def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
-                      step: float = 0.02) -> SuperoperatorChannel:
+                      step: float = DEFAULT_STEP) -> SuperoperatorChannel:
     """Propagators from the schedule start to each requested time.
 
     Returns one batched :class:`SuperoperatorChannel` whose member k, a
@@ -680,7 +682,7 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
 
 
 def propagate(schedule: HamiltonianSchedule, jump_operators, rho0,
-              step: float = 0.02) -> np.ndarray:
+              step: float = DEFAULT_STEP) -> np.ndarray:
     """Evolve a density operator over the schedule window.
 
     The state is mapped by the one-member batch :func:`propagator_series`

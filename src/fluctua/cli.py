@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .acceptance import run_all, series_checks, sweep_checks
-from .channels import IntegrationFailure
+from .channels import DEFAULT_STEP, IntegrationFailure
 from .models import (
     PRESETS,
     InconsistentConfig,
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--step", type=float,
                          help="override the Magnus integrator step, and the "
                               "base of its halving measurement, in the "
-                              "integrator criterion (default 0.02 and 0.05); "
+                              f"integrator criterion (default {DEFAULT_STEP:g} and 0.05); "
                               "0.5 is coarse enough to fail it")
     check_p.set_defaults(func=_cmd_check)
 

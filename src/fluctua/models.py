@@ -6,7 +6,8 @@ populations are thermal, then subjected to a controlled single-qubit
 rotation; the swept characteristic functions of that circuit have simple
 closed forms that double as an oracle.  The second is a three-level
 system driven on its two upper transitions and coupled to three thermal
-baths, integrated with the Lindblad propagator.
+baths, integrated with the Lindblad propagator; its series columns are
+read from one table of the final-level populations of a few input states.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (
+    DEFAULT_STEP,
     HamiltonianSchedule,
     JumpOperatorSet,
     SuperoperatorChannel,
@@ -25,26 +27,29 @@ from .channels import (
     propagator_series,
 )
 from .protocols import (
+    PROTOCOLS,
     JointEnergyDistribution,
+    _clamp,
+    _collapse,
+    _eigen_mixture,
+    _warn_unless_thermal,
     characteristic_function,
     characteristic_of_distribution,
     characteristic_split,
-    delta_distribution,
     epm_joint,
-    epm_second_moment_split,
-    jarzynski,
-    mll_joint,
     moment,
     sample_shots,
     shannon_entropy,
     tpm_joint,
 )
 from .qcore import (
+    DensityState,
     SpectralDecomposition,
     coherence_l1,
     density_spectrum,
     dephase,
     spectral_decompose,
+    spectral_sum,
 )
 from .sampling import SeededGenerator, random_coherence
 
@@ -347,7 +352,7 @@ class ThreeLevelConfig:
     drive_amplitude: float = 1.5
     drive_form: str = "complement"
     t_max: float = 10.0
-    step: float = 0.02
+    step: float = DEFAULT_STEP
     occupation_convention: str = "bose"
     measurement_convention: str = "full"
 
@@ -512,30 +517,83 @@ class ThreeLevelSeries:
         return list(self.columns)
 
 
-def _series_columns(rho_i, channel: SuperoperatorChannel, spec_i: SpectralDecomposition,
-                    spec_f: SpectralDecomposition, beta_ref: float) -> dict[str, np.ndarray]:
-    """The protocol columns of a batch of sample times sharing a level pattern."""
-    rep = jarzynski(rho_i, channel, spec_i, spec_f, beta_ref, basis=spec_i.basis)
-    g_tpm = characteristic_function("TPM", rho_i, channel, spec_i, spec_f,
-                                    1j * beta_ref)
-    split = epm_second_moment_split(rho_i, channel, spec_i, spec_f, basis=spec_i.basis)
-    de, dt, dm = (delta_distribution(joint(rho_i, channel, spec_i, spec_f))
-                  for joint in (epm_joint, tpm_joint, mll_joint))
-    fraction = np.divide(split.coherence_part, split.total,
-                         out=np.zeros(np.shape(split.total)), where=split.total != 0.0)
-    return {"jarzynski_epm": rep.total,
-            "jarzynski_diagonal": rep.diagonal_part,
-            "jarzynski_coherence": rep.coherence_part,
-            # exp(beta dF) = Z_i/Z_f turns G_TPM(i beta) into the exponential average
-            "jarzynski_tpm": (g_tpm * np.exp(beta_ref * rep.delta_free_energy)).real,
-            "m2_epm": split.total,
-            "m2_population": split.population_part,
-            "m2_coherence": split.coherence_part,
-            "m2_coherence_fraction": fraction,
-            "entropy_epm": shannon_entropy(de),
-            "entropy_tpm": shannon_entropy(dt),
-            "entropy_mll": shannon_entropy(dm),
-            "m2_mll_minus_epm": moment(dm, 2) - moment(de, 2)}
+def _series_columns(state: DensityState, series: SuperoperatorChannel, groups,
+                    spec_i: SpectralDecomposition, beta: float) -> dict[str, np.ndarray]:
+    """Every protocol column of a series, from one population table per level group.
+
+    The columns contract pop[t, b, k] = Re tr(P_k(t) Phi_t[B_b]) over the
+    distinct inputs B: rho, its dephased part D in the initial eigenbasis,
+    chi = rho - D, the Gibbs state rho_th of H_i, the TPM members P_l/r_l
+    and the MLL members |s><s|.  Per group the stack takes one channel
+    product and one product with the final projectors.  The trace forms
+    weigh the unclamped table with e^{-beta E_k}, E_k and E_k^2; the three
+    joints come from the clamped member populations and collapse in one
+    pass.  Each part keeps its own input: rho_th, D or chi.
+    """
+    r, d = state.matrix, state.matrix.shape[0]
+    ranks = np.asarray(spec_i.ranks, dtype=float)
+    gibbs = np.exp(-beta * spec_i.energies)
+    z_i = gibbs @ ranks
+    rho_th = spectral_sum(gibbs / z_i, spec_i)
+    dephased = dephase(r, spec_i.basis)
+    _warn_unless_thermal(dephased, rho_th)
+    mll_weights, mll_states = _eigen_mixture(state.eigenvalues, state.eigenvectors)
+    # rows 0-3 are rho, D, chi and rho_th, then the TPM and the MLL members
+    inputs = np.concatenate([np.stack([r, dephased, r - dephased, rho_th]),
+                             spec_i.projectors / ranks[:, None, None], mll_states])
+    before = np.einsum("lij,bji->bl", spec_i.projectors, inputs).real
+    # the ensemble members of the three schemes and each scheme's weights on them
+    members = np.r_[0, 4:len(inputs)]
+    n_tpm = len(ranks)
+    start = _clamp(before[members])
+    schemes = np.zeros((len(PROTOCOLS), len(members)))
+    schemes[0, 0] = 1.0
+    schemes[1, 1:1 + n_tpm] = start[0]
+    schemes[2, 1 + n_tpm:] = mll_weights
+    front = before @ np.exp(beta * spec_i.energies)
+    # <H_i> and <H_i^2> of D
+    energy_i, square_i = np.stack([spec_i.energies, spec_i.energies ** 2]) @ before[1]
+
+    columns = {name: np.empty(len(series.superoperator)) for name in THREE_LEVEL_COLUMNS[1:]}
+    for idx, spec_f in groups:
+        channel = series if len(groups) == 1 else series[idx]
+        phi = channel.apply_matrix(inputs)
+        pop = np.einsum("...kij,...bji->...bk", spec_f.projectors, phi).real
+        gibbs_f = np.exp(-beta * spec_f.energies)
+        z_f = np.trace(spectral_sum(gibbs_f, spec_f), axis1=-2, axis2=-1).real
+        # (T, inputs) sums over the final levels: Gibbs weight, E_k, E_k^2
+        weighed = pop @ np.stack([gibbs_f, spec_f.energies, spec_f.energies ** 2], axis=-1)
+        back, first, second = np.moveaxis(weighed, -1, 0)
+        population = square_i + second[:, 1] - 2.0 * first[:, 1] * energy_i
+        coherence = second[:, 2] - 2.0 * first[:, 2] * energy_i
+        total = population + coherence
+        tables = np.einsum("js,sl,tsk->jtlk", schemes, start, _clamp(pop[:, members]))
+        joints = np.stack([JointEnergyDistribution(spec_i.energies, spec_f.energies,
+                                                   table, tag).probs
+                           for table, tag in zip(tables, PROTOCOLS)])
+        changes = _collapse(spec_i.energies, spec_f.energies, joints)
+        entropy, m2 = shannon_entropy(changes), moment(changes, 2)
+        # each scheme's characteristic function at i beta, times Z_i/Z_f
+        average = (front[members] * back[:, members]) @ schemes.T * (z_i / z_f)[..., None]
+        phi_rho = phi[:, 0]
+        part = {"jarzynski_epm": average[:, 0],
+                "jarzynski_diagonal": d * back[:, 3] / z_f,
+                "jarzynski_coherence": d * back[:, 2] / z_f,
+                "jarzynski_tpm": average[:, 1],
+                "m2_epm": total,
+                "m2_population": population,
+                "m2_coherence": coherence,
+                "m2_coherence_fraction": np.divide(coherence, total, out=np.zeros(total.shape),
+                                                   where=total != 0.0),
+                "entropy_epm": entropy[0],
+                "entropy_tpm": entropy[1],
+                "entropy_mll": entropy[2],
+                "m2_mll_minus_epm": m2[2] - m2[0],
+                "coherence_l1": coherence_l1(0.5 * (phi_rho + phi_rho.swapaxes(-1, -2).conj()),
+                                             basis=spec_f.basis)}
+        for name, values in part.items():
+            columns[name][idx] = values
+    return columns
 
 
 def three_level_experiment(config: ThreeLevelConfig,
@@ -546,13 +604,14 @@ def three_level_experiment(config: ThreeLevelConfig,
     The channels from 0 to every sample time come from one integrator
     pass as one batch.  The exponential averages, second-moment split,
     entropies of the three measurement schemes and final coherence are
-    evaluated over all sample times of a level pattern of the final
-    measurement Hamiltonian at once, one group of the stacked
-    :func:`~fluctua.qcore.spectral_decompose` at a time.  The measurement
-    Hamiltonian at each end follows ``config.measurement_convention``:
-    "full" uses the instantaneous driven Hamiltonian, "bare" the static
-    part only, which makes one group.  The initial state is validated
-    once, before the integrator runs.
+    contractions of one population table (:func:`_series_columns`) per
+    level pattern of the final measurement Hamiltonian, one group of the
+    stacked :func:`~fluctua.qcore.spectral_decompose` at a time; the public
+    protocol functions, not called here, stay an independent check.  The
+    measurement Hamiltonian at each end follows
+    ``config.measurement_convention``: "full" uses the instantaneous
+    driven Hamiltonian, "bare" the static part only, which makes one
+    group.  The initial state is validated once, before the integrator runs.
     """
     if t_samples is None:
         t_samples = np.linspace(0.0, config.t_max, 101)
@@ -579,14 +638,8 @@ def three_level_experiment(config: ThreeLevelConfig,
     groups = ([(np.arange(times.size), spec_i)] if config.measurement_convention == "bare"
               else spectral_decompose(schedule.at(times)))
 
-    columns = {name: np.empty(times.size) for name in THREE_LEVEL_COLUMNS}
-    columns["t"] = times.copy()
-    for idx, spec_f in groups:
-        channel = series[idx]
-        part = _series_columns(rho_i, channel, spec_i, spec_f, beta_ref)
-        part["coherence_l1"] = coherence_l1(channel.apply(rho_i), basis=spec_f.basis)
-        for name, values in part.items():
-            columns[name][idx] = values
+    columns = {"t": times.copy(),
+               **_series_columns(rho_i, series, groups, spec_i, beta_ref)}
     return ThreeLevelSeries(times, columns, config, spec_echo, beta_ref, rho_i.matrix)
 
 

@@ -346,15 +346,23 @@ def delta_distribution(joint: JointEnergyDistribution,
     weighted mean, so moments are preserved to first order in the merge
     width.  A group of zero mass takes the plain mean of its values.
     """
+    return _collapse(joint.initial_energies, joint.final_energies, joint.probs, merge_tol)
+
+
+def _collapse(initial_energies, final_energies, probs: np.ndarray,
+              merge_tol=None) -> EnergyChangeDistribution:
+    """:func:`delta_distribution` of tables (..., levels_i, levels_f), each row on its own."""
     if merge_tol is None:
-        merge_tol = _merge_tol(joint.initial_energies, joint.final_energies)
-    deltas = joint.delta_grid()
-    deltas = deltas.reshape(*deltas.shape[:-2], -1)
+        merge_tol = _merge_tol(initial_energies, final_energies)
+    deltas = final_energies[..., None, :] - initial_energies[..., :, None]
+    if deltas.shape != probs.shape:
+        deltas = np.broadcast_to(deltas, probs.shape)
+    deltas = deltas.reshape(*probs.shape[:-2], -1)
     if deltas.shape[-1] == 0:
         return EnergyChangeDistribution(np.array([]), np.array([]), _scalar(merge_tol))
     order, labels = _merge_groups(deltas, merge_tol)
     deltas = np.take_along_axis(deltas, order, axis=-1)
-    probs = np.take_along_axis(joint.probs.reshape(deltas.shape), order, axis=-1)
+    probs = np.take_along_axis(probs.reshape(deltas.shape), order, axis=-1)
     mass = _segment_sums(labels, probs)
     count = _segment_sums(labels, np.ones(deltas.shape))
     values = np.divide(_segment_sums(labels, deltas), count,
@@ -497,6 +505,14 @@ def _partition_terms(spec: SpectralDecomposition, beta: float):
     return z, w
 
 
+def _warn_unless_thermal(dephased: np.ndarray, gibbs: np.ndarray, tol: float = 1e-8) -> None:
+    """Warn :class:`NonThermalDiagonal` when a dephased state is not the Gibbs state."""
+    if float(np.max(np.abs(dephased - gibbs))) > tol:
+        warnings.warn("state diagonal is not the Gibbs distribution at this "
+                      "beta; the decomposition identity does not apply",
+                      NonThermalDiagonal)
+
+
 def jarzynski(rho, channel: Channel, spec_i: SpectralDecomposition,
               spec_f: SpectralDecomposition, beta: float, basis=None,
               thermal_tol: float = 1e-8) -> JarzynskiReport:
@@ -516,10 +532,7 @@ def jarzynski(rho, channel: Channel, spec_i: SpectralDecomposition,
 
     pops = dephase(r, basis)
     chi = r - pops
-    if float(np.max(np.abs(pops - rho_i_th))) > thermal_tol:
-        warnings.warn("state diagonal is not the Gibbs distribution at this "
-                      "beta; the decomposition identity does not apply",
-                      NonThermalDiagonal)
+    _warn_unless_thermal(pops, rho_i_th, thermal_tol)
 
     if beta != 0.0:
         delta_f = -np.log(z_f / z_i) / beta
@@ -557,7 +570,8 @@ def shannon_entropy(distribution) -> float:
         p = np.asarray(distribution, dtype=float).reshape(-1)
     # 0 log 0 = 0: the log of a nonpositive entry is left at 0
     logs = np.log(p, out=np.zeros(p.shape), where=p > 0)
-    return _scalar(-(p * logs).sum(axis=-1))
+    # 0.0 - s, not -s: a point mass has entropy +0.0, not -0.0
+    return _scalar(0.0 - (p * logs).sum(axis=-1))
 
 
 def mutual_information(p: JointEnergyDistribution,
@@ -597,8 +611,9 @@ def _draw(rngs, probs: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
     one excluded, that are at or below the uniform, so a uniform above a
     total of 1 - 1e-16 picks the last index instead of running past it.
     With one row the sums of member t are compared with row t of ``u`` and
-    ``rows`` is not read; with more, the count against each row r is kept
-    where ``rows == r``.  No index array is built and nothing is gathered.
+    ``rows`` is not read; with more, the count against each row r is zeroed
+    where ``rows != r`` and added, so each shot keeps the count of its own
+    row.  No index array is built and nothing is gathered.
     """
     n_rows, n_levels = probs.shape[-2:]
     if n_levels > MAX_LEVELS:
@@ -615,7 +630,8 @@ def _draw(rngs, probs: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
         for k in range(n_levels - 1):
             count += np.less_equal(below[:, r, k], u, out=hit)
         if n_rows > 1:
-            np.copyto(picked, count, where=np.equal(rows, r, out=hit))
+            count *= np.equal(rows, r, out=hit)
+            picked += count
     return picked
 
 

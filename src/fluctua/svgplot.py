@@ -9,7 +9,6 @@ small legend.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -24,6 +23,11 @@ FONT = 'font-family="Menlo, Consolas, monospace" font-size="11"'
 
 def _finite(values):
     return [float(v) for v in values if math.isfinite(float(v))]
+
+
+def _escape(text: str) -> str:
+    """&, < and > as entities (xml.sax.saxutils.escape would import urllib and ssl)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:
@@ -71,7 +75,7 @@ def line_chart(x, series: dict[str, "np.ndarray"], title: str = "",
     if title:
         out.append(f'<text x="{WIDTH / 2:.0f}" y="20" text-anchor="middle" '
                    f'font-family="Menlo, Consolas, monospace" '
-                   f'font-size="14">{escape(title)}</text>')
+                   f'font-size="14">{_escape(title)}</text>')
 
     # gridlines and tick labels
     for i in range(N_TICKS):
@@ -94,11 +98,11 @@ def line_chart(x, series: dict[str, "np.ndarray"], title: str = "",
     if x_label:
         out.append(f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" '
                    f'y="{HEIGHT - 8}" text-anchor="middle" {FONT}>'
-                   f'{escape(x_label)}</text>')
+                   f'{_escape(x_label)}</text>')
     if y_label:
         yc = margin_top + plot_h / 2
         out.append(f'<text x="16" y="{yc:.0f}" text-anchor="middle" {FONT} '
-                   f'transform="rotate(-90 16 {yc:.0f})">{escape(y_label)}</text>')
+                   f'transform="rotate(-90 16 {yc:.0f})">{_escape(y_label)}</text>')
 
     x_arr = np.array(xs)
     for k, (name, values) in enumerate(series.items()):
@@ -113,7 +117,7 @@ def line_chart(x, series: dict[str, "np.ndarray"], title: str = "",
         lx = MARGIN_LEFT + plot_w - 150
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
                    f'y2="{ly - 4}" stroke="{color}" stroke-width="1.6"/>')
-        out.append(f'<text x="{lx + 28}" y="{ly}" {FONT}>{escape(name)}</text>')
+        out.append(f'<text x="{lx + 28}" y="{ly}" {FONT}>{_escape(name)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

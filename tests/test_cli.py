@@ -51,6 +51,27 @@ def test_module_entry_point_runs():
     assert "fig2-sweep" in proc.stdout
 
 
+def test_import_leaves_out_the_network_stack():
+    # xml.sax.saxutils would pull in urllib.request, http.client, ssl and email
+    src = str(Path(fluctua.__file__).resolve().parents[1])
+    code = ("import sys, fluctua.cli; "
+            "print(sorted(m for m in ('ssl', 'urllib.request') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_chart_text_is_escaped():
+    svg = line_chart([0.0, 1.0], {"a<b & c>d": np.array([0.0, 1.0])},
+                     title="P&L <x> & y", x_label="t<1", y_label="E>0")
+    assert ">P&amp;L &lt;x&gt; &amp; y</text>" in svg
+    assert ">t&lt;1</text>" in svg
+    assert ">E&gt;0</text>" in svg
+    assert ">a&lt;b &amp; c&gt;d</text>" in svg
+    assert "&amp;amp;" not in svg
+
+
 def test_run_exact_sweep_outputs(tmp_path):
     out = tmp_path / "sweep"
     assert main(["run", "fig2-sweep", "--out", str(out)]) == 0

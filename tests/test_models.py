@@ -34,6 +34,7 @@ from fluctua.models import (
     u_gate,
 )
 from fluctua.protocols import (
+    DegenerateEigenbasis,
     NonThermalDiagonal,
     characteristic_function,
     characteristic_of_distribution,
@@ -890,6 +891,11 @@ def series_by_time(config, state, t_samples):
 DEGENERATE_DRIVE = ThreeLevelConfig(omega1=1.0, omega3=2.0, drive_amplitude=math.sqrt(2.0),
                                     t_max=3.5)
 DEFAULT_TIMES = np.linspace(0.0, 10.0, 101)
+OPEN, CLOSED = PRESETS["figS2b-jarzynski-open"], PRESETS["figS2-jarzynski-closed"]
+NON_THERMAL = np.diag([0.5, 0.3, 0.2]).astype(complex)
+# eigenvalues 0.4, 0.4, 0.2 in a basis that diagonalizes no measurement Hamiltonian
+_BASIS = hermitian_eig(np.array([[0.0, 1.0, 1j], [1.0, 1.0, 0.0], [-1j, 0.0, 2.0]]))[1]
+REPEATED_EIGENVALUES = _BASIS @ np.diag([0.4, 0.4, 0.2]) @ _BASIS.conj().T
 SERIES_CASES = {
     **{name: (preset.three_level, preset.initial_state, DEFAULT_TIMES)
        for name, preset in PRESETS.items() if preset.kind == "three_level"},
@@ -903,19 +909,55 @@ SERIES_CASES = {
                        np.linspace(0.0, 2.0, 6)),
     "degenerate-levels": (DEGENERATE_DRIVE, InitialStateSpec(coherence_seed=3),
                           [0.0, 0.5, 1.0, math.pi, 3.5]),
+    # the CI runs off the presets' defaults
+    "figS4-bare": (dataclasses.replace(PRESETS["figS4-entropy"].three_level,
+                                       measurement_convention="bare"),
+                   PRESETS["figS4-entropy"].initial_state, DEFAULT_TIMES),
+    "undriven-open": (dataclasses.replace(OPEN.three_level, drive_amplitude=0.0),
+                      OPEN.initial_state, DEFAULT_TIMES),
+    "undriven-closed": (dataclasses.replace(CLOSED.three_level, drive_amplitude=0.0),
+                        CLOSED.initial_state, DEFAULT_TIMES),
+    "degenerate-drive": (dataclasses.replace(OPEN.three_level, drive_amplitude=math.sqrt(3.0)),
+                         OPEN.initial_state, DEFAULT_TIMES),
+    "beta-0": (OPEN.three_level, dataclasses.replace(OPEN.initial_state, beta_ref=0.0),
+               DEFAULT_TIMES),
+    "non-thermal": (ThreeLevelConfig(t_max=2.0), NON_THERMAL, np.linspace(0.0, 2.0, 6)),
+    "repeated-eigenvalues": (ThreeLevelConfig(t_max=2.0), REPEATED_EIGENVALUES,
+                             np.linspace(0.0, 2.0, 6)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SERIES_CASES))
 def test_experiment_matches_per_time_evaluation(case):
+    # the series builds its columns from one population table; the reference
+    # evaluates the public protocol functions one sample time at a time
     config, state, times = SERIES_CASES[case]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonThermalDiagonal)
+        warnings.simplefilter("ignore", DegenerateEigenbasis)
         ser = three_level_experiment(config, state, t_samples=times)
         ref = series_by_time(config, state, times)
     assert list(ser.columns) == list(THREE_LEVEL_COLUMNS)
     for name in THREE_LEVEL_COLUMNS:
         assert np.abs(ser.columns[name] - ref[name]).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("state, expected", [
+    (InitialStateSpec(), set()),
+    (NON_THERMAL, {NonThermalDiagonal}),
+    (REPEATED_EIGENVALUES, {NonThermalDiagonal, DegenerateEigenbasis}),
+])
+def test_experiment_warns_as_the_protocol_functions_do(state, expected):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        three_level_experiment(ThreeLevelConfig(t_max=0.5), state, t_samples=[0.0, 0.5])
+    assert {w.category for w in caught} == expected
+
+
+def test_degenerate_drive_of_the_ci_run_forms_two_groups():
+    config = SERIES_CASES["degenerate-drive"][0]
+    schedule, _ = three_level_model(config)
+    assert len(spectral_decompose(schedule.at(DEFAULT_TIMES))) == 2
 
 
 def test_degenerate_drive_changes_level_count():

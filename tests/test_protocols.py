@@ -9,6 +9,7 @@ from fluctua.channels import SuperoperatorChannel, UnitaryChannel, identity_chan
 from fluctua.models import TwoQubitExperimentConfig, two_qubit_sweep
 from fluctua.protocols import (
     DegenerateEigenbasis,
+    EnergyChangeDistribution,
     JointEnergyDistribution,
     NegativeProbability,
     NonThermalDiagonal,
@@ -537,6 +538,15 @@ def test_entropy_ordering_mll_below_epm():
         h_mll = shannon_entropy(mll_joint(rho, chan, spec_i, spec_f))
         h_epm = shannon_entropy(epm_joint(rho, chan, spec_i, spec_f))
         assert h_mll <= h_epm + 1e-12
+
+
+def test_point_mass_entropy_is_positive_zero():
+    # a point mass has entropy +0.0, which prints as 0, not -0
+    dist = EnergyChangeDistribution(np.array([[0.0, 1.0], [0.0, 1.0]]),
+                                    np.array([[1.0, 0.0], [0.5, 0.5]]))
+    for h in (shannon_entropy([0.0, 1.0, 0.0]), shannon_entropy(dist)[0]):
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+    assert shannon_entropy(dist)[1] == pytest.approx(math.log(2.0), rel=1e-15)
 
 
 def test_no_coherence_epm_is_product_of_tpm_marginals():
