@@ -8,7 +8,7 @@ initial and final energy of a driven (possibly open) quantum system:
   prepared copy, so initial coherences survive the protocol;
 * two-point measurement: a projective energy measurement at the start
   destroys coherences before the evolution;
-* lowest-level resolved scheme: the initial state is unravelled into its
+* eigenstate-resolved scheme: the initial state is unravelled into its
   eigenstates and each is measured separately.
 
 Core linear algebra lives in :mod:`fluctua.qcore`, channels and Lindblad

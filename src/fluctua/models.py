@@ -31,7 +31,9 @@ from .protocols import (
     JointEnergyDistribution,
     _clamp,
     _collapse,
-    _eigen_mixture,
+    _ensemble,
+    _members_joint,
+    _partition_terms,
     _warn_unless_thermal,
     characteristic_function,
     characteristic_of_distribution,
@@ -521,64 +523,58 @@ def _series_columns(state: DensityState, series: SuperoperatorChannel, groups,
                     spec_i: SpectralDecomposition, beta: float) -> dict[str, np.ndarray]:
     """Every protocol column of a series, from one population table per level group.
 
-    The columns contract pop[t, b, k] = Re tr(P_k(t) Phi_t[B_b]) over the
-    distinct inputs B: rho, its dephased part D in the initial eigenbasis,
-    chi = rho - D, the Gibbs state rho_th of H_i, the TPM members P_l/r_l
-    and the MLL members |s><s|.  Per group the stack takes one channel
-    product and one product with the final projectors.  The trace forms
-    weigh the unclamped table with e^{-beta E_k}, E_k and E_k^2; the three
-    joints come from the clamped member populations and collapse in one
-    pass.  Each part keeps its own input: rho_th, D or chi.
+    The input stack B holds the ensemble members of the three schemes as
+    :func:`~fluctua.protocols._ensemble` builds them, in the order of
+    ``PROTOCOLS``: rho (EPM), each P_l/r_l (TPM) and each eigenstate
+    |s><s| of rho (MLL).  Its last three rows are rho's dephased part D in
+    the initial eigenbasis, chi = rho - D and the Gibbs state rho_th of H_i.
+    Per group the stack takes one channel product and one product with the
+    final projectors, the table pop[t, b, k] = Re tr(P_k(t) Phi_t[B_b]).
+    Each scheme's joint is :func:`~fluctua.protocols._members_joint` of its
+    clamped member rows, and the three joints collapse in one pass.  The
+    trace forms weigh the unclamped table with e^{-beta E_k}, E_k and
+    E_k^2, with Z_i and Z_f from :func:`~fluctua.protocols._partition_terms`.
+    Each part keeps its own input: rho_th, D or chi.
     """
     r, d = state.matrix, state.matrix.shape[0]
-    ranks = np.asarray(spec_i.ranks, dtype=float)
-    gibbs = np.exp(-beta * spec_i.energies)
-    z_i = gibbs @ ranks
+    z_i, gibbs = _partition_terms(spec_i, beta)
     rho_th = spectral_sum(gibbs / z_i, spec_i)
-    dephased = dephase(r, spec_i.basis)
+    dephased = dephase(r, spec_i)
     _warn_unless_thermal(dephased, rho_th)
-    mll_weights, mll_states = _eigen_mixture(state.eigenvalues, state.eigenvectors)
-    # rows 0-3 are rho, D, chi and rho_th, then the TPM and the MLL members
-    inputs = np.concatenate([np.stack([r, dephased, r - dephased, rho_th]),
-                             spec_i.projectors / ranks[:, None, None], mll_states])
+    weights, members = zip(*(_ensemble(protocol, state, spec_i) for protocol in PROTOCOLS))
+    inputs = np.concatenate([*members, np.stack([dephased, r - dephased, rho_th])])
     before = np.einsum("lij,bji->bl", spec_i.projectors, inputs).real
-    # the ensemble members of the three schemes and each scheme's weights on them
-    members = np.r_[0, 4:len(inputs)]
-    n_tpm = len(ranks)
-    start = _clamp(before[members])
-    schemes = np.zeros((len(PROTOCOLS), len(members)))
-    schemes[0, 0] = 1.0
-    schemes[1, 1:1 + n_tpm] = start[0]
-    schemes[2, 1 + n_tpm:] = mll_weights
+    # the stack rows of each scheme's members, and their clamped initial populations
+    *rows, _ = np.split(np.arange(len(inputs)), np.cumsum([len(w) for w in weights]))
+    starts = [_clamp(before[b]) for b in rows]
     front = before @ np.exp(beta * spec_i.energies)
     # <H_i> and <H_i^2> of D
-    energy_i, square_i = np.stack([spec_i.energies, spec_i.energies ** 2]) @ before[1]
+    energy_i, square_i = np.stack([spec_i.energies, spec_i.energies ** 2]) @ before[-3]
 
     columns = {name: np.empty(len(series.superoperator)) for name in THREE_LEVEL_COLUMNS[1:]}
     for idx, spec_f in groups:
         channel = series if len(groups) == 1 else series[idx]
         phi = channel.apply_matrix(inputs)
         pop = np.einsum("...kij,...bji->...bk", spec_f.projectors, phi).real
-        gibbs_f = np.exp(-beta * spec_f.energies)
-        z_f = np.trace(spectral_sum(gibbs_f, spec_f), axis1=-2, axis2=-1).real
+        z_f, gibbs_f = _partition_terms(spec_f, beta)
         # (T, inputs) sums over the final levels: Gibbs weight, E_k, E_k^2
         weighed = pop @ np.stack([gibbs_f, spec_f.energies, spec_f.energies ** 2], axis=-1)
         back, first, second = np.moveaxis(weighed, -1, 0)
-        population = square_i + second[:, 1] - 2.0 * first[:, 1] * energy_i
-        coherence = second[:, 2] - 2.0 * first[:, 2] * energy_i
+        population = square_i + second[:, -3] - 2.0 * first[:, -3] * energy_i
+        coherence = second[:, -2] - 2.0 * first[:, -2] * energy_i
         total = population + coherence
-        tables = np.einsum("js,sl,tsk->jtlk", schemes, start, _clamp(pop[:, members]))
-        joints = np.stack([JointEnergyDistribution(spec_i.energies, spec_f.energies,
-                                                   table, tag).probs
-                           for table, tag in zip(tables, PROTOCOLS)])
+        joints = np.stack([_members_joint(protocol, (w, start, _clamp(pop[:, b])),
+                                          spec_i, spec_f).probs
+                           for protocol, w, b, start in zip(PROTOCOLS, weights, rows, starts)])
         changes = _collapse(spec_i.energies, spec_f.energies, joints)
         entropy, m2 = shannon_entropy(changes), moment(changes, 2)
         # each scheme's characteristic function at i beta, times Z_i/Z_f
-        average = (front[members] * back[:, members]) @ schemes.T * (z_i / z_f)[..., None]
+        average = np.stack([(front[b] * back[:, b]) @ w for w, b in zip(weights, rows)],
+                           axis=-1) * (z_i / z_f)[..., None]
         phi_rho = phi[:, 0]
         part = {"jarzynski_epm": average[:, 0],
-                "jarzynski_diagonal": d * back[:, 3] / z_f,
-                "jarzynski_coherence": d * back[:, 2] / z_f,
+                "jarzynski_diagonal": d * back[:, -1] / z_f,
+                "jarzynski_coherence": d * back[:, -2] / z_f,
                 "jarzynski_tpm": average[:, 1],
                 "m2_epm": total,
                 "m2_population": population,
@@ -590,7 +586,7 @@ def _series_columns(state: DensityState, series: SuperoperatorChannel, groups,
                 "entropy_mll": entropy[2],
                 "m2_mll_minus_epm": m2[2] - m2[0],
                 "coherence_l1": coherence_l1(0.5 * (phi_rho + phi_rho.swapaxes(-1, -2).conj()),
-                                             basis=spec_f.basis)}
+                                             basis=spec_f)}
         for name, values in part.items():
             columns[name][idx] = values
     return columns

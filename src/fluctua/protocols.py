@@ -254,8 +254,7 @@ def _ensemble(protocol: str, state, spec_i: SpectralDecomposition):
     if protocol == "EPM":
         return np.ones(1), r[None]
     if protocol == "TPM":
-        ranks = np.asarray(spec_i.ranks, dtype=float)
-        return _populations(r[None], spec_i)[0], spec_i.projectors / ranks[:, None, None]
+        return _populations(r[None], spec_i)[0], spec_i.projectors / spec_i.ranks[:, None, None]
     if protocol == "MLL":
         return _eigen_mixture(vals, vecs)
     raise ValueError(f"unknown protocol tag {protocol!r}")
@@ -302,14 +301,6 @@ def mll_joint(rho, channel: Channel, spec_i: SpectralDecomposition,
     return protocol_joint("MLL", rho, channel, spec_i, spec_f)
 
 
-def _merge_tol(initial_energies, final_energies):
-    """Default merge width of energy changes: 1e-9 times the summed energy
-    scales (one per row of a batch), or 1e-15 when both scales are zero."""
-    scale = (np.max(np.abs(final_energies), axis=-1, initial=0.0)
-             + np.max(np.abs(initial_energies), axis=-1, initial=0.0))
-    return np.where(scale > 0, 1e-9 * scale, 1e-15)
-
-
 def _merge_groups(values: np.ndarray, tol):
     """Sort ``values`` along the last axis and label its merged groups.
 
@@ -353,7 +344,10 @@ def _collapse(initial_energies, final_energies, probs: np.ndarray,
               merge_tol=None) -> EnergyChangeDistribution:
     """:func:`delta_distribution` of tables (..., levels_i, levels_f), each row on its own."""
     if merge_tol is None:
-        merge_tol = _merge_tol(initial_energies, final_energies)
+        # 1e-9 times the summed energy scales (one per row), or 1e-15 when both are zero
+        scale = (np.max(np.abs(final_energies), axis=-1, initial=0.0)
+                 + np.max(np.abs(initial_energies), axis=-1, initial=0.0))
+        merge_tol = np.where(scale > 0, 1e-9 * scale, 1e-15)
     deltas = final_energies[..., None, :] - initial_energies[..., :, None]
     if deltas.shape != probs.shape:
         deltas = np.broadcast_to(deltas, probs.shape)
@@ -501,8 +495,7 @@ class JarzynskiReport:
 def _partition_terms(spec: SpectralDecomposition, beta: float):
     """Partition function and Gibbs weights per level (rank-aware)."""
     w = np.exp(-beta * spec.energies)
-    z = np.sum(w * np.asarray(spec.ranks, dtype=float), axis=-1)
-    return z, w
+    return np.sum(w * spec.ranks, axis=-1), w
 
 
 def _warn_unless_thermal(dephased: np.ndarray, gibbs: np.ndarray, tol: float = 1e-8) -> None:
@@ -538,10 +531,8 @@ def jarzynski(rho, channel: Channel, spec_i: SpectralDecomposition,
         delta_f = -np.log(z_f / z_i) / beta
     else:
         # beta -> 0 limit of -ln(Z_f/Z_i)/beta
-        ranks_i = np.asarray(spec_i.ranks, dtype=float)
-        ranks_f = np.asarray(spec_f.ranks, dtype=float)
-        delta_f = (np.sum(spec_f.energies * ranks_f, axis=-1)
-                   - np.sum(spec_i.energies * ranks_i, axis=-1)) / d
+        delta_f = (np.sum(spec_f.energies * spec_f.ranks, axis=-1)
+                   - np.sum(spec_i.energies * spec_i.ranks, axis=-1)) / d
 
     weights, states = _ensemble("EPM", state, spec_i)
     g_total = _characteristic(weights, states, channel, spec_i, spec_f, 1j * beta)
@@ -707,6 +698,5 @@ def convexity_witness(rho1, rho2, zeta: float, channel: Channel,
     gap_cells = coherent_cells(mix) - (zeta * coherent_cells(rho1)
                                        + (1 - zeta) * coherent_cells(rho2))
     # aggregate cells by energy change before taking the total variation
-    deltas = (spec_f.energies[None, :] - spec_i.energies[:, None]).reshape(-1)
-    order, labels = _merge_groups(deltas, _merge_tol(spec_i.energies, spec_f.energies))
-    return 0.5 * float(np.sum(np.abs(_segment_sums(labels, gap_cells.reshape(-1)[order]))))
+    gap = _collapse(spec_i.energies, spec_f.energies, gap_cells)
+    return 0.5 * float(np.sum(np.abs(gap.probs)))

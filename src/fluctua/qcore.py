@@ -19,8 +19,9 @@ Conventions used throughout:
 
 * eigenvalues are returned in ascending order;
 * eigenvectors are columns of a unitary matrix;
-* a "basis" argument is a matrix whose columns are the basis vectors;
-  ``None`` means the computational basis;
+* a "basis" argument is a matrix whose columns are the basis vectors,
+  or a :class:`SpectralDecomposition` for its eigenvectors; ``None``
+  means the computational basis;
 * dephasing means removing off-diagonal entries in a given basis, or
   removing inter-sector blocks when done per energy sector.
 """
@@ -210,9 +211,9 @@ class SpectralDecomposition:
         return self.projectors.shape[-1]
 
     @property
-    def ranks(self) -> list:
-        """Rank of each level (a list, nested for a batch)."""
-        return np.rint(np.trace(self.projectors, axis1=-2, axis2=-1).real).astype(int).tolist()
+    def ranks(self) -> np.ndarray:
+        """Rank of each level as an int array, (levels,) or (T, levels) for a batch."""
+        return np.rint(np.trace(self.projectors, axis1=-2, axis2=-1).real).astype(int)
 
     def reconstruct(self) -> np.ndarray:
         return spectral_sum(self.energies, self)
@@ -277,12 +278,16 @@ def gibbs_state(hamiltonian, beta: float,
 
 
 def _check_basis(basis, dim: int) -> np.ndarray:
-    """A basis matrix, or a stack of them, with orthonormal columns."""
-    b = as_complex_matrix(basis, "basis", stack=True)
+    """A basis matrix, or a stack of them, with orthonormal columns.
+
+    A :class:`SpectralDecomposition` gives its gauge-fixed eigenvectors,
+    orthonormal by construction, so only their dimension is checked.
+    """
+    trusted = isinstance(basis, SpectralDecomposition)
+    b = as_complex_matrix(basis.basis if trusted else basis, "basis", stack=True)
     if b.shape[-1] != dim:
         raise DimensionMismatch(f"basis dimension {b.shape[-1]} != state dimension {dim}")
-    gram = _dagger(b) @ b
-    if float(np.max(np.abs(gram - np.eye(dim)))) > 1e-10:
+    if not trusted and float(np.max(np.abs(_dagger(b) @ b - np.eye(dim)))) > 1e-10:
         raise NonOrthonormalBasis("basis columns are not orthonormal")
     return b
 
@@ -290,7 +295,8 @@ def _check_basis(basis, dim: int) -> np.ndarray:
 def dephase(rho, basis=None) -> np.ndarray:
     """Remove off-diagonal entries of ``rho`` in the given basis.
 
-    ``basis`` is a matrix whose columns are the basis vectors; ``None``
+    ``basis`` is a matrix whose columns are the basis vectors, or a
+    :class:`SpectralDecomposition` whose eigenvectors are used; ``None``
     means the computational basis.  The result is returned in the original
     (computational) representation.
     """
@@ -348,8 +354,9 @@ def coherence_split(rho, basis=None,
 def coherence_l1(rho, basis=None) -> float:
     """l1 coherence measure: half the sum of off-diagonal magnitudes.
 
-    A (T, d, d) stack of states, with one basis or a stack of T bases,
-    gives the T measures as an array.
+    ``basis`` is taken as by :func:`dephase`.  A (T, d, d) stack of
+    states, with one basis or a stack of T bases (or a batched
+    decomposition), gives the T measures as an array.
     """
     a = as_complex_matrix(rho, "state", stack=True)
     if basis is not None:

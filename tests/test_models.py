@@ -960,6 +960,14 @@ def test_degenerate_drive_of_the_ci_run_forms_two_groups():
     assert len(spectral_decompose(schedule.at(DEFAULT_TIMES))) == 2
 
 
+def test_degenerate_drive_tpm_entropy_is_zero_at_the_start():
+    # the channel at t = 0 is the identity, so every TPM member ends on the
+    # level it started from and the energy change is a point mass at 0
+    config, state, times = SERIES_CASES["degenerate-drive"]
+    entropy = three_level_experiment(config, state, t_samples=times).columns["entropy_tpm"][0]
+    assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+
+
 def test_degenerate_drive_changes_level_count():
     schedule, _ = three_level_model(DEGENERATE_DRIVE)
     counts = [spectral_decompose(schedule.at(t)).energies.size for t in (0.0, 0.5, math.pi)]

@@ -140,7 +140,7 @@ def test_spectral_two_qubit_levels():
     h = np.diag([2.0, 0.0, 0.0, -2.0])
     dec = spectral_decompose(h)
     assert np.allclose(dec.energies, [-2.0, 0.0, 2.0])
-    assert dec.ranks == [1, 2, 1]
+    assert np.array_equal(dec.ranks, [1, 2, 1])
     assert np.max(np.abs(dec.reconstruct() - h)) < 1e-12
 
 
@@ -170,7 +170,7 @@ def test_spectral_grouping_merges_near_degenerate():
     h = 0.5 * (h + h.conj().T)
     dec = spectral_decompose(h)
     assert len(dec.energies) == 2
-    assert dec.ranks == [2, 1]
+    assert np.array_equal(dec.ranks, [2, 1])
 
 
 def mixed_degeneracy_stack(rng, d=4):
@@ -198,6 +198,7 @@ def assert_groups_equal_each_matrix(stack, groups, grouping_tol=None):
             assert np.array_equal(batch.energies[k], ref.energies)
             assert np.array_equal(batch.projectors[k], ref.projectors)
             assert np.array_equal(batch.basis[k], ref.basis)
+            assert np.array_equal(batch.ranks[k], ref.ranks)
 
 
 def test_stacked_eig_and_decomposition_equal_each_matrix():
@@ -225,7 +226,9 @@ def test_stacked_decomposition_broadcasts_spectral_sums():
     assert np.array_equal(members, np.arange(4))
     decs = [spectral_decompose(h) for h in stack]
     assert batch.energies.shape == (4, 3) and batch.projectors.shape == (4, 3, 3, 3)
-    assert batch.ranks == [dec.ranks for dec in decs]
+    # the ranks of a batch are one (T, levels) int array, a row per member
+    assert batch.ranks.shape == (4, 3) and batch.ranks.dtype.kind == "i"
+    assert np.array_equal(batch.ranks, [dec.ranks for dec in decs])
     assert batch.basis.shape == (4, 3, 3)
     for k, dec in enumerate(decs):
         assert np.array_equal(batch.basis[k], dec.basis)
@@ -299,6 +302,23 @@ def test_dephase_rejects_bad_basis():
         dephase(rho, np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(DimensionMismatch):
         dephase(rho, np.eye(3))
+
+
+def test_decomposition_basis_is_taken_as_its_eigenvectors():
+    # a decomposition and its own basis give the same bits; a degenerate
+    # level has no unique eigenvectors, so this uses the ones it was built from
+    rng = np.random.default_rng(19)
+    stack = np.array([random_hamiltonian(3, rng) for _ in range(4)])
+    stack[0] = np.diag([1.0, 1.0, 2.0])
+    [(_, batch)] = spectral_decompose(stack[1:])
+    states = np.array([random_density(3, gen=rng) for _ in range(4)])
+    for h, rho in zip(stack, states):
+        dec = spectral_decompose(h)
+        assert np.array_equal(dephase(rho, dec), dephase(rho, dec.basis))
+        assert coherence_l1(rho, dec) == coherence_l1(rho, dec.basis)
+    assert np.array_equal(coherence_l1(states[1:], batch), coherence_l1(states[1:], batch.basis))
+    with pytest.raises(DimensionMismatch):
+        dephase(np.eye(2) / 2, batch)
 
 
 def test_dephase_sectors_keeps_intra_block():
