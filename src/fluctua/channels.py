@@ -35,7 +35,9 @@ so t Omega = 0 and exp(Omega) keeps the trace up to roundoff; without
 dissipation Omega is antisymmetric and exp(Omega) orthogonal.  The
 windows between snapshot times form one table (start, step size, step
 count and cumulative end of each), and every step of the run is a global
-index into it; a static schedule takes the same path with no envelopes.
+index into it; a static schedule takes the same path with no envelopes
+and one step per window, since its exponent span*L needs no subdividing
+and the exponential's scaling and squaring covers the span.
 Steps are taken a block at a time, as many consecutive indices as fit in
 :data:`BLOCK_BYTES` whichever windows they belong to (so memory does not
 grow with the run), with one array call of the envelopes per block; the
@@ -566,7 +568,9 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     once and incrementally, so the cost is one pass over
     [t_initial, max(times)] regardless of how many snapshot times are
     requested.  Each window between consecutive times takes
-    ceil(span/step) equal steps, and each step of size h is the map
+    ceil(span/step) equal steps (one step on a static schedule, whose
+    exponent span*L is exact and which the exponential scales and
+    squares), and each step of size h is the map
     exp(Omega) of the sixth-order Magnus expansion with the generator read
     at the three Gauss nodes of the step (:func:`_magnus_maps`); its
     error per unit time is O(h^6).  The generators are taken to the real
@@ -636,6 +640,10 @@ def propagator_series(schedule: HamiltonianSchedule, jump_operators, times,
     starts = np.append(t_first, grid[:-1])
     counts = np.array([max(1, math.ceil((t1 - t0) / step - 1e-12)) if t1 > t0 else 0
                        for t0, t1 in zip(starts, grid)], dtype=int)
+    if not len(schedule.couplings):
+        # a static generator's exponent is span * L whatever the step, and
+        # the exponential scales and squares it: one step per window
+        counts = np.minimum(counts, 1)
     sizes = (grid - starts) / np.maximum(counts, 1)
     # a window's snapshot is the propagator after step ends[w] - 1
     ends = np.cumsum(counts)

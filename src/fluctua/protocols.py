@@ -42,7 +42,11 @@ call is the same code without that axis.
 
 Every entry point that takes one initial state validates a matrix on
 entry and raises ``ValueError`` on a non-state; a
-:class:`~fluctua.qcore.DensityState` is taken as already validated.
+:class:`~fluctua.qcore.DensityState` is taken as already validated.  The
+last matrix validated is remembered: a matrix with the same shape and
+bytes reuses its spectrum, so one raw state passed to several entry
+points is validated once.  :func:`~fluctua.qcore.density_spectrum` stays
+the explicit way to validate a state once.
 """
 
 from __future__ import annotations
@@ -213,9 +217,36 @@ def _populations(states, decomposition: SpectralDecomposition) -> np.ndarray:
     return _clamp(np.einsum("...lij,...sji->...sl", decomposition.projectors, states).real)
 
 
+# The last plain matrix _state validated: its key (shape, bytes) and its
+# spectrum, made read-only.  Replaced whole, in one assignment, so a reader
+# always sees a key together with its own spectrum.
+_last_state = (None, None, None)
+
+
 def _state(rho) -> DensityState:
-    """The protocols' one state intake: a :class:`DensityState` as it is, a matrix validated."""
-    return rho if isinstance(rho, DensityState) else density_spectrum(rho)
+    """The protocols' one state intake.
+
+    A :class:`DensityState` is taken as it is.  A matrix is validated by
+    :func:`~fluctua.qcore.density_spectrum`, unless its shape and bytes
+    equal those of the last matrix validated here: then the caller's own
+    matrix is returned with that matrix's spectrum, so a user passing one
+    raw state to several protocol functions pays for one validation.  The
+    stored spectrum is read-only, and a matrix that fails validation is not
+    stored.
+    """
+    global _last_state
+    if isinstance(rho, DensityState):
+        return rho
+    a = as_complex_matrix(rho, "density operator")
+    key = (a.shape, a.tobytes())
+    last_key, vals, vecs = _last_state
+    if key == last_key:
+        return DensityState(a, vals, vecs)
+    state = density_spectrum(a)
+    state.eigenvalues.flags.writeable = False
+    state.eigenvectors.flags.writeable = False
+    _last_state = (key, state.eigenvalues, state.eigenvectors)
+    return state
 
 
 def initial_probabilities(rho, decomposition: SpectralDecomposition) -> np.ndarray:

@@ -298,14 +298,16 @@ def dephase(rho, basis=None) -> np.ndarray:
     ``basis`` is a matrix whose columns are the basis vectors, or a
     :class:`SpectralDecomposition` whose eigenvectors are used; ``None``
     means the computational basis.  The result is returned in the original
-    (computational) representation.
+    (computational) representation.  A (T, d, d) stack of bases (or a
+    batched decomposition) gives the T dephased states as a stack, as
+    :func:`coherence_l1` gives T measures.
     """
     a = as_complex_matrix(rho, "state")
     if basis is None:
         return np.diag(np.diag(a).copy())
     b = _check_basis(basis, a.shape[0])
-    diag = np.diag(b.conj().T @ a @ b)
-    return (b * diag) @ b.conj().T
+    diag = np.diagonal(_dagger(b) @ a @ b, axis1=-2, axis2=-1)
+    return (b * diag[..., None, :]) @ _dagger(b)
 
 
 def dephase_sectors(rho, decomposition: SpectralDecomposition) -> np.ndarray:

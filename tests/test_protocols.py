@@ -993,6 +993,89 @@ def test_mll_reuses_the_validation_eigendecomposition(monkeypatch):
     assert len(calls) == 1
 
 
+def _thermal_instance(seed: int, d: int = 4):
+    # a raw state whose diagonal in the eigenbasis of H_i is thermal, with
+    # a random channel and final Hamiltonian, as a library user passes them
+    gen = SeededGenerator(seed)
+    beta, basis = 0.7, random_unitary(d, gen)
+    energies = np.sort(gen.rng.normal(size=d))
+    pops = np.exp(-beta * (energies - energies[0]))
+    pops /= pops.sum()
+    rho = basis @ (np.diag(pops) + random_coherence(pops, gen, 0.5)) @ basis.conj().T
+    spec_i = spectral_decompose((basis * energies) @ basis.conj().T)
+    spec_f = spectral_decompose(random_hamiltonian(d, gen))
+    return rho, random_cptp(d, gen), spec_i, spec_f, beta, basis
+
+
+def _every_state_call(rho, channel, spec_i, spec_f, beta, basis):
+    # the eight protocol calls a user makes on one state
+    return ([build(rho, channel, spec_i, spec_f).probs
+             for build in (epm_joint, tpm_joint, mll_joint)]
+            + [characteristic_function(name, rho, channel, spec_i, spec_f, 1j * beta)
+               for name in ("EPM", "TPM", "MLL")]
+            + [jarzynski(rho, channel, spec_i, spec_f, beta, basis=basis),
+               epm_second_moment_split(rho, channel, spec_i, spec_f, basis=basis)])
+
+
+def _count_validations(monkeypatch) -> list:
+    monkeypatch.setattr(protocols, "_last_state", (None, None, None))
+    original, calls = protocols.density_spectrum, []
+    monkeypatch.setattr(protocols, "density_spectrum",
+                        lambda rho: calls.append(1) or original(rho))
+    return calls
+
+
+def test_one_raw_state_is_validated_once_across_calls(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    _every_state_call(*_thermal_instance(31))
+    assert len(calls) == 1
+
+
+def test_a_raw_state_mutated_in_place_is_validated_again(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    rho, channel, spec_i, spec_f, _, _ = _thermal_instance(32)
+    epm_joint(rho, channel, spec_i, spec_f)
+    rho *= 2.0
+    with pytest.raises(ValueError, match="trace"):
+        epm_joint(rho, channel, spec_i, spec_f)
+    assert len(calls) == 2
+
+
+def test_alternating_raw_states_match_their_validated_forms(monkeypatch):
+    monkeypatch.setattr(protocols, "_last_state", (None, None, None))
+    a, b = _thermal_instance(33), _thermal_instance(34)
+    for inst in (a, b, a, b):
+        raw = _every_state_call(*inst)
+        validated = _every_state_call(qcore.density_spectrum(inst[0]), *inst[1:])
+        for x, y in zip(raw[:6], validated[:6]):
+            assert np.array_equal(x, y)
+        for x, y in zip(raw[6:], validated[6:]):
+            assert x == y
+
+
+def test_a_non_hermitian_state_raises_on_every_call(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    rho = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
+    spec = spectral_decompose(SZ)
+    for _ in range(3):
+        with pytest.raises(qcore.NonHermitianInput):
+            epm_joint(rho, identity_channel(2), spec, spec)
+    assert len(calls) == 3
+    assert protocols._last_state == (None, None, None)
+
+
+def test_the_stored_spectrum_is_read_only(monkeypatch):
+    monkeypatch.setattr(protocols, "_last_state", (None, None, None))
+    rho, channel, spec_i, spec_f, _, _ = _thermal_instance(35)
+    epm_joint(rho, channel, spec_i, spec_f)
+    _, vals, vecs = protocols._last_state
+    assert not vals.flags.writeable and not vecs.flags.writeable
+    hit = protocols._state(rho)
+    assert hit.matrix is rho and hit.eigenvalues is vals and hit.eigenvectors is vecs
+    with pytest.raises(ValueError):
+        hit.eigenvalues[0] = 1.0
+
+
 def test_protocol_joint_rejects_unknown_tag():
     spec = spectral_decompose(SZ)
     with pytest.raises(ValueError):

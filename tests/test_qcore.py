@@ -321,6 +321,21 @@ def test_decomposition_basis_is_taken_as_its_eigenvectors():
         dephase(np.eye(2) / 2, batch)
 
 
+def test_dephase_on_a_stack_of_bases_dephases_in_each():
+    # a batched decomposition, or a raw (T, d, d) stack of bases, gives
+    # one dephased state per basis, each its member's own dephase
+    rng = np.random.default_rng(23)
+    rho = random_density(3, gen=rng)
+    [(_, batch)] = spectral_decompose(np.array([random_hamiltonian(3, rng) for _ in range(4)]))
+    bases = np.array([random_unitary(3, rng) for _ in range(4)])
+    for stack in (batch, batch.basis, bases):
+        out = dephase(rho, stack)
+        assert out.shape == (4, 3, 3)
+        members = stack.basis if stack is batch else stack
+        for b, single in zip(members, out):
+            assert np.array_equal(single, dephase(rho, b))
+
+
 def test_dephase_sectors_keeps_intra_block():
     h = np.diag([2.0, 0.0, 0.0, -2.0])
     dec = spectral_decompose(h)
