@@ -297,7 +297,7 @@ def moment_identities() -> Outcome:
         rho = density_spectrum(random_density(d, gen=SeededGenerator(3000 + k)))
         basis = spec_i.basis
 
-        expected = (np.trace(h_f @ chan.apply(rho.matrix)).real
+        expected = (np.trace(h_f @ chan.apply(rho)).real
                     - np.trace(h_i @ rho.matrix).real)
         je = epm_joint(rho, chan, spec_i, spec_f)
         jm = mll_joint(rho, chan, spec_i, spec_f)
@@ -441,7 +441,7 @@ def gibbs_relaxation(occupation: str = "bose") -> Outcome:
     chan = propagator_series(schedule, jumps, [schedule.t_final], step=0.1)[-1]
     rho_i = density_spectrum(random_density(3, gen=SeededGenerator(41)))
     target = gibbs_state(three_level_hamiltonian(cfg), beta)
-    dist = float(np.abs(chan.apply(rho_i.matrix) - target).max())
+    dist = float(np.abs(chan.apply(rho_i) - target).max())
 
     spec = spectral_decompose(three_level_hamiltonian(cfg))
     deltas = [delta_distribution(j(rho_i, chan, spec, spec))

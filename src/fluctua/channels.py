@@ -69,9 +69,11 @@ import numpy as np
 from .qcore import (
     DimensionMismatch,
     NonHermitianInput,
+    _check_orthonormal,
     _gauged_eigh,
     as_complex_matrix,
     assert_density_operator,
+    density_spectrum,
     is_hermitian,
 )
 
@@ -94,6 +96,8 @@ __all__ = [
 ]
 
 TRACE_DRIFT_ABORT = 1e-6
+# check_cptp's bound on the trace defect and on the Choi matrix's Hermiticity.
+CPTP_TOL = 1e-8
 # The default upper bound on the integrator step.
 DEFAULT_STEP = 0.02
 # Bytes of one block's (n, d^2, d^2) float64 stack of step maps: 202 steps at
@@ -268,21 +272,15 @@ class Channel:
     dim: int
 
 
-def _assert_unitary(u: np.ndarray) -> None:
-    """Raise unless u, or every matrix of a (T, d, d) stack, is unitary to 1e-10."""
-    if float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])))) > 1e-10:
-        raise ValueError("matrix is not unitary")
-
-
 def unitary_superoperator(unitary) -> np.ndarray:
     """kron(U, conj(U)) of a unitary, or of each matrix of a (T, d, d) stack.
 
-    The whole stack is checked unitary, then multiplied with its conjugate
-    in one broadcast product (each entry is the same single product as in
-    np.kron), giving (d^2, d^2) or (T, d^2, d^2).
+    The whole stack is checked unitary (else :class:`~fluctua.qcore.NonOrthonormalBasis`),
+    then multiplied with its conjugate in one broadcast product (each entry
+    is the same single product as in np.kron), giving (d^2, d^2) or (T, d^2, d^2).
     """
     u = as_complex_matrix(unitary, "unitary", stack=True)
-    _assert_unitary(u)
+    _check_orthonormal(u, "unitary")
     d = u.shape[-1]
     return (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(
         *u.shape[:-2], d * d, d * d)
@@ -693,12 +691,12 @@ def propagate(schedule: HamiltonianSchedule, jump_operators, rho0,
               step: float = DEFAULT_STEP) -> np.ndarray:
     """Evolve a density operator over the schedule window.
 
-    The state is mapped by the one-member batch :func:`propagator_series`
-    returns for ``t_final``, so the step rule and its checks are those of
-    that function.
+    The state is validated once and mapped by the one-member batch
+    :func:`propagator_series` returns for ``t_final``, so the step rule and
+    its checks are those of that function.
     """
-    rho = assert_density_operator(rho0)
-    if rho.shape[0] != schedule.dim:
+    rho = density_spectrum(rho0)
+    if rho.matrix.shape[0] != schedule.dim:
         raise DimensionMismatch("state and schedule dimensions differ")
     final = propagator_series(schedule, jump_operators, [schedule.t_final], step)[0]
     return final.apply(rho)
@@ -728,13 +726,14 @@ def choi_matrix(superoperator: np.ndarray) -> np.ndarray:
     return c / d
 
 
-def check_cptp(channel_or_superoperator, tol: float = 1e-8) -> CPTPReport:
+def check_cptp(channel_or_superoperator) -> CPTPReport:
     """Trace preservation on matrix units plus Choi positivity.
 
-    ``choi_min_eig`` is the smallest eigenvalue of the trace-normalized
-    Choi matrix; complete positivity up to numerical noise means it is not
-    meaningfully negative.  It checks one channel: a batch has to be
-    indexed first.
+    Both hold to :data:`CPTP_TOL`, and a Choi matrix that is not Hermitian to
+    it raises.  ``choi_min_eig`` is the smallest eigenvalue of the
+    trace-normalized Choi matrix; complete positivity up to numerical noise
+    means it is not meaningfully negative.  It checks one channel: a batch
+    has to be indexed first.
     """
     s = channel_or_superoperator
     if isinstance(s, SuperoperatorChannel):
@@ -747,9 +746,9 @@ def check_cptp(channel_or_superoperator, tol: float = 1e-8) -> CPTPReport:
     traces = np.einsum("mmjk->jk", s.reshape(d, d, d, d))
     defect = float(np.max(np.abs(traces - np.eye(d))))
     c = choi_matrix(s)
-    if not is_hermitian(c, 1e-8):
+    if not is_hermitian(c, CPTP_TOL):
         raise NonHermitianInput("Choi matrix is not Hermitian; map does not preserve Hermiticity")
     evals, _ = _gauged_eigh(c)
-    return CPTPReport(trace_preserving=defect <= tol,
+    return CPTPReport(trace_preserving=defect <= CPTP_TOL,
                       choi_min_eig=float(evals[0]),
                       max_trace_defect=defect)

@@ -48,6 +48,7 @@ from .qcore import (
     DensityState,
     SpectralDecomposition,
     coherence_l1,
+    coherence_split,
     density_spectrum,
     dephase,
     spectral_decompose,
@@ -526,23 +527,26 @@ def _series_columns(state: DensityState, series: SuperoperatorChannel, groups,
     The input stack B holds the ensemble members of the three schemes as
     :func:`~fluctua.protocols._ensemble` builds them, in the order of
     ``PROTOCOLS``: rho (EPM), each P_l/r_l (TPM) and each eigenstate
-    |s><s| of rho (MLL).  Its last three rows are rho's dephased part D in
-    the initial eigenbasis, chi = rho - D and the Gibbs state rho_th of H_i.
+    |s><s| of rho (MLL).  Its last three rows are rho = D + chi split by
+    :func:`~fluctua.qcore.coherence_split` in the initial eigenbasis, and
+    the Gibbs state rho_th of H_i.
     Per group the stack takes one channel product and one product with the
     final projectors, the table pop[t, b, k] = Re tr(P_k(t) Phi_t[B_b]).
     Each scheme's joint is :func:`~fluctua.protocols._members_joint` of its
     clamped member rows, and the three joints collapse in one pass.  The
     trace forms weigh the unclamped table with e^{-beta E_k}, E_k and
-    E_k^2, with Z_i and Z_f from :func:`~fluctua.protocols._partition_terms`.
-    Each part keeps its own input: rho_th, D or chi.
+    E_k^2, with Z_i and Z_f from :func:`~fluctua.protocols._partition_terms`;
+    the exponential averages are read for EPM and TPM.  Each part keeps
+    its own input: rho_th, D or chi.
     """
-    r, d = state.matrix, state.matrix.shape[0]
+    d = state.matrix.shape[0]
     z_i, gibbs = _partition_terms(spec_i, beta)
     rho_th = spectral_sum(gibbs / z_i, spec_i)
-    dephased = dephase(r, spec_i)
-    _warn_unless_thermal(dephased, rho_th)
+    split = coherence_split(state, spec_i)
+    _warn_unless_thermal(split.populations, rho_th)
     weights, members = zip(*(_ensemble(protocol, state, spec_i) for protocol in PROTOCOLS))
-    inputs = np.concatenate([*members, np.stack([dephased, r - dephased, rho_th])])
+    inputs = np.concatenate([*members, np.stack([split.populations, split.coherences,
+                                                 rho_th])])
     before = np.einsum("lij,bji->bl", spec_i.projectors, inputs).real
     # the stack rows of each scheme's members, and their clamped initial populations
     *rows, _ = np.split(np.arange(len(inputs)), np.cumsum([len(w) for w in weights]))
@@ -568,8 +572,9 @@ def _series_columns(state: DensityState, series: SuperoperatorChannel, groups,
                            for protocol, w, b, start in zip(PROTOCOLS, weights, rows, starts)])
         changes = _collapse(spec_i.energies, spec_f.energies, joints)
         entropy, m2 = shannon_entropy(changes), moment(changes, 2)
-        # each scheme's characteristic function at i beta, times Z_i/Z_f
-        average = np.stack([(front[b] * back[:, b]) @ w for w, b in zip(weights, rows)],
+        # the EPM and TPM characteristic functions at i beta, times Z_i/Z_f
+        average = np.stack([(front[b] * back[:, b]) @ w
+                            for w, b in zip(weights[:2], rows[:2])],
                            axis=-1) * (z_i / z_f)[..., None]
         phi_rho = phi[:, 0]
         part = {"jarzynski_epm": average[:, 0],

@@ -97,8 +97,13 @@ __all__ = [
     "convexity_witness",
 ]
 
+# A probability down to -CLAMP_TOL is float noise and clamps to zero.
 CLAMP_TOL = 1e-12
-
+# Energy changes closer than this times the summed energy scales of the two
+# measurements are one value (closer than 1e-15 when both scales are zero).
+MERGE_TOL = 1e-9
+# A dephased state within this of the Gibbs state (largest entry) is thermal.
+THERMAL_TOL = 1e-8
 # MLL drops eigenstates whose weight is at or below this.
 EIGEN_CUTOFF = 1e-12
 
@@ -134,7 +139,7 @@ def _trace(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1)
 
 
-def _clamp(p: np.ndarray, tol: float = CLAMP_TOL) -> np.ndarray:
+def _clamp(p: np.ndarray) -> np.ndarray:
     """Zero out float-noise negatives; anything more negative, or non-finite, is an error."""
     p = np.array(p, dtype=float)
     low, high = (p.min(), p.max()) if p.size else (0.0, 0.0)
@@ -142,8 +147,8 @@ def _clamp(p: np.ndarray, tol: float = CLAMP_TOL) -> np.ndarray:
     if not (math.isfinite(low) and math.isfinite(high)):
         index = tuple(int(i) for i in np.argwhere(~np.isfinite(p))[0])
         raise ValueError(f"non-finite probability {p[index]} at index {index}")
-    if low < -tol:
-        raise NegativeProbability(f"probability {low:.3e} below -{tol:g}")
+    if low < -CLAMP_TOL:
+        raise NegativeProbability(f"probability {low:.3e} below -{CLAMP_TOL:g}")
     p[p < 0.0] = 0.0
     return p
 
@@ -198,6 +203,7 @@ class JointEnergyDistribution:
 class EnergyChangeDistribution:
     """Probabilities over distinct energy-change values, ascending.
 
+    Values are distinct to :data:`MERGE_TOL` (see :func:`delta_distribution`).
     A batch holds one distribution per row of ``values``/``probs``; rows
     with fewer values than the longest are padded with zero-probability
     entries of value 0.
@@ -205,7 +211,6 @@ class EnergyChangeDistribution:
 
     values: np.ndarray
     probs: np.ndarray
-    merge_tol: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -359,33 +364,31 @@ def _segment_sums(labels: np.ndarray, weights: np.ndarray) -> np.ndarray:
                        minlength=labels.size).reshape(labels.shape)
 
 
-def delta_distribution(joint: JointEnergyDistribution,
-                       merge_tol: float | None = None) -> EnergyChangeDistribution:
+def delta_distribution(joint: JointEnergyDistribution) -> EnergyChangeDistribution:
     """Collapse the joint onto the energy change E_final - E_initial.
 
-    Cell values closer than ``merge_tol`` (default 1e-9 times the summed
-    energy scales) are combined; the merged value is the probability-
-    weighted mean, so moments are preserved to first order in the merge
-    width.  A group of zero mass takes the plain mean of its values.
+    Sorted cell values closer than :data:`MERGE_TOL` times the summed
+    energy scales to their neighbor are combined, a chain of them into one;
+    the merged value is the probability-weighted mean, so moments are
+    preserved to first order in the merge width.  A group of zero mass
+    takes the plain mean of its values.
     """
-    return _collapse(joint.initial_energies, joint.final_energies, joint.probs, merge_tol)
+    return _collapse(joint.initial_energies, joint.final_energies, joint.probs)
 
 
-def _collapse(initial_energies, final_energies, probs: np.ndarray,
-              merge_tol=None) -> EnergyChangeDistribution:
+def _collapse(initial_energies, final_energies, probs: np.ndarray) -> EnergyChangeDistribution:
     """:func:`delta_distribution` of tables (..., levels_i, levels_f), each row on its own."""
-    if merge_tol is None:
-        # 1e-9 times the summed energy scales (one per row), or 1e-15 when both are zero
-        scale = (np.max(np.abs(final_energies), axis=-1, initial=0.0)
-                 + np.max(np.abs(initial_energies), axis=-1, initial=0.0))
-        merge_tol = np.where(scale > 0, 1e-9 * scale, 1e-15)
+    # one tolerance per row
+    scale = (np.max(np.abs(final_energies), axis=-1, initial=0.0)
+             + np.max(np.abs(initial_energies), axis=-1, initial=0.0))
+    tols = np.where(scale > 0, MERGE_TOL * scale, 1e-15)
     deltas = final_energies[..., None, :] - initial_energies[..., :, None]
     if deltas.shape != probs.shape:
         deltas = np.broadcast_to(deltas, probs.shape)
     deltas = deltas.reshape(*probs.shape[:-2], -1)
     if deltas.shape[-1] == 0:
-        return EnergyChangeDistribution(np.array([]), np.array([]), _scalar(merge_tol))
-    order, labels = _merge_groups(deltas, merge_tol)
+        return EnergyChangeDistribution(np.array([]), np.array([]))
+    order, labels = _merge_groups(deltas, tols)
     deltas = np.take_along_axis(deltas, order, axis=-1)
     probs = np.take_along_axis(probs.reshape(deltas.shape), order, axis=-1)
     mass = _segment_sums(labels, probs)
@@ -396,7 +399,7 @@ def _collapse(initial_energies, final_energies, probs: np.ndarray,
     if deltas.ndim == 1:
         groups = labels[-1] + 1
         values, mass = values[:groups], mass[:groups]
-    return EnergyChangeDistribution(values, mass, _scalar(merge_tol))
+    return EnergyChangeDistribution(values, mass)
 
 
 def moment(distribution, n: int) -> float:
@@ -438,8 +441,8 @@ def characteristic_function(protocol: str, rho, channel: Channel,
 def _characteristic(weights, states, channel: Channel, spec_i: SpectralDecomposition,
                     spec_f: SpectralDecomposition, u: complex) -> complex:
     """sum_s w_s tr(exp(-iuH_i) sigma_s) tr(exp(iuH_f) Phi[sigma_s]) over an ensemble."""
-    exp_i = matrix_phase_exp(None, -1j * u, decomposition=spec_i)
-    exp_f = matrix_phase_exp(None, 1j * u, decomposition=spec_f)
+    exp_i = matrix_phase_exp(spec_i, -1j * u)
+    exp_f = matrix_phase_exp(spec_f, 1j * u)
     front = _trace(exp_i @ states)
     back = _trace(exp_f[..., None, :, :] @ channel.apply_matrix(states))
     return _scalar(np.sum(weights * front * back, axis=-1), complex)
@@ -455,8 +458,8 @@ def characteristic_split(rho, channel: Channel, spec_i: SpectralDecomposition,
     use), g_pop + g_coh equals the EPM characteristic function.
     """
     split = coherence_split(_state(rho), basis=basis)
-    exp_i = matrix_phase_exp(None, -1j * u, decomposition=spec_i)
-    exp_f = matrix_phase_exp(None, 1j * u, decomposition=spec_f)
+    exp_i = matrix_phase_exp(spec_i, -1j * u)
+    exp_f = matrix_phase_exp(spec_f, 1j * u)
     front = _trace(exp_i @ split.populations)
     g_pop = front * _trace(exp_f @ channel.apply_matrix(split.populations))
     g_coh = front * _trace(exp_f @ channel.apply_matrix(split.coherences))
@@ -529,34 +532,32 @@ def _partition_terms(spec: SpectralDecomposition, beta: float):
     return np.sum(w * spec.ranks, axis=-1), w
 
 
-def _warn_unless_thermal(dephased: np.ndarray, gibbs: np.ndarray, tol: float = 1e-8) -> None:
-    """Warn :class:`NonThermalDiagonal` when a dephased state is not the Gibbs state."""
-    if float(np.max(np.abs(dephased - gibbs))) > tol:
+def _warn_unless_thermal(dephased: np.ndarray, gibbs: np.ndarray) -> None:
+    """Warn :class:`NonThermalDiagonal` unless a dephased state is the Gibbs state."""
+    if float(np.max(np.abs(dephased - gibbs))) > THERMAL_TOL:
         warnings.warn("state diagonal is not the Gibbs distribution at this "
                       "beta; the decomposition identity does not apply",
                       NonThermalDiagonal)
 
 
 def jarzynski(rho, channel: Channel, spec_i: SpectralDecomposition,
-              spec_f: SpectralDecomposition, beta: float, basis=None,
-              thermal_tol: float = 1e-8) -> JarzynskiReport:
+              spec_f: SpectralDecomposition, beta: float, basis=None) -> JarzynskiReport:
     """Exponential average of the energy change under the end-point scheme.
 
     The decomposition assumes the dephased initial state is the Gibbs
     state exp(-beta H_i)/Z_i; a :class:`NonThermalDiagonal` warning is
-    issued (and the parts no longer sum to the total) when it is not.
+    issued (and the parts no longer sum to the total) when it is not, to
+    :data:`THERMAL_TOL`.
     """
     state = _state(rho)
-    r = state.matrix
-    d = r.shape[0]
+    d = state.matrix.shape[0]
     z_i, w_i = _partition_terms(spec_i, beta)
     z_f, w_f = _partition_terms(spec_f, beta)
     rho_i_th = spectral_sum(w_i / z_i, spec_i)
     rho_f_th = spectral_sum(w_f / z_f[..., None], spec_f)
 
-    pops = dephase(r, basis)
-    chi = r - pops
-    _warn_unless_thermal(pops, rho_i_th, thermal_tol)
+    split = coherence_split(state, basis)
+    _warn_unless_thermal(split.populations, rho_i_th)
 
     if beta != 0.0:
         delta_f = -np.log(z_f / z_i) / beta
@@ -569,7 +570,7 @@ def jarzynski(rho, channel: Channel, spec_i: SpectralDecomposition,
     g_total = _characteristic(weights, states, channel, spec_i, spec_f, 1j * beta)
     total = (g_total * (z_i / z_f)).real
     diagonal = d * _trace(rho_f_th @ channel.apply_matrix(rho_i_th)).real
-    coherence = d * _trace(rho_f_th @ channel.apply_matrix(chi)).real
+    coherence = d * _trace(rho_f_th @ channel.apply_matrix(split.coherences)).real
     return JarzynskiReport(beta, _scalar(delta_f), _scalar(total), _scalar(diagonal),
                            _scalar(coherence))
 

@@ -22,8 +22,12 @@ Conventions used throughout:
 * a "basis" argument is a matrix whose columns are the basis vectors,
   or a :class:`SpectralDecomposition` for its eigenvectors; ``None``
   means the computational basis;
-* dephasing means removing off-diagonal entries in a given basis, or
-  removing inter-sector blocks when done per energy sector.
+* dephasing means removing off-diagonal entries in a given basis.
+
+A density operator is Hermitian to :data:`HERMITIAN_TOL` (relative to its
+largest entry, at least 1), has trace 1 to :data:`TRACE_TOL` and no
+eigenvalue below -:data:`PSD_TOL`, to admit states assembled in floating
+point; every state check in the package uses these fixed tolerances.
 """
 
 from __future__ import annotations
@@ -49,11 +53,19 @@ __all__ = [
     "spectral_sum",
     "gibbs_state",
     "dephase",
-    "dephase_sectors",
     "coherence_split",
     "coherence_l1",
     "matrix_phase_exp",
 ]
+
+# The density-operator tolerances of the module docstring.
+HERMITIAN_TOL = 1e-10
+TRACE_TOL = 1e-8
+PSD_TOL = 1e-9
+# Eigenvalues closer than this times the largest |eigenvalue| are one level.
+LEVEL_TOL = 1e-8
+# Largest entry of |B^dag B - I| of a basis or unitary with orthonormal columns.
+ORTHONORMAL_TOL = 1e-10
 
 
 class DimensionMismatch(ValueError):
@@ -86,7 +98,7 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.swapaxes(-1, -2).conj()
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
+def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     """Whether the matrix, or every matrix of a stack, is Hermitian to ``tol``.
 
     The tolerance scales with each matrix's largest entry (at least 1).
@@ -103,43 +115,35 @@ class DensityState(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def density_spectrum(rho, *, herm_tol: float = 1e-10, trace_tol: float = 1e-8,
-                     psd_tol: float = 1e-9) -> DensityState:
+def density_spectrum(rho) -> DensityState:
     """Validate a density operator; return it with its eigendecomposition.
 
     Returns a :class:`DensityState`, the state as complex128 and its
-    eigendecomposition as :func:`hermitian_eig` gives it (checked to
-    ``herm_tol`` rather than that function's 1e-10), so a caller that
+    eigendecomposition as :func:`hermitian_eig` gives it, so a caller that
     needs the spectrum does not decompose the state a second time and a
     protocol that receives it does not validate it again.  Checks
-    Hermiticity, unit trace and positive semidefiniteness (the smallest
-    eigenvalue may be slightly negative, down to -psd_tol, to admit
-    states assembled from floating-point arithmetic).
+    Hermiticity, unit trace and positive semidefiniteness to the
+    tolerances of the module docstring.
     """
     a = as_complex_matrix(rho, "density operator")
-    if not is_hermitian(a, herm_tol):
+    if not is_hermitian(a):
         raise NonHermitianInput("density operator is not Hermitian")
     tr = a.trace()
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density operator trace {tr:.12g} differs from 1")
     evals, evecs = _gauged_eigh(a)
-    if evals[0] < -psd_tol:
+    if evals[0] < -PSD_TOL:
         raise ValueError(f"density operator has negative eigenvalue {evals[0]:.3e}")
     return DensityState(a, evals, evecs)
 
 
-def assert_density_operator(rho, *, herm_tol: float = 1e-10,
-                            trace_tol: float = 1e-8,
-                            psd_tol: float = 1e-9) -> np.ndarray:
+def assert_density_operator(rho) -> np.ndarray:
     """Validate a density operator and return it as complex128.
 
-    The checks are those of :func:`density_spectrum`; a
-    :class:`DensityState` passes as it is.
+    This is ``density_spectrum(rho).matrix``; a :class:`DensityState`
+    passes as it is.
     """
-    if isinstance(rho, DensityState):
-        return rho.matrix
-    return density_spectrum(rho, herm_tol=herm_tol, trace_tol=trace_tol,
-                            psd_tol=psd_tol).matrix
+    return rho.matrix if isinstance(rho, DensityState) else density_spectrum(rho).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +175,7 @@ def hermitian_eig(matrix):
 def _gauged_eigh(a: np.ndarray):
     """:func:`hermitian_eig` of a complex128 matrix or stack its caller checked.
 
-    Each caller checks Hermiticity once, to its own tolerance.
+    Each caller checks Hermiticity once.
     """
     # Work on the exactly Hermitian average so roundoff in the input does
     # not leak into complex eigenvalues.
@@ -207,10 +211,6 @@ class SpectralDecomposition:
     basis: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return self.projectors.shape[-1]
-
-    @property
     def ranks(self) -> np.ndarray:
         """Rank of each level as an int array, (levels,) or (T, levels) for a batch."""
         return np.rint(np.trace(self.projectors, axis1=-2, axis2=-1).real).astype(int)
@@ -224,12 +224,12 @@ def spectral_sum(values, decomposition: SpectralDecomposition) -> np.ndarray:
     return np.einsum("...l,...lij->...ij", values, decomposition.projectors)
 
 
-def spectral_decompose(hamiltonian, grouping_tol: float | None = None):
+def spectral_decompose(hamiltonian):
     """Group eigenvalues into degenerate levels and build their projectors.
 
-    Eigenvalues closer than ``grouping_tol`` (default ``1e-8 * max|E|``)
-    are merged into a single level whose projector spans the combined
-    eigenvectors; the reported level value is the group mean.
+    Adjacent eigenvalues closer than :data:`LEVEL_TOL` times the largest
+    |eigenvalue| are merged into a single level whose projector spans the
+    combined eigenvectors; the reported level value is the group mean.
 
     A (T, d, d) stack takes one :func:`hermitian_eig` call and gives a
     list of ``(members, decomposition)`` pairs, one per level pattern
@@ -242,8 +242,7 @@ def spectral_decompose(hamiltonian, grouping_tol: float | None = None):
     stacked = vals.ndim == 2
     if not stacked:
         vals, vecs = vals[None], vecs[None]
-    tols = (1e-8 * np.abs(vals).max(axis=-1, keepdims=True) if grouping_tol is None
-            else float(grouping_tol))
+    tols = LEVEL_TOL * np.abs(vals).max(axis=-1, keepdims=True)
     # a level ends after eigenvalue j unless eigenvalue j + 1 lies within tol
     ends = ~(np.diff(vals, axis=-1) <= tols)
     patterns: dict[bytes, list[int]] = {}
@@ -261,11 +260,9 @@ def spectral_decompose(hamiltonian, grouping_tol: float | None = None):
     return groups if stacked else SpectralDecomposition(energies[0], projectors[0], v[0])
 
 
-def gibbs_state(hamiltonian, beta: float,
-                decomposition: SpectralDecomposition | None = None) -> np.ndarray:
+def gibbs_state(hamiltonian, beta: float) -> np.ndarray:
     """Thermal state exp(-beta H) / Z."""
-    if decomposition is None:
-        decomposition = spectral_decompose(hamiltonian)
+    decomposition = spectral_decompose(hamiltonian)
     # Shift energies so the exponentials stay in range for large beta.
     e0 = float(np.min(decomposition.energies))
     weights = np.exp(-beta * (decomposition.energies - e0))
@@ -275,6 +272,15 @@ def gibbs_state(hamiltonian, beta: float,
 
 # ---------------------------------------------------------------------------
 # Dephasing and coherence bookkeeping.
+
+
+def _check_orthonormal(b: np.ndarray, name: str) -> None:
+    """Raise :class:`NonOrthonormalBasis` unless b's columns are orthonormal.
+
+    A (T, d, d) stack is checked as a whole, to :data:`ORTHONORMAL_TOL`.
+    """
+    if float(np.max(np.abs(_dagger(b) @ b - np.eye(b.shape[-1])))) > ORTHONORMAL_TOL:
+        raise NonOrthonormalBasis(f"{name} columns are not orthonormal")
 
 
 def _check_basis(basis, dim: int) -> np.ndarray:
@@ -287,8 +293,8 @@ def _check_basis(basis, dim: int) -> np.ndarray:
     b = as_complex_matrix(basis.basis if trusted else basis, "basis", stack=True)
     if b.shape[-1] != dim:
         raise DimensionMismatch(f"basis dimension {b.shape[-1]} != state dimension {dim}")
-    if not trusted and float(np.max(np.abs(_dagger(b) @ b - np.eye(dim)))) > 1e-10:
-        raise NonOrthonormalBasis("basis columns are not orthonormal")
+    if not trusted:
+        _check_orthonormal(b, "basis")
     return b
 
 
@@ -310,46 +316,28 @@ def dephase(rho, basis=None) -> np.ndarray:
     return (b * diag[..., None, :]) @ _dagger(b)
 
 
-def dephase_sectors(rho, decomposition: SpectralDecomposition) -> np.ndarray:
-    """Project out inter-sector blocks: sum_l P_l rho P_l.
-
-    Unlike :func:`dephase` this keeps coherence inside each degenerate
-    energy sector, which is the right notion when only level populations
-    (not individual basis states) are resolved.
-    """
-    a = as_complex_matrix(rho, "state")
-    if a.shape[0] != decomposition.dim:
-        raise DimensionMismatch("state and decomposition dimensions differ")
-    p = decomposition.projectors
-    return (p @ a @ p).sum(axis=0)
-
-
 @dataclass
 class CoherenceSplit:
-    """A state written as populations plus coherences, rho = P + chi.
+    """A state written as populations plus coherences, rho = D + chi.
 
-    ``populations`` is the dephased part and ``coherences`` the traceless
-    remainder.
+    ``populations`` is the dephased part D and ``coherences`` the traceless
+    remainder chi = rho - D.
     """
 
     populations: np.ndarray
     coherences: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.populations.shape[0]
 
-
-def coherence_split(rho, basis=None,
-                    sectors: SpectralDecomposition | None = None) -> CoherenceSplit:
+def coherence_split(rho, basis=None) -> CoherenceSplit:
     """Split a state into its dephased part and the coherence remainder.
 
-    With ``sectors`` given, the split keeps intra-sector blocks intact
-    (useful for degenerate Hamiltonians); otherwise it removes every
-    off-diagonal entry in ``basis``.
+    The dephased part is ``dephase(rho, basis)``: every off-diagonal entry
+    in ``basis`` is removed, ``basis`` taken as by :func:`dephase`.  A
+    degenerate energy basis is used as it is, so coherence inside a
+    degenerate level counts as coherence.
     """
     a = as_complex_matrix(rho, "state")
-    pops = dephase(a, basis) if sectors is None else dephase_sectors(a, sectors)
+    pops = dephase(a, basis)
     return CoherenceSplit(pops, a - pops)
 
 
@@ -371,14 +359,12 @@ def coherence_l1(rho, basis=None) -> float:
     return float(total) if total.ndim == 0 else total
 
 
-def matrix_phase_exp(hamiltonian, z: complex,
-                     decomposition: SpectralDecomposition | None = None) -> np.ndarray:
-    """exp(z H) for Hermitian H and arbitrary complex z.
+def matrix_phase_exp(decomposition: SpectralDecomposition, z: complex) -> np.ndarray:
+    """exp(z H) for the Hermitian H of a decomposition and arbitrary complex z.
 
     Built from the spectral decomposition, sum_l exp(z E_l) P_l, so purely
     imaginary z gives the unitary phase and real z the Boltzmann-type
-    weighting used in exponential averages.
+    weighting used in exponential averages.  A batched decomposition gives
+    a stack.
     """
-    if decomposition is None:
-        decomposition = spectral_decompose(hamiltonian)
     return spectral_sum(np.exp(z * decomposition.energies), decomposition)

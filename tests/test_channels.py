@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fluctua import channels
+from fluctua import channels, qcore
 from fluctua.channels import (
     BLOCK_BYTES,
     CPTPReport,
@@ -23,7 +23,12 @@ from fluctua.channels import (
     vec,
 )
 from fluctua.models import PRESETS, three_level_model
-from fluctua.qcore import DimensionMismatch, NonHermitianInput, hermitian_eig
+from fluctua.qcore import (
+    DimensionMismatch,
+    NonHermitianInput,
+    NonOrthonormalBasis,
+    hermitian_eig,
+)
 from fluctua.sampling import random_density, random_hamiltonian, random_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -74,7 +79,7 @@ def test_unitary_channel_preserves_spectrum():
 
 
 def test_unitary_rejects_nonunitary():
-    with pytest.raises(ValueError):
+    with pytest.raises(NonOrthonormalBasis, match="unitary columns are not orthonormal"):
         UnitaryChannel(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
@@ -159,6 +164,18 @@ def test_propagate_zero_window_is_identity():
     sched = HamiltonianSchedule(SX)
     rho0 = np.diag([0.3, 0.7]).astype(complex)
     assert np.allclose(propagate(sched, None, rho0), rho0)
+
+
+def test_propagate_validates_the_state_once(monkeypatch):
+    original, calls = qcore._gauged_eigh, []
+    monkeypatch.setattr(qcore, "_gauged_eigh",
+                        lambda matrix: calls.append(1) or original(matrix))
+    sched = HamiltonianSchedule(SX + 0.3 * SZ, t_final=1.0)
+    rho0 = random_density(2, gen=np.random.default_rng(8))
+    out = propagate(sched, [0.5 * SM], rho0)
+    assert len(calls) == 1
+    chan = propagator_series(sched, [0.5 * SM], [sched.t_final])[0]
+    assert np.array_equal(out, chan.apply(rho0))
 
 
 def test_propagate_keeps_state_valid():

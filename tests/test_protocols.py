@@ -290,14 +290,16 @@ def test_delta_single_entry():
 
 
 def test_delta_distribution_merges_chains_and_zero_mass_groups():
-    # Changes 0, 0.08, 0.16, 0.24 each lie within tol = 0.1 of the previous
-    # one, so they form one group although they span 0.24; 2.0 and 2.05 form
-    # a group of zero mass, whose value is the plain mean of its changes.
-    final = np.array([0.0, 0.08, 0.16, 0.24, 1.0, 2.0, 2.05])
+    # The merge tolerance is 1e-9 times the energy scales, max|E_f| = 2 +
+    # 1.8e-9 here.  Changes 0, 1.6e-9, 3.2e-9, 4.8e-9 each lie within it of
+    # the previous one, so they form one group although they span 4.8e-9;
+    # 2 and 2 + 1.8e-9 form a group of zero mass, whose value is the plain
+    # mean of its changes.
+    final = np.array([0.0, 1.6e-9, 3.2e-9, 4.8e-9, 1.0, 2.0, 2.0 + 1.8e-9])
     probs = np.array([[0.1, 0.2, 0.3, 0.0, 0.4, 0.0, 0.0]])
     j = JointEnergyDistribution(np.array([0.0]), final, probs, "EPM")
-    d = delta_distribution(j, merge_tol=0.1)
-    assert np.allclose(d.values, [(0.08 * 0.2 + 0.16 * 0.3) / 0.6, 1.0, 2.025],
+    d = delta_distribution(j)
+    assert np.allclose(d.values, [(1.6e-9 * 0.2 + 3.2e-9 * 0.3) / 0.6, 1.0, 2.0 + 0.9e-9],
                        rtol=0, atol=1e-15)
     assert np.allclose(d.probs, [0.6, 0.4, 0.0], rtol=0, atol=1e-15)
 

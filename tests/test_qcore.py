@@ -13,7 +13,6 @@ from fluctua.qcore import (
     coherence_l1,
     coherence_split,
     dephase,
-    dephase_sectors,
     density_spectrum,
     gibbs_state,
     hermitian_eig,
@@ -187,14 +186,14 @@ def mixed_degeneracy_stack(rng, d=4):
     return np.array(stack)
 
 
-def assert_groups_equal_each_matrix(stack, groups, grouping_tol=None):
+def assert_groups_equal_each_matrix(stack, groups):
     """The groups partition the stack, each member bitwise its matrix's own decomposition."""
     members = np.concatenate([idx for idx, _ in groups])
     assert np.array_equal(np.sort(members), np.arange(len(stack)))
     for idx, batch in groups:
         assert batch.energies.shape[0] == batch.projectors.shape[0] == len(idx)
         for k, m in enumerate(idx):
-            ref = spectral_decompose(stack[m], grouping_tol)
+            ref = spectral_decompose(stack[m])
             assert np.array_equal(batch.energies[k], ref.energies)
             assert np.array_equal(batch.projectors[k], ref.projectors)
             assert np.array_equal(batch.basis[k], ref.basis)
@@ -215,8 +214,6 @@ def test_stacked_eig_and_decomposition_equal_each_matrix():
     assert [idx.tolist() for idx, _ in groups] == [[0], [1], [2, 5, 6, 7], [3], [4]]
     assert [batch.energies.shape[1] for _, batch in groups] == [3, 2, 4, 2, 1]
     assert_groups_equal_each_matrix(stack, groups)
-    # an explicit tolerance applies to every member alike
-    assert_groups_equal_each_matrix(stack, spectral_decompose(stack, grouping_tol=1e-3), 1e-3)
 
 
 def test_stacked_decomposition_broadcasts_spectral_sums():
@@ -233,8 +230,7 @@ def test_stacked_decomposition_broadcasts_spectral_sums():
     for k, dec in enumerate(decs):
         assert np.array_equal(batch.basis[k], dec.basis)
         assert np.array_equal(batch.reconstruct()[k], dec.reconstruct())
-        assert np.array_equal(matrix_phase_exp(None, 0.7j, batch)[k],
-                              matrix_phase_exp(None, 0.7j, dec))
+        assert np.array_equal(matrix_phase_exp(batch, 0.7j)[k], matrix_phase_exp(dec, 0.7j))
 
 
 # ---------------------------------------------------------------------------
@@ -336,27 +332,13 @@ def test_dephase_on_a_stack_of_bases_dephases_in_each():
             assert np.array_equal(single, dephase(rho, b))
 
 
-def test_dephase_sectors_keeps_intra_block():
-    h = np.diag([2.0, 0.0, 0.0, -2.0])
-    dec = spectral_decompose(h)
-    rho = np.full((4, 4), 0.25, dtype=complex)  # projector onto uniform superposition
-    p = dephase_sectors(rho, dec)
-    # the (1,2) coherence lives inside the zero-energy sector and survives
-    assert abs(p[1, 2] - 0.25) < 1e-12
-    # cross-sector entries are gone
-    assert abs(p[0, 1]) < 1e-14 and abs(p[0, 3]) < 1e-14
-    # full dephasing removes it
-    assert abs(dephase(rho)[1, 2]) < 1e-14
-
-
 def test_coherence_split_roundtrip():
     rng = np.random.default_rng(17)
     for d in (2, 4):
         rho = random_density(d, gen=rng)
         h = random_hamiltonian(d, rng)
         _, basis = hermitian_eig(h)
-        for kwargs in ({}, {"basis": basis},
-                       {"sectors": spectral_decompose(h)}):
+        for kwargs in ({}, {"basis": basis}):
             split = coherence_split(rho, **kwargs)
             assert isinstance(split, CoherenceSplit)
             assert np.max(np.abs(split.populations + split.coherences - rho)) < 1e-12
@@ -394,17 +376,18 @@ def test_matrix_phase_exp_against_eigh_oracle():
     vals, vecs = np.linalg.eigh(h)
     for z in (0.0, -0.443, 1.2j, 0.5 - 0.25j):
         ref = (vecs * np.exp(z * vals)) @ vecs.conj().T
-        assert np.max(np.abs(matrix_phase_exp(h, z) - ref)) < 1e-9
+        assert np.max(np.abs(matrix_phase_exp(spectral_decompose(h), z) - ref)) < 1e-9
 
 
 def test_matrix_phase_exp_zero_is_identity():
-    assert np.allclose(matrix_phase_exp(np.diag([1.0, -1.0]), 0.0), np.eye(2))
+    assert np.allclose(matrix_phase_exp(spectral_decompose(np.diag([1.0, -1.0])), 0.0),
+                       np.eye(2))
 
 
 def test_matrix_phase_exp_imaginary_is_unitary():
     rng = np.random.default_rng(23)
     h = random_hamiltonian(5, rng)
-    u = matrix_phase_exp(h, 0.9j)
+    u = matrix_phase_exp(spectral_decompose(h), 0.9j)
     assert np.max(np.abs(u @ u.conj().T - np.eye(5))) < 1e-10
 
 
@@ -448,14 +431,42 @@ def test_density_spectrum_returns_the_validated_decomposition():
     assert np.array_equal(dephase(state), dephase(rho))
 
 
-def test_density_spectrum_honours_a_looser_hermiticity_tolerance():
-    # the state's own check is the only one: hermitian_eig's 1e-10 check
-    # must not reject a defect that herm_tol admits
+def test_density_spectrum_takes_the_eigenpairs_of_the_hermitian_average():
     rho = np.array([[0.5, 0.1 + 1e-8], [0.1, 0.5]])
     with pytest.raises(NonHermitianInput, match="density operator"):
         density_spectrum(rho)
-    a, vals, vecs = density_spectrum(rho, herm_tol=1e-6)
-    # the eigenpairs are those of the Hermitian average, as hermitian_eig
-    # gives them for it, bit for bit
+    # a defect the Hermiticity check admits: the eigenpairs are those of the
+    # Hermitian average, as hermitian_eig gives them for it, bit for bit
+    a, vals, vecs = density_spectrum(np.array([[0.5, 0.1 + 5e-11], [0.1, 0.5]]))
     ref_vals, ref_vecs = hermitian_eig(0.5 * (a + a.conj().T))
     assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+
+def _at_density_tolerances():
+    """(state, accepted) pairs on either side of each density tolerance.
+
+    The Hermiticity defect is one off-diagonal entry, the trace defect one
+    diagonal entry, and the negative eigenvalue one diagonal entry of a
+    diagonal state whose other entry keeps the trace 1.
+    """
+    base = np.array([[0.6, 0.1], [0.1, 0.4]], dtype=complex)
+    for defect, accepted in ((2e-10, False), (5e-11, True)):
+        rho = base.copy()
+        rho[0, 1] += defect
+        yield rho, accepted
+    for defect, accepted in ((2e-8, False), (-2e-8, False), (5e-9, True), (-5e-9, True)):
+        rho = base.copy()
+        rho[0, 0] += defect
+        yield rho, accepted
+    for low, accepted in ((-2e-9, False), (-5e-10, True)):
+        yield np.diag([1.0 - low, low]).astype(complex), accepted
+
+
+@pytest.mark.parametrize("validate", [density_spectrum, assert_density_operator])
+def test_density_checks_reject_and_accept_at_their_tolerances(validate):
+    for rho, accepted in _at_density_tolerances():
+        if accepted:
+            validate(rho)
+        else:
+            with pytest.raises(ValueError, match="density operator"):
+                validate(rho)
